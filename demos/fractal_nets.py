@@ -52,7 +52,8 @@ for t in (0.45, 0.60, 0.75):
 # ---------------------------------------------------------------------------
 # Edge scaling: fitted slope of log(edges) against log(1/eps) should sit
 # near 2s - 1.
-result = edge_scaling(spec, t=0.6, epsilon_list=[2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6])
+nets = [greedy_net(cloud, 2.0**-j) for j in (3, 4, 5, 6)]
+result = edge_scaling(spec, cloud, nets, t=0.6)
 print(f"\nedge scaling at t=0.6: slope {result.slope:.3f}, prediction {result.predicted_slope:.3f}")
 for rec in result.records:
     print(f"  eps={rec.epsilon:.5f}: {rec.net_size:4d} centers, {rec.edges:6d} edges")

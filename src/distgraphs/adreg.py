@@ -277,36 +277,32 @@ def check_scale(spec: FractalSpec, epsilon: float) -> None:
 
 def edge_scaling(
     spec: FractalSpec,
+    cloud: PointCloud,
+    nets: Sequence[Net],
     t: float,
-    epsilon_list: Sequence[float],
     band: tuple[float, float] = DEFAULT_BAND,
-    cloud: Optional[PointCloud] = None,
 ) -> EdgeScalingResult:
-    """Edge counts of the approximate distance graph across scales, with
-    the fitted log-log slope (expected around 2s - 1) and the per-scale
+    """Edge counts of the approximate distance graphs on the given nets
+    of `cloud` (one per scale, taken in ascending epsilon), with the
+    fitted log-log slope (expected around 2s - 1) and the per-scale
     degree statistics of the annulus-regular centers."""
-    eps = sorted(float(e) for e in epsilon_list)
-    if len(eps) < 3:
-        raise ConfigError(f"need at least 3 epsilon values, got {len(eps)}")
-    for e in eps:
-        check_scale(spec, e)
-    if cloud is None:
-        cloud = cantor_product(spec)
+    nets = sorted(nets, key=lambda net: net.epsilon)
+    if len(nets) < 3:
+        raise ConfigError(f"need at least 3 epsilon values, got {len(nets)}")
+    for net in nets:
+        check_scale(spec, net.epsilon)
     records = []
-    for e in eps:
-        net = greedy_net(cloud, e)
-        dist = _pairwise_dist(net.centers)
-        adj = np.abs(dist - t) < 10.0 * e
-        np.fill_diagonal(adj, False)
-        degrees = adj.sum(axis=1)
-        edges = int(degrees.sum()) // 2
+    for net in nets:
+        e = net.epsilon
+        graph = approx_distance_graph(net, t, e)
+        degrees = np.array(graph.degrees(), dtype=np.int64)
         stats = annulus_stats(cloud, net.centers, t, e, band)
         band_deg = degrees[stats.in_band]
         records.append(
             EdgeScaleRecord(
                 epsilon=e,
                 net_size=net.size,
-                edges=edges,
+                edges=graph.edge_count,
                 band_fraction=stats.fraction_in_band,
                 min_degree_band=int(band_deg.min()) if band_deg.size else -1,
                 median_degree_band=float(np.median(band_deg)) if band_deg.size else float("nan"),

@@ -14,8 +14,8 @@ from pathlib import Path
 from . import ffgeom
 from . import field as ff
 from .errors import ConfigError, DistGraphsError
-from .experiments import ExperimentConfig, ExperimentReport, run
-from .graphs import graph_from_name, graph_from_text
+from .experiments import ExperimentConfig, ExperimentReport, catalog_graph, run
+from .graphs import Graph, graph_from_text
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -62,8 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args, kind: str) -> ExperimentConfig:
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"unreadable config {args.config}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config is a JSON object, got {type(doc).__name__}")
         if doc.get("kind") != kind:
             raise ConfigError(
                 f"config kind {doc.get('kind')!r} does not match subcommand {kind!r}"
@@ -94,27 +98,35 @@ def _load_config(args, kind: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def _cmd_graph_distance_set(args) -> int:
+def _pattern(args) -> tuple[Graph, str]:
     if args.graph_file:
-        pattern = graph_from_text(Path(args.graph_file).read_text())
-        pattern_name = args.graph_file
-    elif args.graph:
-        pattern = graph_from_name(args.graph)
-        pattern_name = args.graph
-    else:
-        raise ConfigError("graph-distance-set needs --graph or --graph-file")
+        return graph_from_text(Path(args.graph_file).read_text()), args.graph_file
+    if args.graph:
+        return catalog_graph(args.graph), args.graph
+    raise ConfigError("graph-distance-set needs --graph or --graph-file")
+
+
+def _points(args) -> ffgeom.PointSet:
     if args.points_file:
-        E = ffgeom.read_points_file(args.points_file)
-    else:
-        if args.p is None or args.d is None:
-            raise ConfigError("need --points-file, or --p/--d (with optional --size/--seed)")
-        spec = ff.make_field(args.p, args.k)
-        if args.size is None:
-            E = ffgeom.all_points(spec, args.d)
-        else:
-            if args.seed is None:
-                raise ConfigError("--size requires --seed")
-            E = ffgeom.random_subset(spec, args.d, args.size, seed=args.seed)
+        return ffgeom.read_points_file(args.points_file)
+    if args.p is None or args.d is None:
+        raise ConfigError("need --points-file, or --p/--d (with optional --size/--seed)")
+    spec = ff.make_field(args.p, args.k)
+    if args.size is None:
+        return ffgeom.all_points(spec, args.d)
+    if args.seed is None:
+        raise ConfigError("--size requires --seed")
+    return ffgeom.random_subset(spec, args.d, args.size, seed=args.seed)
+
+
+def _cmd_graph_distance_set(args) -> int:
+    # Everything the flags name is input: an unreadable or malformed file,
+    # or a value the library rejects, is a config error.
+    try:
+        pattern, pattern_name = _pattern(args)
+        E = _points(args)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     ds = ffgeom.graph_distance_set(E, pattern, budget=args.budget)
     records = []
     for t in range(E.spec.q):

@@ -27,7 +27,15 @@ import numpy as np
 
 from . import adreg, extremal, ffgeom
 from . import field as ff
-from .errors import BudgetExceeded, ConfigError, DegenerateFit, TooLarge
+from .errors import (
+    BudgetExceeded,
+    ConfigError,
+    DegenerateFit,
+    InvalidDegree,
+    NotBipartite,
+    NotOddPrime,
+    TooLarge,
+)
 from .graphs import Graph, graph_from_name, graph_from_text, graph_to_text
 
 RNG_ID = "pcg64+seedseq-spawn/partial-fisher-yates"
@@ -70,12 +78,39 @@ def resolve_size(size_spec, q: int, d: int) -> int:
     return n
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(entry) -> ff.FieldSpec:
+    """A config's `[p, k]` as a field; a pair make_field rejects is a
+    config error."""
+    if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_int, entry))):
+        raise ConfigError(f"a field is `[p, k]` with integer p and k, got {entry!r}")
+    try:
+        return ff.make_field(*entry)
+    except (NotOddPrime, InvalidDegree) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def catalog_graph(name) -> Graph:
+    """A catalog graph by name; an unknown or undersized name is a
+    config error."""
+    try:
+        return graph_from_name(str(name))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _resolve_pattern(params: dict) -> tuple[str, Graph]:
     if "graph" in params:
         name = str(params["graph"])
-        return name, graph_from_name(name)
+        return name, catalog_graph(name)
     if "graph_text" in params:
-        g = graph_from_text(params["graph_text"])
+        try:
+            g = graph_from_text(str(params["graph_text"]))
+        except ValueError as exc:
+            raise ConfigError(f"bad `graph_text`: {exc}") from exc
         return f"custom({g.n},{g.edge_count})", g
     raise ConfigError("params need `graph` (catalog name) or `graph_text`")
 
@@ -91,8 +126,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.jobs is not None and not (_is_int(self.jobs) and self.jobs >= 1):
+            raise ConfigError(f"jobs must be an integer >= 1, got {self.jobs!r}")
+        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         randomized = self.kind in ("ir-sweep", "threshold")
         if randomized and self.seed is None:
             raise ConfigError(f"kind {self.kind!r} requires a seed")
@@ -105,17 +142,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        try:
-            jobs = doc.get("jobs")
-            return cls(
-                kind=doc["kind"],
-                params=dict(doc.get("params", {})),
-                seed=doc.get("seed"),
-                jobs=None if jobs is None else int(jobs),
-                out=doc.get("out"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"config missing key {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config is a JSON object, got {type(doc).__name__}")
+        if not isinstance(doc.get("params", {}), dict):
+            raise ConfigError("config `params` must be a JSON object")
+        if "kind" not in doc:
+            raise ConfigError("config missing key 'kind'")
+        return cls(
+            kind=doc["kind"],
+            params=dict(doc.get("params", {})),
+            seed=doc.get("seed"),
+            jobs=doc.get("jobs"),
+            out=doc.get("out"),
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -198,12 +237,12 @@ IR_COLUMNS = [
 
 
 def _ir_worker(inst: dict) -> dict:
-    spec = ff.make_field(inst["p"], inst["k"])
+    spec = inst["spec"]
     E = ffgeom.random_subset(spec, inst["d"], inst["size"], seed=inst["seed"])
     hist = ffgeom.distance_histogram(E)
     report = ffgeom.ir_check(E, hist)
     return {
-        "p": inst["p"], "k": inst["k"], "q": spec.q, "d": inst["d"],
+        "p": spec.p, "k": spec.k, "q": spec.q, "d": inst["d"],
         "size_spec": inst["size_spec"], "size": inst["size"],
         "trial": inst["trial"], "seed": inst["seed"],
         "pass": report.passed,
@@ -216,7 +255,7 @@ def run_ir_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Sample random subsets across a (field, dimension, size) grid and
     check the exact remainder bound on each distance histogram."""
     p = config.params
-    fields = [tuple(map(int, f)) for f in p.get("fields", [])]
+    fields = [_field(f) for f in p.get("fields", [])]
     dims = [int(d) for d in p.get("dims", [])]
     sizes = p.get("sizes", [])
     trials = int(p.get("trials", 1))
@@ -224,14 +263,13 @@ def run_ir_sweep(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("ir-sweep needs `fields`, `dims`, and nonnegative `trials`")
     instances = []
     index = 0
-    for pk in fields:
-        spec = ff.make_field(*pk)
+    for spec in fields:
         for d in dims:
             for size_spec in sizes:
                 size = resolve_size(size_spec, spec.q, d)
                 for trial in range(trials):
                     instances.append({
-                        "p": pk[0], "k": pk[1], "d": d,
+                        "spec": spec, "d": d,
                         "size_spec": str(size_spec), "size": size, "trial": trial,
                         "seed": instance_seed(config.seed, index),
                     })
@@ -255,10 +293,9 @@ THRESHOLD_COLUMNS = [
 
 
 def _threshold_worker(inst: dict) -> dict:
-    spec = ff.make_field(inst["p"], inst["k"])
-    pattern = graph_from_text(inst["pattern_text"])
+    spec = inst["spec"]
     E = ffgeom.random_subset(spec, inst["d"], inst["size"], seed=inst["seed"])
-    ds = ffgeom.graph_distance_set(E, pattern, budget=inst["budget"])
+    ds = ffgeom.graph_distance_set(E, inst["pattern"], budget=inst["budget"])
     indet = len(ds.indeterminate) > 0
     return {
         "q": spec.q, "d": inst["d"], "graph": inst["graph"],
@@ -280,25 +317,23 @@ def run_threshold(config: ExperimentConfig) -> ExperimentReport:
     most `noise_tolerance`, and that full-space size levels succeed.
     """
     p = config.params
-    pk = tuple(map(int, p.get("field", ())))
     d = int(p.get("d", 0))
-    if len(pk) != 2 or d < 2:
+    if "field" not in p or d < 2:
         raise ConfigError("threshold needs `field` = [p, k] and `d` >= 2")
+    spec = _field(p["field"])
     name, pattern = _resolve_pattern(p)
-    spec = ff.make_field(*pk)
     sizes = sorted({resolve_size(s, spec.q, d) for s in p.get("sizes", [])})
     trials = int(p.get("trials", 0))
     budget = p.get("budget")
     noise = float(p.get("noise_tolerance", 0.1))
     max_inversions = int(p.get("max_inversions", 1))
-    pattern_text = graph_to_text(pattern)
     instances = []
     index = 0
     for size in sizes:
         for trial in range(trials):
             instances.append({
-                "p": pk[0], "k": pk[1], "d": d, "graph": name,
-                "pattern_text": pattern_text, "size": size, "trial": trial,
+                "spec": spec, "d": d, "graph": name,
+                "pattern": pattern, "size": size, "trial": trial,
                 "budget": budget, "seed": instance_seed(config.seed, index),
             })
             index += 1
@@ -334,7 +369,7 @@ EXTREMAL_COLUMNS = ["n", "graph", "ex", "witness_edges", "method", "cached", "ve
 
 
 def _extremal_worker(inst: dict) -> dict:
-    pattern = graph_from_text(inst["pattern_text"])
+    pattern = inst["pattern"]
     n = inst["n"]
     t0 = time.perf_counter()
     skipped = False
@@ -366,6 +401,44 @@ def _cache_key(n: int, pattern: Graph) -> str:
     return f"{n}|{graph_to_text(pattern)}"
 
 
+CACHE_ENTRY_KEYS = {"value", "witness_edges", "method"}
+
+
+def _load_cache(path) -> dict:
+    """The JSON cache of ex(n, G) cells.  Anything but a JSON object of
+    well-formed entries is a config error."""
+    try:
+        cache = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"unreadable cache {path}: {exc}") from exc
+    if not isinstance(cache, dict) or not all(
+        isinstance(e, dict)
+        and set(e) == CACHE_ENTRY_KEYS
+        and _is_int(e["value"])
+        and isinstance(e["witness_edges"], str)
+        and isinstance(e["method"], str)
+        for e in cache.values()
+    ):
+        raise ConfigError(f"cache {path} is not a JSON object of {sorted(CACHE_ENTRY_KEYS)} entries")
+    return cache
+
+
+def _cached_record(n: int, name: str, pattern: Graph, hit: dict) -> dict:
+    """A cache hit as a record, its witness checked again as if fresh."""
+    try:
+        edges = [tuple(map(int, e.split("-"))) for e in hit["witness_edges"].split(";") if e]
+        witness = Graph(n, edges)
+    except ValueError as exc:
+        raise ConfigError(f"bad cached witness for ex({n}, {name}): {exc}") from exc
+    result = extremal.ExtremalResult(n, pattern, hit["value"], witness)
+    return {
+        "n": n, "graph": name, "ex": hit["value"],
+        "witness_edges": hit["witness_edges"], "method": hit["method"],
+        "cached": True, "verified": extremal.verify_extremal_witness(result),
+        "elapsed_s": 0.0,
+    }
+
+
 def run_extremal_table(config: ExperimentConfig) -> ExperimentReport:
     """Exact ex(n, G) over a grid, with reference exponent columns in the
     summary and a JSON cache keyed by (n, canonical graph text)."""
@@ -378,8 +451,8 @@ def run_extremal_table(config: ExperimentConfig) -> ExperimentReport:
     cache_path = p.get("cache")
     cache = {}
     if cache_path and Path(cache_path).exists():
-        cache = json.loads(Path(cache_path).read_text())
-    patterns = {name: graph_from_name(name) for name in graph_names}
+        cache = _load_cache(cache_path)
+    patterns = {name: catalog_graph(name) for name in graph_names}
     instances = []
     cached_records = []
     for name in graph_names:
@@ -387,18 +460,10 @@ def run_extremal_table(config: ExperimentConfig) -> ExperimentReport:
         for n in n_values:
             key = _cache_key(n, pattern)
             if key in cache:
-                hit = cache[key]
-                cached_records.append({
-                    "n": n, "graph": name, "ex": hit["value"],
-                    "witness_edges": hit["witness_edges"], "method": hit["method"],
-                    "cached": True, "verified": True, "elapsed_s": 0.0,
-                })
+                cached_records.append(_cached_record(n, name, pattern, cache[key]))
             else:
                 method = "exhaustive" if n <= exhaustive_max else "branch-bound"
-                instances.append({
-                    "n": n, "graph": name, "pattern_text": graph_to_text(pattern),
-                    "method": method,
-                })
+                instances.append({"n": n, "graph": name, "pattern": pattern, "method": method})
     fresh = _run_instances(instances, _extremal_worker, config.jobs)
     for rec in fresh:
         if rec["ex"] is not None:
@@ -423,7 +488,7 @@ def run_extremal_table(config: ExperimentConfig) -> ExperimentReport:
                     str(n): float(n) ** (2.0 - float(info.alpha)) for n in n_values
                 },
             }
-        except Exception:
+        except NotBipartite:
             references[name] = None
     verdict = all(r["verified"] for r in records if r["verified"] is not None)
     summary = {
@@ -450,10 +515,8 @@ ADREG_COLUMNS = [
 def _adreg_worker(inst: dict) -> list[dict]:
     spec = adreg.FractalSpec(inst["d"], inst["contraction"], inst["depth"])
     eps_list = sorted(inst["eps_list"])
-    for e in eps_list:
-        adreg.check_scale(spec, e)
     band = tuple(inst["band"])
-    pattern = graph_from_text(inst["pattern_text"])
+    pattern = inst["pattern"]
     cloud = adreg.cantor_product(spec)
     base = {"d": spec.d, "contraction": spec.contraction, "depth": spec.depth}
     rows = []
@@ -478,7 +541,7 @@ def _adreg_worker(inst: dict) -> list[dict]:
         if stats.fraction_in_band > best_frac:
             best_t, best_frac = t, stats.fraction_in_band
     try:
-        scaling = adreg.edge_scaling(spec, best_t, eps_list, band, cloud=cloud)
+        scaling = adreg.edge_scaling(spec, cloud, [nets[e] for e in eps_list], best_t, band)
         for r in scaling.records:
             rows.append({
                 **base, "record": "scaling", "t": best_t, "eps": r.epsilon,
@@ -554,7 +617,7 @@ def run_adreg_scan(config: ExperimentConfig) -> ExperimentReport:
         instances.append({
             "d": spec.d, "contraction": spec.contraction, "depth": spec.depth,
             "eps_list": eps_list, "t_grid": t_grid, "band": p.get("band", adreg.DEFAULT_BAND),
-            "graph": name, "pattern_text": graph_to_text(pattern),
+            "graph": name, "pattern": pattern,
             "approx_eps": approx_eps, "budget": p.get("budget"),
         })
     nested = _run_instances(instances, _adreg_worker, config.jobs)

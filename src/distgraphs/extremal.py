@@ -21,6 +21,7 @@ from .graphs import (
     Graph,
     _Budget,
     _Plan,
+    _components,
     _get_plan,
     _search_rows,
     contains_subgraph,
@@ -175,24 +176,8 @@ def aks_exponent(pattern: Graph) -> ExponentInfo:
     return ExponentInfo(Fraction(1, r), AKS, r)
 
 
-def _is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    queue = [0]
-    count = 1
-    while queue:
-        u = queue.pop()
-        for v in range(g.n):
-            if g.has_edge(u, v) and not seen >> v & 1:
-                seen |= 1 << v
-                count += 1
-                queue.append(v)
-    return count == g.n
-
-
 def _cycle_length(g: Graph) -> Optional[int]:
-    if g.n >= 3 and all(d == 2 for d in g.degrees()) and _is_connected(g):
+    if g.n >= 3 and all(d == 2 for d in g.degrees()) and len(_components(g)) <= 1:
         return g.n
     return None
 

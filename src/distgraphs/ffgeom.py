@@ -311,18 +311,20 @@ def graph_distance_set(
     norms: Optional[np.ndarray] = None,
 ) -> GraphDistanceSet:
     """Test every t in F_q for pattern containment in the t-distance
-    graph.  The pairwise norm matrix is computed once and shared."""
-    if len(E) and norms is None:
+    graph.  The pairwise norm matrix is computed once and shared.
+
+    A t no pair of E realizes gives an edgeless graph, in which a
+    pattern with edges has no candidate vertex, so its search ends
+    before spending budget: absent, never indeterminate."""
+    if pattern.n > len(E):
+        return GraphDistanceSet(E.spec, frozenset(), frozenset())
+    if norms is None:
         norms = pairwise_norms(E)
     contained = set()
     indeterminate = set()
     witnesses = {}
     for t in range(E.spec.q):
-        if pattern.n > len(E):
-            continue
-        if pattern.edge_count and len(E) and not np.any(norms == t):
-            continue
-        g = distance_graph(E, t, norms=norms) if len(E) else Graph(0)
+        g = distance_graph(E, t, norms=norms)
         try:
             w = contains_subgraph(g, pattern, budget=budget)
         except BudgetExceeded:
@@ -354,22 +356,32 @@ def write_points_file(E: PointSet, path) -> None:
             fh.write(" ".join(str(c) for c in cells) + "\n")
 
 
+def _digits(line: str, count: int, p: int, where: str) -> list[int]:
+    """`count` integers in [0, p) from one line of a points file."""
+    try:
+        cells = [int(tok) for tok in line.split()]
+    except ValueError:
+        raise ValueError(f"{where}: non-integer token in {line.strip()!r}") from None
+    if len(cells) != count:
+        raise ValueError(f"{where} needs {count} integers, got {len(cells)}")
+    if any(not 0 <= c < p for c in cells):
+        raise ValueError(f"{where}: coefficient outside [0, {p})")
+    return cells
+
+
 def read_points_file(path) -> PointSet:
+    """Inverse of write_points_file.  Strict: every coefficient lies in
+    [0, p), the modulus line has k + 1 of them, and exactly n point lines
+    follow (trailing blank lines aside)."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise ValueError("points file header must be `p k d n`")
-        p, k, d, n = map(int, header)
-        modulus = tuple(int(c) for c in fh.readline().split())
-        spec = FieldSpec(p, k, modulus)
-        codes = np.empty((n, d), dtype=np.int32)
-        for i in range(n):
-            cells = fh.readline().split()
-            if len(cells) != d * k:
-                raise ValueError(f"point line {i} needs {d*k} integers")
-            for j in range(d):
-                code = 0
-                for c in range(k - 1, -1, -1):
-                    code = code * p + int(cells[c * d + j]) % p
-                codes[i, j] = code
-        return PointSet(spec, d, codes)
+        lines = fh.read().rstrip().splitlines()
+    header = lines[0].split() if lines else []
+    if len(header) != 4 or not all(tok.isdigit() for tok in header):
+        raise ValueError("points file header must be `p k d n`, four nonnegative integers")
+    p, k, d, n = map(int, header)
+    if len(lines) != n + 2:
+        raise ValueError(f"header says {n} points but the file has {len(lines) - 2} point lines")
+    spec = FieldSpec(p, k, _digits(lines[1], k + 1, p, "modulus line"))
+    rows = [_digits(line, d * k, p, f"point line {i}") for i, line in enumerate(lines[2:])]
+    codes = [[sum(row[c * d + j] * p**c for c in range(k)) for j in range(d)] for row in rows]
+    return PointSet(spec, d, codes)

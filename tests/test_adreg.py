@@ -133,7 +133,9 @@ def test_approx_graph_trivia():
 
 def test_edge_scaling_monotone_and_fit():
     spec = FractalSpec(2, 0.45, 7)
-    res = edge_scaling(spec, 0.6, [2.0**-3, 2.0**-4, 2.0**-5])
+    cloud = cantor_product(spec)
+    nets = [greedy_net(cloud, e) for e in (2.0**-3, 2.0**-4, 2.0**-5)]
+    res = edge_scaling(spec, cloud, nets, 0.6)
     edges = [r.edges for r in sorted(res.records, key=lambda r: r.epsilon)]
     assert edges == sorted(edges, reverse=True)
     assert res.slope > 0
@@ -141,14 +143,18 @@ def test_edge_scaling_monotone_and_fit():
 
 def test_edge_scaling_errors():
     spec = FractalSpec(2, 0.45, 7)
+    cloud = cantor_product(spec)
     with pytest.raises(ConfigError):
-        edge_scaling(spec, 0.6, [0.125, 0.25])  # fewer than 3 scales
+        # fewer than 3 scales
+        edge_scaling(spec, cloud, [greedy_net(cloud, e) for e in (0.125, 0.25)], 0.6)
     with pytest.raises(ConfigError):
         check_scale(spec, spec.cell_side)  # below the 4-cell floor
     sparse = FractalSpec(1, 0.45, 5)
+    sparse_cloud = cantor_product(sparse)
+    sparse_nets = [greedy_net(sparse_cloud, e) for e in (0.125, 0.25, 0.5)]
     with pytest.raises(DegenerateFit):
         # t far beyond the diameter: every scale yields an edgeless graph.
-        edge_scaling(sparse, 50.0, [0.125, 0.25, 0.5])
+        edge_scaling(sparse, sparse_cloud, sparse_nets, 50.0)
 
 
 def test_find_approximation_k2_and_validator():

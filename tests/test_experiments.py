@@ -206,3 +206,112 @@ def test_cli_graph_file_and_points_file(tmp_path, capsys):
     assert code == 0
     manifest = json.loads((tmp_path / "gds" / "manifest.json").read_text())
     assert manifest["summary"]["covers_all_nonzero"] is True
+
+
+def _extremal_cache_run(tmp_path, cache_text):
+    cache = tmp_path / "cache.json"
+    cache.write_text(cache_text)
+    cfg = tmp_path / "ex.json"
+    cfg.write_text(json.dumps({"kind": "extremal-table", "params": {"n_values": [4], "graphs": ["C4"]}}))
+    return main(["extremal-table", "--config", str(cfg), "--cache", str(cache)])
+
+
+def test_extremal_table_rechecks_cache_hits(tmp_path, capsys):
+    from distgraphs.graphs import cycle_graph, graph_to_text
+
+    key = f"4|{graph_to_text(cycle_graph(4))}"
+    # ex(4, C4) is 3; K4 has 6 edges and contains C4.
+    poisoned = {key: {"value": 6, "witness_edges": "0-1;0-2;0-3;1-2;1-3;2-3", "method": "exhaustive"}}
+    assert _extremal_cache_run(tmp_path, json.dumps(poisoned)) == 1
+    assert "4,C4,6,0-1;0-2;0-3;1-2;1-3;2-3,exhaustive,true,false," in capsys.readouterr().out
+    honest = {key: {"value": 3, "witness_edges": "0-1;0-2;0-3", "method": "exhaustive"}}
+    assert _extremal_cache_run(tmp_path, json.dumps(honest)) == 0
+    assert ",true,true," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "cache_text",
+    [
+        "{",
+        "[]",
+        '{"4|x": 3}',
+        '{"4|x": {"value": "3", "witness_edges": "", "method": "exhaustive"}}',
+        '{"4|x": {"value": 3, "witness_edges": "", "method": "exhaustive", "extra": 1}}',
+        '{"4|4 4\\n0 1\\n0 3\\n1 2\\n2 3\\n": '
+        '{"value": 1, "witness_edges": "0-9", "method": "exhaustive"}}',
+    ],
+    ids=["not-json", "list", "bare-value", "string-value", "extra-key", "witness-out-of-range"],
+)
+def test_extremal_table_malformed_cache(tmp_path, capsys, cache_text):
+    assert _extremal_cache_run(tmp_path, cache_text) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+IR_ONE = {"fields": [[3, 1]], "dims": [2], "sizes": ["q"], "trials": 1}
+THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials": 1}
+
+
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        # a top-level JSON list
+        ([{"kind": "ir-sweep", "seed": 1, "params": IR_ONE}], ["ir-sweep"]),
+        # a negative, non-integer or boolean seed
+        ({"kind": "ir-sweep", "seed": -1, "params": IR_ONE}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": 1.5, "params": IR_ONE}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": "7", "params": IR_ONE}, ["ir-sweep"]),
+        ({"kind": "threshold", "seed": True, "params": THRESHOLD_ONE}, ["threshold"]),
+        ({"kind": "ir-sweep", "params": IR_ONE}, ["ir-sweep", "--seed", "-3"]),
+        # an unknown graph name
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "graph": "X9"}}, ["threshold"]),
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "graph": "C2"}}, ["threshold"]),
+        ({"kind": "extremal-table", "params": {"n_values": [3], "graphs": ["C4", "Z3"]}},
+         ["extremal-table"]),
+        ({"kind": "adreg-scan", "params": {"specs": [{"d": 1, "contraction": 0.45, "depth": 7}],
+                                           "eps": [0.125, 0.0625, 0.03125], "graph": "nope"}},
+         ["adreg-scan"]),
+        (None, ["graph-distance-set", "--p", "3", "--d", "2", "--graph", "X9"]),
+        # a non-odd-prime characteristic or a bad degree
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "fields": [[4, 1]]}}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "fields": [[2, 1]]}}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "fields": [[3, 0]]}}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "fields": [[3]]}}, ["ir-sweep"]),
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "field": [9, 1]}}, ["threshold"]),
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "field": [3, 1.5]}}, ["threshold"]),
+    ],
+    ids=[
+        "list", "seed-negative", "seed-float", "seed-string", "seed-bool", "seed-flag-negative",
+        "graph-unknown", "graph-too-small", "graphs-unknown", "adreg-graph-unknown",
+        "graph-flag-unknown", "field-4", "field-2", "degree-0", "field-short", "field-9",
+        "degree-float",
+    ],
+)
+def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):
+    argv = list(flags)
+    if doc is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        argv[1:1] = ["--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "points, graph",
+    [
+        ("3 1 2 2\n0 1\n5 9\n0 1\n1 2\n", "2 1\n0 1\n"),  # out-of-range digits, extra line
+        ("3 1 2 2\n0 1\n0 1\n", "2 1\n0 1\n"),  # a missing point line
+        ("3 1 2 1\n0 1\n0 1\n", "2 1\n1 0\n"),  # a graph edge with u > v
+        (None, "2 1\n0 1\n"),  # no such points file
+    ],
+    ids=["digits-and-extra-line", "missing-line", "graph-edge-order", "no-points-file"],
+)
+def test_cli_bad_input_files_exit_2(tmp_path, capsys, points, graph):
+    pts, gf = tmp_path / "pts.txt", tmp_path / "g.txt"
+    if points is not None:
+        pts.write_text(points)
+    gf.write_text(graph)
+    assert main(["graph-distance-set", "--points-file", str(pts), "--graph-file", str(gf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1

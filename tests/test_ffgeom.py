@@ -246,6 +246,36 @@ def test_points_file_format_is_coefficient_major(tmp_path):
 
 def test_points_file_errors(tmp_path):
     bad = tmp_path / "bad.txt"
-    bad.write_text("3 1 2\n0 1\n")
-    with pytest.raises(ValueError):
-        read_points_file(bad)
+    for text in [
+        "3 1 2\n0 1\n",  # a short header
+        "3 1 2 2\n0 1\n5 9\n0 1\n1 2\n",  # digits 5 and 9, and a third point line
+        "3 1 2 2\n0 1\n0 1\n1 5\n",  # a digit outside [0, p)
+        "3 1 2 2\n0 1\n0 1\n1 2\n2 2\n",  # more point lines than the header's n
+        "3 1 2 2\n0 1\n0 1\n",  # fewer point lines than the header's n
+        "3 1 2 2\n0 1\n0 1\n1 x\n",  # a non-integer token
+        "3 1 2 2\n0 1\n0 1\n1 2.0\n",
+        "3 2 2 1\n1 0\n2 1 1 2\n",  # a modulus line one coefficient short
+        "3 1 2 -1\n0 1\n",  # a negative point count
+    ]:
+        bad.write_text(text)
+        with pytest.raises(ValueError):
+            read_points_file(bad)
+
+
+def test_points_file_trailing_blank_lines(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("3 1 2 2\n0 1\n0 1\n1 2\n\n\n")
+    assert read_points_file(path).codes.tolist() == [[0, 1], [1, 2]]
+
+
+def test_graph_distance_set_isotropic_line(f5):
+    # The points (x, 2x) of F_5^2: every difference has norm 5 x^2 = 0.
+    E = PointSet(f5, 2, np.array([[x, 2 * x % 5] for x in range(5)]))
+    assert np.all(pairwise_norms(E) == 0)
+    ds = graph_distance_set(E, complete_graph(2))
+    assert ds.contained == {0} and not ds.indeterminate
+    # An unrealized t is absent even at the smallest budget: the search
+    # finds no candidate and so spends nothing.
+    tight = graph_distance_set(E, complete_graph(2), budget=1)
+    for t in range(1, 5):
+        assert t not in tight.contained and t not in tight.indeterminate
