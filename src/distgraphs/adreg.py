@@ -9,11 +9,18 @@ sweeps must keep epsilon >= 4 lambda^depth (enforced where a sweep is
 requested).  Threshold comparisons against epsilon-scaled radii carry a
 2^-40 relative guard band so re-verification with independently computed
 distances cannot flap across the boundary.
+
+Nets, net checks and annulus counts query a cell grid over the points
+(cells of side the query's scale, each with the exact bounding box of its
+points) rather than scanning the whole cloud per center.  The grid only
+filters: it returns a superset of the points whose distance could fall in
+the query's range, and the same distance predicate as a whole-cloud scan
+then decides every candidate, so results are identical to that scan's,
+ties at the boundaries included.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
@@ -21,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFit, TooLarge
+from .errors import ConfigError, DegenerateFit, TooLarge, env_cap
 from .graphs import Graph, contains_subgraph
 
 DEFAULT_MAX_CLOUD = 1 << 18
@@ -33,7 +40,7 @@ DEFAULT_BAND = (0.125, 8.0)  # annulus regularity band: mass/epsilon in [c1, c2]
 
 
 def max_cloud_size() -> int:
-    return int(os.environ.get(ENV_MAX_CLOUD, DEFAULT_MAX_CLOUD))
+    return env_cap(ENV_MAX_CLOUD, DEFAULT_MAX_CLOUD)
 
 
 @dataclass(frozen=True)
@@ -130,6 +137,53 @@ def cantor_product(spec: FractalSpec) -> PointCloud:
     return PointCloud(pts, 1 << (spec.depth * spec.d))
 
 
+# -- candidate filter ------------------------------------------------------
+
+
+class _CellGrid:
+    """Candidate filter for distance queries: the points sorted into
+    cubes of side `h` by floored coordinates, each cell keeping the exact
+    bounding box of its points.  The grid never decides a predicate; it
+    only rules out cells that lie wholly outside a query's radii."""
+
+    def __init__(self, points: np.ndarray, h: float):
+        n = len(points)
+        keys = np.floor(points / h)
+        self.h = h
+        self.order = np.lexsort(keys.T[::-1])
+        keys = keys[self.order]
+        self.starts = np.flatnonzero(np.concatenate(([n > 0], np.any(keys[1:] != keys[:-1], axis=1))))
+        self.counts = np.diff(np.append(self.starts, n))
+        self.first_key = keys[self.starts, 0]  # ascending: the cells' slabs along axis 0
+        ordered = points[self.order]
+        self.lo = np.minimum.reduceat(ordered, self.starts, axis=0)
+        self.hi = np.maximum.reduceat(ordered, self.starts, axis=0)
+        self.scale = float(np.abs(points).max(initial=0.0))
+
+    def shell(self, c: np.ndarray, r_lo: float, r_hi: float) -> np.ndarray:
+        """Indices (into the grid's points) of every point whose distance
+        to `c` could lie in [r_lo, r_hi].  The slack of 2^-30 times the
+        radius plus the coordinate scale dwarfs the rounding of any
+        distance computed from these coordinates, so the result is a
+        superset of the points any exact predicate on that range keeps."""
+        slack = 2.0**-30 * (r_hi + self.scale + float(np.abs(c).max()))
+        reach = r_hi + slack
+        # Only the slabs within reach along axis 0 (one more on each side
+        # for the rounding of the floors) can hold a cell within reach.
+        a = np.searchsorted(self.first_key, np.floor((c[0] - reach) / self.h) - 1, "left")
+        b = np.searchsorted(self.first_key, np.floor((c[0] + reach) / self.h) + 1, "right")
+        lo, hi = self.lo[a:b], self.hi[a:b]
+        gap = np.maximum(lo - c, 0.0) + np.maximum(c - hi, 0.0)
+        keep = np.sqrt(np.einsum("ij,ij->i", gap, gap)) <= reach
+        if r_lo > slack:
+            span = np.maximum(np.abs(c - lo), np.abs(hi - c))
+            keep &= np.sqrt(np.einsum("ij,ij->i", span, span)) >= r_lo - slack
+        cells = a + np.flatnonzero(keep)
+        counts = self.counts[cells]
+        first = np.repeat(self.starts[cells] - (np.cumsum(counts) - counts), counts)
+        return self.order[np.arange(len(first)) + first]
+
+
 # -- greedy separated nets -------------------------------------------------
 
 
@@ -154,17 +208,20 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> Net:
     within 3 epsilon of it."""
     if epsilon <= 0.0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    pts = cloud.points
+    pts, n = cloud.points, cloud.n
     r_cov = 3.0 * epsilon * (1.0 + GUARD)
     r2 = r_cov * r_cov
-    uncovered = np.arange(cloud.n)
+    grid = _CellGrid(pts, r_cov)
+    covered = np.zeros(n, dtype=bool)
     chosen = []
-    while uncovered.size:
-        i = int(uncovered[0])
+    i = 0
+    while i < n:
         chosen.append(i)
-        delta = pts[uncovered] - pts[i]
-        keep = np.einsum("ij,ij->i", delta, delta) > r2
-        uncovered = uncovered[keep]
+        near = grid.shell(pts[i], 0.0, r_cov)
+        delta = pts[near] - pts[i]
+        covered[near[np.einsum("ij,ij->i", delta, delta) <= r2]] = True
+        while i < n and covered[i]:
+            i += 1
     idx = np.array(chosen, dtype=np.int64)
     return Net(idx, pts[idx].copy(), epsilon, covers=True)
 
@@ -173,19 +230,22 @@ def verify_net(cloud: PointCloud, net: Net) -> bool:
     """Independent validity check: pairwise separation > 3 epsilon and
     3 epsilon coverage, under the documented guard band."""
     c = net.centers
-    sep2 = (3.0 * net.epsilon * (1.0 - GUARD)) ** 2
+    r_sep = 3.0 * net.epsilon * (1.0 - GUARD)
+    sep2 = r_sep**2
+    centers = _CellGrid(c, r_sep)
     for i in range(net.size):
-        delta = c[i + 1 :] - c[i]
+        near = centers.shell(c[i], 0.0, r_sep)
+        delta = c[near[near > i]] - c[i]
         if delta.size and np.min(np.einsum("ij,ij->i", delta, delta)) <= sep2:
             return False
-    cov2 = (3.0 * net.epsilon * (1.0 + GUARD)) ** 2
-    step = max(1, (1 << 22) // max(net.size, 1))
-    for lo in range(0, cloud.n, step):
-        block = cloud.points[lo : lo + step]
-        d2 = ((block[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-        if np.min(d2, axis=1).max() > cov2:
-            return False
-    return True
+    r_cov = 3.0 * net.epsilon * (1.0 + GUARD)
+    cov2 = r_cov**2
+    grid = _CellGrid(cloud.points, r_cov)
+    covered = np.zeros(cloud.n, dtype=bool)
+    for center in c:
+        near = grid.shell(center, 0.0, r_cov)
+        covered[near[((cloud.points[near] - center) ** 2).sum(axis=1) <= cov2]] = True
+    return bool(covered.all())
 
 
 # -- annulus statistics ----------------------------------------------------
@@ -219,8 +279,9 @@ def annulus_stats(
     centers = np.asarray(centers, dtype=float)
     counts = np.empty(len(centers), dtype=np.int64)
     pts = cloud.points
+    grid = _CellGrid(pts, epsilon)
     for i, c in enumerate(centers):
-        dist = np.linalg.norm(pts - c, axis=1)
+        dist = np.linalg.norm(pts[grid.shell(c, t, t + epsilon)] - c, axis=1)
         counts[i] = int(np.count_nonzero((dist > t) & (dist <= t + epsilon)))
     masses = counts / float(cloud.mass_denominator)
     lo, hi = band[0] * epsilon, band[1] * epsilon

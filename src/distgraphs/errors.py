@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the reader of the
+`DISTGRAPHS_MAX_*` environment caps, whose bad values are config errors.
 
 Names mirror the failure labels used throughout the API docs; everything
 derives from DistGraphsError so callers can catch broadly.
 """
+
+import os
 
 
 class DistGraphsError(Exception):
@@ -71,3 +74,14 @@ class BadDimension(DistGraphsError, ValueError):
 
 class ConfigError(DistGraphsError, ValueError):
     """Invalid experiment configuration."""
+
+
+def env_cap(name: str, default: int) -> int:
+    """The nonnegative integer in environment variable `name`, or
+    `default` when it is unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    if not raw.strip().isdecimal():
+        raise ConfigError(f"{name} must be a nonnegative integer, got {raw!r}")
+    return int(raw)

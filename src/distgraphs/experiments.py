@@ -82,14 +82,28 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int_param(params: dict, key: str, default: int) -> int:
+    value = params.get(key, default)
+    if not _is_int(value):
+        raise ConfigError(f"`{key}` must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(params: dict, key: str) -> list[int]:
+    values = params.get(key, [])
+    if not (isinstance(values, list) and all(map(_is_int, values))):
+        raise ConfigError(f"`{key}` must be a list of integers, got {values!r}")
+    return values
+
+
 def _field(entry) -> ff.FieldSpec:
-    """A config's `[p, k]` as a field; a pair make_field rejects is a
-    config error."""
+    """A config's `[p, k]` as a field; a pair make_field rejects, or a
+    field over the `DISTGRAPHS_MAX_Q` cap, is a config error."""
     if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_int, entry))):
         raise ConfigError(f"a field is `[p, k]` with integer p and k, got {entry!r}")
     try:
         return ff.make_field(*entry)
-    except (NotOddPrime, InvalidDegree) as exc:
+    except (NotOddPrime, InvalidDegree, TooLarge) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -256,9 +270,9 @@ def run_ir_sweep(config: ExperimentConfig) -> ExperimentReport:
     check the exact remainder bound on each distance histogram."""
     p = config.params
     fields = [_field(f) for f in p.get("fields", [])]
-    dims = [int(d) for d in p.get("dims", [])]
+    dims = _int_list(p, "dims")
     sizes = p.get("sizes", [])
-    trials = int(p.get("trials", 1))
+    trials = _int_param(p, "trials", 1)
     if not fields or not dims or trials < 0:
         raise ConfigError("ir-sweep needs `fields`, `dims`, and nonnegative `trials`")
     instances = []
@@ -317,16 +331,16 @@ def run_threshold(config: ExperimentConfig) -> ExperimentReport:
     most `noise_tolerance`, and that full-space size levels succeed.
     """
     p = config.params
-    d = int(p.get("d", 0))
+    d = _int_param(p, "d", 0)
     if "field" not in p or d < 2:
         raise ConfigError("threshold needs `field` = [p, k] and `d` >= 2")
     spec = _field(p["field"])
     name, pattern = _resolve_pattern(p)
     sizes = sorted({resolve_size(s, spec.q, d) for s in p.get("sizes", [])})
-    trials = int(p.get("trials", 0))
+    trials = _int_param(p, "trials", 0)
     budget = p.get("budget")
     noise = float(p.get("noise_tolerance", 0.1))
-    max_inversions = int(p.get("max_inversions", 1))
+    max_inversions = _int_param(p, "max_inversions", 1)
     instances = []
     index = 0
     for size in sizes:
@@ -443,11 +457,11 @@ def run_extremal_table(config: ExperimentConfig) -> ExperimentReport:
     """Exact ex(n, G) over a grid, with reference exponent columns in the
     summary and a JSON cache keyed by (n, canonical graph text)."""
     p = config.params
-    n_values = [int(n) for n in p.get("n_values", [])]
+    n_values = _int_list(p, "n_values")
     graph_names = [str(g) for g in p.get("graphs", [])]
     if not n_values or not graph_names:
         raise ConfigError("extremal-table needs `n_values` and `graphs`")
-    exhaustive_max = int(p.get("exhaustive_max", 7))
+    exhaustive_max = _int_param(p, "exhaustive_max", 7)
     cache_path = p.get("cache")
     cache = {}
     if cache_path and Path(cache_path).exists():
@@ -510,6 +524,22 @@ ADREG_COLUMNS = [
     "edges", "min_degree_band", "degree_reference",
     "graph", "found", "witness_valid", "witness_indices",
 ]
+
+
+def _fractal_spec(sp) -> adreg.FractalSpec:
+    """An adreg-scan spec object as a FractalSpec; a missing or
+    non-numeric `d`, `contraction` or `depth` is a config error."""
+    if not (
+        isinstance(sp, dict)
+        and _is_int(sp.get("d"))
+        and _is_int(sp.get("depth"))
+        and isinstance(sp.get("contraction"), (int, float))
+        and not isinstance(sp.get("contraction"), bool)
+    ):
+        raise ConfigError(
+            f"an adreg-scan spec needs integer `d` and `depth` and a number `contraction`, got {sp!r}"
+        )
+    return adreg.FractalSpec(sp["d"], float(sp["contraction"]), sp["depth"])
 
 
 def _adreg_worker(inst: dict) -> list[dict]:
@@ -596,7 +626,7 @@ def run_adreg_scan(config: ExperimentConfig) -> ExperimentReport:
     )
     instances = []
     for sp in specs:
-        spec = adreg.FractalSpec(int(sp["d"]), float(sp["contraction"]), int(sp["depth"]))
+        spec = _fractal_spec(sp)
         eps_list = [float(e) for e in (sp.get("eps") or p.get("eps", []))]
         if not eps_list:
             # default: dyadic scales 2^-3, 2^-4, ... above the cell-scale floor

@@ -10,13 +10,12 @@ feed are equality-sensitive, so no floats are allowed here.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .errors import BadDimension, EmptyPattern, TooLarge
+from .errors import BadDimension, EmptyPattern, TooLarge, env_cap
 from .graphs import (
     Graph,
     _Budget,
@@ -55,7 +54,7 @@ def ex_exhaustive(n: int, pattern: Graph, max_n: Optional[int] = None) -> Extrem
     C(C(n,2), m) over m above the answer.
     """
     _check_pattern(pattern)
-    cap = max_n if max_n is not None else int(os.environ.get(ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE))
+    cap = max_n if max_n is not None else env_cap(ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE)
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the exhaustive cap {cap}")
     all_edges = list(combinations(range(n), 2))
@@ -97,7 +96,7 @@ def ex_branch_bound(
     found so far.  Agrees with ex_exhaustive wherever both run.
     """
     _check_pattern(pattern)
-    cap = max_n if max_n is not None else int(os.environ.get(ENV_MAX_BRANCH, DEFAULT_MAX_BRANCH))
+    cap = max_n if max_n is not None else env_cap(ENV_MAX_BRANCH, DEFAULT_MAX_BRANCH)
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the branch-and-bound cap {cap}")
     all_edges = list(combinations(range(n), 2))

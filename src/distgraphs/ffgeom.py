@@ -9,7 +9,6 @@ arithmetic; floats appear only in report slack columns.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
@@ -23,6 +22,7 @@ from .errors import (
     SizeTooLarge,
     SpecMismatch,
     TooLarge,
+    env_cap,
 )
 from .field import FieldElement, FieldSpec, Point
 from .graphs import Graph, contains_subgraph
@@ -35,7 +35,7 @@ _CHUNK = 1 << 22  # target cells per pairwise block
 
 def max_point_count() -> int:
     """Configured |E| cap; override with the DISTGRAPHS_MAX_POINTS env var."""
-    return int(os.environ.get(ENV_MAX_POINTS, DEFAULT_MAX_POINTS))
+    return env_cap(ENV_MAX_POINTS, DEFAULT_MAX_POINTS)
 
 
 class PointSet:

@@ -15,13 +15,12 @@ reference implementation.
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DivisionByZero, InvalidDegree, NotOddPrime, SpecMismatch, TooLarge
+from .errors import DivisionByZero, InvalidDegree, NotOddPrime, SpecMismatch, TooLarge, env_cap
 
 DEFAULT_MAX_Q = 49
 ENV_MAX_Q = "DISTGRAPHS_MAX_Q"
@@ -29,7 +28,7 @@ ENV_MAX_Q = "DISTGRAPHS_MAX_Q"
 
 def max_field_size() -> int:
     """Configured cap on q; override with the DISTGRAPHS_MAX_Q env var."""
-    return int(os.environ.get(ENV_MAX_Q, DEFAULT_MAX_Q))
+    return env_cap(ENV_MAX_Q, DEFAULT_MAX_Q)
 
 
 def _is_prime(n: int) -> bool:

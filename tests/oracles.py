@@ -1,12 +1,17 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's search and table machinery: the
-embedding oracle enumerates every injective map, and the histogram
-oracle runs scalar field arithmetic point by point.
+embedding oracle enumerates every injective map, the histogram oracle
+runs scalar field arithmetic point by point, and the net and annulus
+oracles scan the whole cloud for every center, with the same distance
+predicates as the library's grid-filtered kernels.
 """
 
 from itertools import permutations
 
+import numpy as np
+
+from distgraphs.adreg import GUARD
 from distgraphs.ffgeom import PointSet
 from distgraphs.graphs import Graph
 
@@ -52,3 +57,48 @@ def random_graph(n: int, density: float, rng) -> Graph:
         if rng.random() < density
     ]
     return Graph(n, edges)
+
+
+def greedy_net_oracle(points: np.ndarray, epsilon: float) -> np.ndarray:
+    """Indices of the greedy net's centers: repeatedly the first
+    uncovered point in order, each covering what lies within 3 epsilon."""
+    r_cov = 3.0 * epsilon * (1.0 + GUARD)
+    r2 = r_cov * r_cov
+    uncovered = np.arange(len(points))
+    chosen = []
+    while uncovered.size:
+        i = int(uncovered[0])
+        chosen.append(i)
+        delta = points[uncovered] - points[i]
+        keep = np.einsum("ij,ij->i", delta, delta) > r2
+        uncovered = uncovered[keep]
+    return np.array(chosen, dtype=np.int64)
+
+
+def verify_net_oracle(points: np.ndarray, centers: np.ndarray, epsilon: float) -> bool:
+    """Pairwise separation > 3 epsilon and 3 epsilon coverage, every
+    pair and every point tested."""
+    sep2 = (3.0 * epsilon * (1.0 - GUARD)) ** 2
+    for i in range(len(centers)):
+        delta = centers[i + 1 :] - centers[i]
+        if delta.size and np.min(np.einsum("ij,ij->i", delta, delta)) <= sep2:
+            return False
+    if not len(centers):
+        return not len(points)
+    cov2 = (3.0 * epsilon * (1.0 + GUARD)) ** 2
+    step = max(1, (1 << 22) // max(len(centers), 1))
+    for lo in range(0, len(points), step):
+        block = points[lo : lo + step]
+        d2 = ((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        if np.min(d2, axis=1).max() > cov2:
+            return False
+    return True
+
+
+def annulus_counts_oracle(points: np.ndarray, centers: np.ndarray, t: float, epsilon: float) -> np.ndarray:
+    """Per center, the number of points with t < |x - y| <= t + epsilon."""
+    counts = np.empty(len(centers), dtype=np.int64)
+    for i, c in enumerate(centers):
+        dist = np.linalg.norm(points - c, axis=1)
+        counts[i] = int(np.count_nonzero((dist > t) & (dist <= t + epsilon)))
+    return counts

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distgraphs.adreg import (
     DEFAULT_BAND,
     FractalSpec,
+    PointCloud,
     annulus_stats,
     approx_distance_graph,
     cantor_product,
@@ -18,6 +22,7 @@ from distgraphs.adreg import (
 )
 from distgraphs.errors import BudgetExceeded, ConfigError, DegenerateFit, TooLarge
 from distgraphs.graphs import complete_graph, cycle_graph
+from oracles import annulus_counts_oracle, greedy_net_oracle, verify_net_oracle
 
 
 def test_spec_validation():
@@ -192,3 +197,83 @@ def test_cloud_csv_export(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "x0,x1,weight"
     assert len(lines) == cloud.n + 1
+
+
+# -- grid-filtered kernels against the whole-cloud oracles -----------------
+
+
+def _min_gap(points: np.ndarray) -> float:
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    return float(np.sqrt(d2[d2 > 0].min()))
+
+
+def _assert_matches_oracles(cloud: PointCloud, epsilon: float, ts) -> None:
+    net = greedy_net(cloud, epsilon)
+    assert np.array_equal(net.center_indices, greedy_net_oracle(cloud.points, epsilon))
+    assert verify_net(cloud, net) == verify_net_oracle(cloud.points, net.centers, epsilon) is True
+    for t in ts:
+        stats = annulus_stats(cloud, net.centers, t, epsilon)
+        assert np.array_equal(stats.counts, annulus_counts_oracle(cloud.points, net.centers, t, epsilon))
+        every = annulus_stats(cloud, cloud.points, t, epsilon)
+        assert np.array_equal(every.counts, annulus_counts_oracle(cloud.points, cloud.points, t, epsilon))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FractalSpec(1, 1 / 3, 8), FractalSpec(1, 0.5, 7), FractalSpec(2, 0.45, 4), FractalSpec(2, 0.5, 4),
+     FractalSpec(3, 0.3, 2), FractalSpec(3, 0.5, 2)],
+    ids=lambda s: f"d{s.d}-lam{s.contraction:.3f}-depth{s.depth}",
+)
+def test_grid_kernels_match_oracles_on_cantor_clouds(spec):
+    # Scales from below the smallest gap (every point its own center) to
+    # above the diameter (one center); t = 1 - lambda is the distance of
+    # the two first-level cells, so each center has points at exactly t.
+    cloud = cantor_product(spec)
+    gap, diam = _min_gap(cloud.points), cloud.diameter()
+    for eps in (gap / 7, gap / 3, 2.0**-5, 2.0**-3, diam / 3, diam * 1.5):
+        _assert_matches_oracles(cloud, eps, (1.0 - spec.contraction, gap, 0.3, eps, abs(diam - eps)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 3),
+    st.integers(1, 120),
+    st.sampled_from([None, 4, 16]),
+    st.sampled_from([0.0, -3.0, 1e3]),
+    st.floats(0.001, 2.0),
+    st.floats(0.01, 1.5),
+)
+def test_grid_kernels_match_oracles_on_random_clouds(seed, d, n, lattice, offset, epsilon, t):
+    # Lattice clouds repeat points and put many pairs at exactly equal
+    # distances, with t and t + epsilon among them (all dyadic); the
+    # offsets move the coordinate scale.
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, d))
+    if lattice:
+        pts = np.floor(pts * lattice) / lattice
+        epsilon, t = (max(1, round(v * lattice)) / lattice for v in (epsilon, t))
+    cloud = PointCloud(pts + offset, n)
+    _assert_matches_oracles(cloud, epsilon, (t, 3.0 * epsilon, 1.0 / (lattice or 8)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.floats(0.02, 0.2), st.floats(0.0, 0.999))
+def test_verify_net_matches_oracle_on_corrupted_nets(seed, d, epsilon, shrink):
+    rng = np.random.default_rng(seed)
+    cloud = PointCloud(rng.random((150, d)), 150)
+    net = greedy_net(cloud, epsilon)
+    assert verify_net(cloud, net)
+    # One center dropped: coverage may or may not survive.
+    k = int(rng.integers(net.size))
+    keep = np.delete(np.arange(net.size), k)
+    dropped = dataclasses.replace(net, center_indices=net.center_indices[keep], centers=net.centers[keep])
+    assert verify_net(cloud, dropped) == verify_net_oracle(cloud.points, dropped.centers, epsilon)
+    if net.size > 1:
+        # One center moved to within 3 epsilon of another: separation fails.
+        j = (k + 1) % net.size
+        step = rng.normal(size=d)
+        moved_centers = net.centers.copy()
+        moved_centers[k] = net.centers[j] + step / np.linalg.norm(step) * 3.0 * epsilon * shrink
+        moved = dataclasses.replace(net, centers=moved_centers)
+        assert verify_net(cloud, moved) == verify_net_oracle(cloud.points, moved_centers, epsilon) is False

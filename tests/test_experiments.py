@@ -278,12 +278,30 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "fields": [[3]]}}, ["ir-sweep"]),
         ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "field": [9, 1]}}, ["threshold"]),
         ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "field": [3, 1.5]}}, ["threshold"]),
+        # a field over the DISTGRAPHS_MAX_Q cap
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "fields": [[7, 3]]}}, ["ir-sweep"]),
+        # a non-integer count or dimension
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "dims": ["x"]}}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "trials": "x"}}, ["ir-sweep"]),
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "d": "x"}}, ["threshold"]),
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "trials": 1.5}}, ["threshold"]),
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "max_inversions": "x"}},
+         ["threshold"]),
+        ({"kind": "extremal-table", "params": {"n_values": ["x"], "graphs": ["C4"]}}, ["extremal-table"]),
+        ({"kind": "extremal-table", "params": {"n_values": [3], "graphs": ["C4"], "exhaustive_max": "x"}},
+         ["extremal-table"]),
+        # an adreg-scan spec without d, contraction or depth
+        ({"kind": "adreg-scan", "params": {"specs": [{"contraction": 0.45, "depth": 7}]}}, ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [{"d": 1, "depth": 7}]}}, ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [{"d": 1, "contraction": 0.45}]}}, ["adreg-scan"]),
     ],
     ids=[
         "list", "seed-negative", "seed-float", "seed-string", "seed-bool", "seed-flag-negative",
         "graph-unknown", "graph-too-small", "graphs-unknown", "adreg-graph-unknown",
         "graph-flag-unknown", "field-4", "field-2", "degree-0", "field-short", "field-9",
-        "degree-float",
+        "degree-float", "field-over-cap", "dims-string", "trials-string", "d-string", "trials-float",
+        "max-inversions-string", "n-values-string", "exhaustive-max-string", "adreg-no-d",
+        "adreg-no-contraction", "adreg-no-depth",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):
@@ -294,7 +312,34 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):
         argv[1:1] = ["--config", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
+    assert err.startswith("config error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "var, value, doc, flags",
+    [
+        ("DISTGRAPHS_MAX_Q", "lots", {"kind": "ir-sweep", "seed": 1, "params": IR_ONE}, ["ir-sweep"]),
+        ("DISTGRAPHS_MAX_POINTS", "5e3", None, ["graph-distance-set", "--p", "3", "--d", "2", "--graph", "C4"]),
+        ("DISTGRAPHS_MAX_CLOUD", "lots", None,
+         ["adreg-scan", "--dim", "1", "--lambda", "0.45", "--depth", "7"]),
+        ("DISTGRAPHS_MAX_EXHAUSTIVE_N", "-1",
+         {"kind": "extremal-table", "params": {"n_values": [3], "graphs": ["K3"]}}, ["extremal-table"]),
+        ("DISTGRAPHS_MAX_BRANCH_N", "1.5",
+         {"kind": "extremal-table", "params": {"n_values": [3], "graphs": ["K3"], "exhaustive_max": 2}},
+         ["extremal-table"]),
+    ],
+    ids=["max-q", "max-points", "max-cloud", "max-exhaustive-n", "max-branch-n"],
+)
+def test_cli_bad_env_cap_exits_2(tmp_path, capsys, monkeypatch, var, value, doc, flags):
+    monkeypatch.setenv(var, value)
+    argv = list(flags)
+    if doc is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        argv[1:1] = ["--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and var in err and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
