@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import isfinite, log
 from typing import Optional, Sequence
 
 import numpy as np
@@ -149,12 +149,10 @@ class _CellGrid:
     def __init__(self, points: np.ndarray, h: float):
         n = len(points)
         keys = np.floor(points / h)
-        self.h = h
         self.order = np.lexsort(keys.T[::-1])
         keys = keys[self.order]
         self.starts = np.flatnonzero(np.concatenate(([n > 0], np.any(keys[1:] != keys[:-1], axis=1))))
         self.counts = np.diff(np.append(self.starts, n))
-        self.first_key = keys[self.starts, 0]  # ascending: the cells' slabs along axis 0
         ordered = points[self.order]
         self.lo = np.minimum.reduceat(ordered, self.starts, axis=0)
         self.hi = np.maximum.reduceat(ordered, self.starts, axis=0)
@@ -167,18 +165,12 @@ class _CellGrid:
         distance computed from these coordinates, so the result is a
         superset of the points any exact predicate on that range keeps."""
         slack = 2.0**-30 * (r_hi + self.scale + float(np.abs(c).max()))
-        reach = r_hi + slack
-        # Only the slabs within reach along axis 0 (one more on each side
-        # for the rounding of the floors) can hold a cell within reach.
-        a = np.searchsorted(self.first_key, np.floor((c[0] - reach) / self.h) - 1, "left")
-        b = np.searchsorted(self.first_key, np.floor((c[0] + reach) / self.h) + 1, "right")
-        lo, hi = self.lo[a:b], self.hi[a:b]
-        gap = np.maximum(lo - c, 0.0) + np.maximum(c - hi, 0.0)
-        keep = np.sqrt(np.einsum("ij,ij->i", gap, gap)) <= reach
+        gap = np.maximum(self.lo - c, 0.0) + np.maximum(c - self.hi, 0.0)
+        keep = np.sqrt(np.einsum("ij,ij->i", gap, gap)) <= r_hi + slack
         if r_lo > slack:
-            span = np.maximum(np.abs(c - lo), np.abs(hi - c))
+            span = np.maximum(np.abs(c - self.lo), np.abs(self.hi - c))
             keep &= np.sqrt(np.einsum("ij,ij->i", span, span)) >= r_lo - slack
-        cells = a + np.flatnonzero(keep)
+        cells = np.flatnonzero(keep)
         counts = self.counts[cells]
         first = np.repeat(self.starts[cells] - (np.cumsum(counts) - counts), counts)
         return self.order[np.arange(len(first)) + first]
@@ -202,14 +194,21 @@ class Net:
         return len(self.centers)
 
 
+def _cover_radius(epsilon: float) -> float:
+    """3 epsilon widened by the guard band; a scale that is not positive,
+    or whose radius is not finite (NaN, or overflow), is a config error."""
+    r_cov = 3.0 * epsilon * (1.0 + GUARD)
+    if not (epsilon > 0.0 and isfinite(r_cov)):
+        raise ConfigError(f"epsilon must be positive with 3 epsilon finite, got {epsilon}")
+    return r_cov
+
+
 def greedy_net(cloud: PointCloud, epsilon: float) -> Net:
     """Deterministic greedy construction: repeatedly take the first
     uncovered point (in cloud order) as a center and cover everything
     within 3 epsilon of it."""
-    if epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    r_cov = _cover_radius(epsilon)
     pts, n = cloud.points, cloud.n
-    r_cov = 3.0 * epsilon * (1.0 + GUARD)
     r2 = r_cov * r_cov
     grid = _CellGrid(pts, r_cov)
     covered = np.zeros(n, dtype=bool)
@@ -217,6 +216,7 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> Net:
     i = 0
     while i < n:
         chosen.append(i)
+        covered[i] = True
         near = grid.shell(pts[i], 0.0, r_cov)
         delta = pts[near] - pts[i]
         covered[near[np.einsum("ij,ij->i", delta, delta) <= r2]] = True
@@ -230,15 +230,12 @@ def verify_net(cloud: PointCloud, net: Net) -> bool:
     """Independent validity check: pairwise separation > 3 epsilon and
     3 epsilon coverage, under the documented guard band."""
     c = net.centers
-    r_sep = 3.0 * net.epsilon * (1.0 - GUARD)
-    sep2 = r_sep**2
-    centers = _CellGrid(c, r_sep)
+    sep2 = (3.0 * net.epsilon * (1.0 - GUARD)) ** 2
     for i in range(net.size):
-        near = centers.shell(c[i], 0.0, r_sep)
-        delta = c[near[near > i]] - c[i]
+        delta = c[i + 1 :] - c[i]
         if delta.size and np.min(np.einsum("ij,ij->i", delta, delta)) <= sep2:
             return False
-    r_cov = 3.0 * net.epsilon * (1.0 + GUARD)
+    r_cov = _cover_radius(net.epsilon)
     cov2 = r_cov**2
     grid = _CellGrid(cloud.points, r_cov)
     covered = np.zeros(cloud.n, dtype=bool)
@@ -274,8 +271,8 @@ def annulus_stats(
     epsilon: float,
     band: tuple[float, float] = DEFAULT_BAND,
 ) -> AnnulusStats:
-    if t <= 0.0 or epsilon <= 0.0:
-        raise ConfigError("t and epsilon must be positive")
+    if not (t > 0.0 and epsilon > 0.0 and isfinite(t + epsilon)):
+        raise ConfigError(f"t and epsilon must be positive and finite, got {t}, {epsilon}")
     centers = np.asarray(centers, dtype=float)
     counts = np.empty(len(centers), dtype=np.int64)
     pts = cloud.points
@@ -330,6 +327,7 @@ class EdgeScalingResult:
 
 def check_scale(spec: FractalSpec, epsilon: float) -> None:
     """Scales below 4 cell sides leave the surrogate's regular regime."""
+    _cover_radius(epsilon)
     if epsilon < 4.0 * spec.cell_side * (1.0 - GUARD):
         raise ConfigError(
             f"epsilon {epsilon} below 4 * cell side {4.0 * spec.cell_side}; increase depth"

@@ -96,6 +96,18 @@ def _int_list(params: dict, key: str) -> list[int]:
     return values
 
 
+def _positive_floats(values, key: str) -> list[float]:
+    """A config's list of scales or radii as floats; an entry that is not
+    a finite positive number is a config error."""
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError):
+        out = None
+    if out is None or not all(math.isfinite(x) and x > 0.0 for x in out):
+        raise ConfigError(f"`{key}` must be a list of finite positive numbers, got {values!r}")
+    return out
+
+
 def _field(entry) -> ff.FieldSpec:
     """A config's `[p, k]` as a field; a pair make_field rejects, or a
     field over the `DISTGRAPHS_MAX_Q` cap, is a config error."""
@@ -339,7 +351,12 @@ def run_threshold(config: ExperimentConfig) -> ExperimentReport:
     sizes = sorted({resolve_size(s, spec.q, d) for s in p.get("sizes", [])})
     trials = _int_param(p, "trials", 0)
     budget = p.get("budget")
-    noise = float(p.get("noise_tolerance", 0.1))
+    try:
+        noise = float(p.get("noise_tolerance", 0.1))
+    except (TypeError, ValueError):
+        noise = math.nan
+    if not noise >= 0.0:
+        raise ConfigError(f"`noise_tolerance` must be a number >= 0, got {p['noise_tolerance']!r}")
     max_inversions = _int_param(p, "max_inversions", 1)
     instances = []
     index = 0
@@ -624,10 +641,17 @@ def run_adreg_scan(config: ExperimentConfig) -> ExperimentReport:
     name, pattern = _resolve_pattern(p) if ("graph" in p or "graph_text" in p) else (
         "C6", graph_from_name("C6")
     )
+    band = p.get("band", adreg.DEFAULT_BAND)
+    if not (
+        isinstance(band, (list, tuple))
+        and len(band) == 2
+        and all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in band)
+    ):
+        raise ConfigError(f"`band` must be two numbers [c1, c2], got {band!r}")
     instances = []
     for sp in specs:
         spec = _fractal_spec(sp)
-        eps_list = [float(e) for e in (sp.get("eps") or p.get("eps", []))]
+        eps_list = _positive_floats(sp.get("eps") or p.get("eps", []), "eps")
         if not eps_list:
             # default: dyadic scales 2^-3, 2^-4, ... above the cell-scale floor
             eps_list = [2.0**-j for j in range(3, 12) if 2.0**-j >= 4.0 * spec.cell_side][:4]
@@ -638,15 +662,15 @@ def run_adreg_scan(config: ExperimentConfig) -> ExperimentReport:
             )
         for e in eps_list:
             adreg.check_scale(spec, e)
-        t_grid = [float(t) for t in (sp.get("t_grid") or p.get("t_grid", []))]
+        t_grid = _positive_floats(sp.get("t_grid") or p.get("t_grid", []), "t_grid")
         if not t_grid:
             t_grid = [round(0.3 + 0.05 * i, 2) for i in range(13)]
-        approx_eps = [float(e) for e in (sp.get("approx_eps") or p.get("approx_eps", []))]
+        approx_eps = _positive_floats(sp.get("approx_eps") or p.get("approx_eps", []), "approx_eps")
         if not approx_eps:
             approx_eps = [max(eps_list)]
         instances.append({
             "d": spec.d, "contraction": spec.contraction, "depth": spec.depth,
-            "eps_list": eps_list, "t_grid": t_grid, "band": p.get("band", adreg.DEFAULT_BAND),
+            "eps_list": eps_list, "t_grid": t_grid, "band": band,
             "graph": name, "pattern": pattern,
             "approx_eps": approx_eps, "budget": p.get("budget"),
         })

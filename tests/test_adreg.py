@@ -78,6 +78,17 @@ def test_greedy_net_extremes():
     assert tiny.size == cloud.n and verify_net(cloud, tiny)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, float("nan"), float("inf"), 1e308])
+def test_scale_without_finite_cover_radius_is_rejected(epsilon):
+    # NaN, and 3 epsilon overflowing to inf, would leave no radius to cover with
+    spec = FractalSpec(1, 1 / 3, 5)
+    cloud = cantor_product(spec)
+    with pytest.raises(ConfigError):
+        greedy_net(cloud, epsilon)
+    with pytest.raises(ConfigError):
+        check_scale(spec, epsilon)
+
+
 def test_greedy_net_deterministic():
     cloud = cantor_product(FractalSpec(2, 0.45, 5))
     a = greedy_net(cloud, 0.1)
@@ -123,6 +134,9 @@ def test_annulus_validation():
     cloud = cantor_product(FractalSpec(1, 0.45, 3))
     with pytest.raises(ConfigError):
         annulus_stats(cloud, cloud.points[:1], t=-1.0, epsilon=0.1)
+    for t, epsilon in [(float("nan"), 0.1), (0.5, float("nan")), (0.5, float("inf")), (1e308, 1e308)]:
+        with pytest.raises(ConfigError):
+            annulus_stats(cloud, cloud.points[:1], t=t, epsilon=epsilon)
 
 
 def test_approx_graph_trivia():

@@ -248,6 +248,7 @@ def test_extremal_table_malformed_cache(tmp_path, capsys, cache_text):
 
 
 IR_ONE = {"fields": [[3, 1]], "dims": [2], "sizes": ["q"], "trials": 1}
+ADREG_ONE = {"d": 1, "contraction": 0.45, "depth": 7}
 THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials": 1}
 
 
@@ -294,6 +295,18 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         ({"kind": "adreg-scan", "params": {"specs": [{"contraction": 0.45, "depth": 7}]}}, ["adreg-scan"]),
         ({"kind": "adreg-scan", "params": {"specs": [{"d": 1, "depth": 7}]}}, ["adreg-scan"]),
         ({"kind": "adreg-scan", "params": {"specs": [{"d": 1, "contraction": 0.45}]}}, ["adreg-scan"]),
+        # a scale, radius or band that is not a usable number
+        ({"kind": "adreg-scan", "params": {"specs": [{**ADREG_ONE, "eps": [float("nan"), 0.1, 0.05]}]}},
+         ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [{**ADREG_ONE, "eps": [1e308, 0.1, 0.05]}]}},
+         ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [{**ADREG_ONE, "eps": ["x", 0.1, 0.05]}]}},
+         ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "t_grid": ["x"]}}, ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "approx_eps": [0.0]}}, ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "band": ["lo", 8]}}, ["adreg-scan"]),
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "noise_tolerance": "x"}},
+         ["threshold"]),
     ],
     ids=[
         "list", "seed-negative", "seed-float", "seed-string", "seed-bool", "seed-flag-negative",
@@ -301,7 +314,8 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         "graph-flag-unknown", "field-4", "field-2", "degree-0", "field-short", "field-9",
         "degree-float", "field-over-cap", "dims-string", "trials-string", "d-string", "trials-float",
         "max-inversions-string", "n-values-string", "exhaustive-max-string", "adreg-no-d",
-        "adreg-no-contraction", "adreg-no-depth",
+        "adreg-no-contraction", "adreg-no-depth", "eps-nan", "eps-overflow", "eps-string",
+        "t-grid-string", "approx-eps-zero", "band-string", "noise-tolerance-string",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):
