@@ -52,6 +52,10 @@ class TooLarge(DistGraphsError, ValueError):
     """Enumeration request exceeds the configured cap."""
 
 
+class InexactTransform(DistGraphsError, ArithmeticError):
+    """A floating-point transform failed its exact-integer rounding guard."""
+
+
 class SizeTooLarge(DistGraphsError, ValueError):
     """Requested sample size exceeds the ambient space."""
 

@@ -2,9 +2,21 @@
 square-root-cancellation bound check, and G-distance sets.
 
 Points are stored as an (n, d) array of packed element codes so the
-O(|E|^2 d) pairwise-norm kernel runs through the field's cached numpy
-operation tables.  All theorem-level comparisons are exact integer
-arithmetic; floats appear only in report slack columns.
+pairwise-norm kernel runs through the field's cached numpy operation
+tables.  All theorem-level comparisons are exact integer arithmetic.
+
+The distance histogram takes one of two paths, chosen from |E| alone.
+When |E|^2 >= 4 q^d it is the Fourier picture of the count: F_q^d is
+additively Z_p^{dk}, so the autocorrelation r(v) = #{(x, y) in E^2 :
+x - y = v} is one real FFT pair of the indicator 1_E, and nu(t) sums
+r over the sphere ||v|| = t.  Every r(v) is an integer in [0, |E|], so
+rounding the transform's output recovers it exactly as long as the
+floating-point error stays below 1/2; the rounding guard raises
+InexactTransform if any residual exceeds 1/4, if r(0) != |E|, or if the
+mass is not |E|^2, and the counts are then summed in int64.  Smaller
+sets, such as sparse samples of a large space, take the O(|E|^2 d)
+pairwise-norm kernel instead of a transform over all q^d vectors.
+Floats appear elsewhere only in report slack columns.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DimensionTooSmall,
+    InexactTransform,
     SizeTooLarge,
     SpecMismatch,
     TooLarge,
@@ -34,7 +47,8 @@ _CHUNK = 1 << 22  # target cells per pairwise block
 
 
 def max_point_count() -> int:
-    """Configured |E| cap; override with the DISTGRAPHS_MAX_POINTS env var."""
+    """Configured cap on q^d for all_points; override with the
+    DISTGRAPHS_MAX_POINTS env var."""
     return env_cap(ENV_MAX_POINTS, DEFAULT_MAX_POINTS)
 
 
@@ -89,22 +103,34 @@ def all_points(spec: FieldSpec, d: int) -> PointSet:
     cap = max_point_count()
     if total > cap:
         raise TooLarge(f"q^d = {total} exceeds the configured cap {cap}")
-    idx = np.arange(total)
+    return PointSet(spec, d, _unflatten(np.arange(total), spec.q, d))
+
+
+def _unflatten(idx: np.ndarray, q: int, d: int) -> np.ndarray:
+    """(n, d) codes of the points with lexicographic indices `idx`."""
     cols = []
-    for j in range(d - 1, -1, -1):
-        idx, col = np.divmod(idx, spec.q)
+    for _ in range(d):
+        idx, col = np.divmod(idx, q)
         cols.append(col)
-    codes = np.stack(cols[::-1], axis=1).astype(np.int32)
-    return PointSet(spec, d, codes)
+    return np.stack(cols[::-1], axis=1).astype(np.int32)
+
+
+def _flat_index(E: PointSet) -> np.ndarray:
+    """Lexicographic index of each point of E, the inverse of _unflatten."""
+    idx = np.zeros(len(E), dtype=np.int64)
+    for j in range(E.d):
+        idx = idx * E.spec.q + E.codes[:, j]
+    return idx
 
 
 def _partial_fisher_yates(n: int, size: int, rng: np.random.Generator) -> list[int]:
     """First `size` entries of a Fisher-Yates shuffle of range(n); a
-    uniform sample without replacement using O(size) memory."""
+    uniform sample without replacement using O(size) memory.  Step i
+    swaps with j uniform in [i, n); all the j are drawn in one call,
+    which yields the same stream as one rng.integers(i, n) per step."""
     swap: dict[int, int] = {}
     out = []
-    for i in range(size):
-        j = int(rng.integers(i, n))
+    for i, j in enumerate(rng.integers(np.arange(size), n).tolist()):
         vi = swap.get(i, i)
         vj = swap.get(j, j)
         swap[i], swap[j] = vj, vi
@@ -128,13 +154,7 @@ def random_subset(spec: FieldSpec, d: int, size: int, seed) -> PointSet:
         raise DimensionTooSmall(f"need d >= 2, got {d}")
     rng = np.random.default_rng(seed)
     picks = np.array(_partial_fisher_yates(total, size, rng), dtype=np.int64)
-    cols = []
-    idx = picks
-    for j in range(d - 1, -1, -1):
-        idx, col = np.divmod(idx, spec.q)
-        cols.append(col)
-    codes = np.stack(cols[::-1], axis=1).astype(np.int32) if size else np.empty((0, d), np.int32)
-    return PointSet(spec, d, codes)
+    return PointSet(spec, d, _unflatten(picks, spec.q, d))
 
 
 # -- pairwise norms and histograms ---------------------------------------
@@ -188,22 +208,67 @@ class DistanceHistogram:
 
 
 def _t_code(spec: FieldSpec, t) -> int:
+    """The code of t: a FieldElement of `spec`, or an integer code in
+    [0, q).  Anything else is rejected rather than coerced."""
     if isinstance(t, FieldElement):
         if t.spec != spec:
             raise SpecMismatch("t from a different field")
         return t.code
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t < spec.q:
+        raise ValueError(f"t must be an element of F_{spec.q} or an integer code in [0, {spec.q}), got {t!r}")
     return int(t)
 
 
+def _all_norms(spec: FieldSpec, d: int) -> np.ndarray:
+    """Norm code of every vector of F_q^d, in lexicographic order."""
+    sq, add = spec.square_table, spec.add_table
+    acc = sq
+    for _ in range(d - 1):
+        acc = add[acc[..., None], sq]
+    return acc.ravel()
+
+
+def _autocorrelation(E: PointSet) -> np.ndarray:
+    """r(v) = #{(x, y) in E^2 : x - y = v} for every v of F_q^d, in
+    lexicographic order, from one real FFT pair of 1_E over Z_p^{dk}.
+
+    Each axis of size p is one base-p coefficient digit of one
+    coordinate, and addition in F_q^d is digit-wise mod p, so the
+    autocorrelation is the cyclic one of the (p,) * dk array."""
+    spec, n = E.spec, len(E)
+    shape = (spec.p,) * (E.d * spec.k)
+    axes = tuple(range(len(shape)))
+    indicator = np.zeros(spec.q**E.d)
+    indicator[_flat_index(E)] = 1.0
+    spectrum = np.fft.rfftn(indicator.reshape(shape), axes=axes)
+    power = spectrum.real**2 + spectrum.imag**2
+    approx = np.fft.irfftn(power, s=shape, axes=axes).ravel()
+    r = np.rint(approx)
+    residual = float(np.abs(approx - r).max())
+    if residual > 0.25:
+        raise InexactTransform(f"autocorrelation residual {residual:.3g} exceeds 1/4")
+    r = r.astype(np.int64)
+    if r[0] != n:
+        raise InexactTransform(f"autocorrelation has r(0) = {r[0]} for |E| = {n}")
+    if int(r.sum()) != n * n:
+        raise InexactTransform(f"autocorrelation has mass {int(r.sum())}, not |E|^2 = {n * n}")
+    return r
+
+
 def distance_histogram(E: PointSet) -> DistanceHistogram:
-    n = len(E)
-    counts = np.zeros(E.spec.q, dtype=np.int64)
+    """nu(t) for every t: by the Fourier autocorrelation when
+    |E|^2 >= 4 q^d, else by pairwise norms."""
+    spec, n = E.spec, len(E)
+    counts = np.zeros(spec.q, dtype=np.int64)
+    if n * n >= 4 * spec.q**E.d:
+        np.add.at(counts, _all_norms(spec, E.d), _autocorrelation(E))
+        return DistanceHistogram(spec, counts, n)
     step = _row_chunk(E)
     for lo in range(0, n, step):
         rows = slice(lo, min(lo + step, n))
         block = _norm_block(E, rows)
-        counts += np.bincount(block.ravel(), minlength=E.spec.q)
-    return DistanceHistogram(E.spec, counts, n)
+        counts += np.bincount(block.ravel(), minlength=spec.q)
+    return DistanceHistogram(spec, counts, n)
 
 
 def distance_graph(E: PointSet, t, norms: Optional[np.ndarray] = None) -> Graph:

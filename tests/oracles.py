@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's search and table machinery: the
 embedding oracle enumerates every injective map, the histogram oracle
-runs scalar field arithmetic point by point, and the net and annulus
+runs scalar field arithmetic point by point, the sampler oracle draws
+its swap indices one call at a time, and the net and annulus
 oracles scan the whole cloud for every center, with the same distance
 predicates as the library's grid-filtered kernels.
 """
@@ -47,6 +48,20 @@ def histogram_oracle(E: PointSet) -> dict[int, int]:
             t = (x - y).norm().code
             counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+def partial_fisher_yates_oracle(n: int, size: int, rng: np.random.Generator) -> list[int]:
+    """First `size` entries of a Fisher-Yates shuffle of range(n), one
+    rng.integers(i, n) call per step."""
+    swap: dict[int, int] = {}
+    out = []
+    for i in range(size):
+        j = int(rng.integers(i, n))
+        vi = swap.get(i, i)
+        vj = swap.get(j, j)
+        swap[i], swap[j] = vj, vi
+        out.append(vj)
+    return out
 
 
 def random_graph(n: int, density: float, rng) -> Graph:

@@ -1,16 +1,23 @@
+import subprocess
+import sys
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import histogram_oracle
+from oracles import histogram_oracle, partial_fisher_yates_oracle
+from distgraphs import ffgeom
 from distgraphs.errors import (
     DimensionTooSmall,
+    InexactTransform,
     SizeTooLarge,
+    SpecMismatch,
     TooLarge,
 )
+from distgraphs.experiments import instance_seed
 from distgraphs.field import Point, make_field
 from distgraphs.ffgeom import (
     PointSet,
@@ -74,6 +81,123 @@ def test_random_subset_contract(f3):
     assert np.array_equal(a.codes, b.codes)
     with pytest.raises(SizeTooLarge):
         random_subset(f3, 2, 10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "pk, d, size, seed",
+    [
+        ((3, 1), 2, 0, 5),
+        ((3, 1), 2, 1, 5),
+        ((3, 1), 2, 9, 5),
+        ((5, 1), 3, 125, instance_seed(7, 3)),
+        ((3, 2), 2, 1, instance_seed(1, 0)),
+        ((3, 2), 2, 81, np.random.SeedSequence(entropy=11, spawn_key=(2,))),
+        ((13, 1), 3, 200, 2**63 + 17),
+        # q^d = 49^6 > 2^32, where numpy draws bounded integers another way.
+        ((7, 2), 6, 50, 3),
+        ((7, 2), 6, 50, instance_seed(2, 9)),
+    ],
+)
+def test_random_subset_matches_scalar_sampler(pk, d, size, seed):
+    spec = make_field(*pk)
+    picks = partial_fisher_yates_oracle(spec.q**d, size, np.random.default_rng(seed))
+    expected = np.array(np.unravel_index(np.array(picks, dtype=np.int64), (spec.q,) * d)).T
+    assert np.array_equal(random_subset(spec, d, size, seed).codes, expected.reshape(-1, d))
+
+
+def _fourier_min(q: int, d: int) -> int:
+    """The least |E| with |E|^2 >= 4 q^d, where the Fourier path starts."""
+    m = isqrt(4 * q**d)
+    return m if m * m == 4 * q**d else m + 1
+
+
+# (7, 2) at d = 4 is left out: q^d = 49^4 is too large to cross-check
+# against the pairwise matrix at the Fourier threshold.
+_SPACES = [
+    (p, k, d)
+    for p, k in [(3, 1), (5, 1), (3, 2), (3, 3), (7, 2)]
+    for d in (2, 3, 4)
+    if (p**k) ** d <= 3**12
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_SPACES),
+    st.sampled_from(["empty", "one", "below", "at", "above", "full"]),
+    st.integers(0, 2**32),
+)
+def test_histogram_matches_pairwise_norms(space, kind, seed):
+    p, k, d = space
+    spec = make_field(p, k)
+    total = spec.q**d
+    first = _fourier_min(spec.q, d)
+    size = {
+        "empty": 0,
+        "one": 1,
+        "below": first - 1,
+        "at": first,
+        "above": min(total, first + seed % first),
+        "full": total if total <= 2401 else first,
+    }[kind]
+    E = random_subset(spec, d, size, seed)
+    counts = distance_histogram(E).counts
+    assert np.array_equal(counts, np.bincount(pairwise_norms(E).ravel(), minlength=spec.q))
+    if size <= 40:
+        assert {t: c for t, c in enumerate(counts) if c} == histogram_oracle(E)
+    if size >= first:
+        rng = np.random.default_rng(seed)
+        shift = Point(spec.from_code(int(c)) for c in rng.integers(spec.q, size=d))
+        assert np.array_equal(counts, distance_histogram(E.translate(shift)).counts)
+
+
+def test_histogram_path_rule(monkeypatch, f5):
+    # F_5^2 has q^d = 25: |E| = 9 is below 4 q^d = 100 in square, |E| = 10 is not.
+    calls = []
+    real = ffgeom._autocorrelation
+    monkeypatch.setattr(ffgeom, "_autocorrelation", lambda E: calls.append(len(E)) or real(E))
+    for size, fourier in [(9, False), (10, True), (25, True)]:
+        calls.clear()
+        E = random_subset(f5, 2, size, seed=size)
+        hist = distance_histogram(E)
+        assert calls == ([size] if fourier else [])
+        assert {t: c for t, c in enumerate(hist.counts) if c} == histogram_oracle(E)
+
+
+def test_fourier_rounding_guard(monkeypatch, f5):
+    E = all_points(f5, 2)
+    real = np.fft.irfftn
+
+    def perturbed(index, delta):
+        def irfftn(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.flat[index] += delta
+            return out
+
+        return irfftn
+
+    for index, delta, message in [(3, 0.3, "residual"), (0, 1.0, r"r\(0\)"), (1, 1.0, "mass")]:
+        monkeypatch.setattr(np.fft, "irfftn", perturbed(index, delta))
+        with pytest.raises(InexactTransform, match=message):
+            distance_histogram(E)
+
+
+def test_import_does_not_load_numpy_fft():
+    code = "import sys, distgraphs; sys.exit('numpy.fft' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_out_of_range_t_is_rejected(f5):
+    E = random_subset(f5, 2, 12, seed=4)
+    hist = distance_histogram(E)
+    for bad in (-1, 5, 7, 4.7, 4.0, True, "1", None):
+        with pytest.raises(ValueError):
+            hist.nu(bad)
+        with pytest.raises(ValueError):
+            distance_graph(E, bad)
+    with pytest.raises(SpecMismatch):
+        hist.nu(make_field(3, 1).one)
+    assert hist.nu(np.int64(4)) == hist.nu(f5.from_code(4)) == hist.nu(4) == hist.counts[4]
 
 
 def test_histogram_matches_scalar_oracle(f3):
