@@ -5,8 +5,7 @@ every nonzero distance.  The constant is not specified, so we sweep sizes
 and watch the empirical success probability climb to 1.
 """
 
-from distgraphs import ExperimentConfig, threshold_exponent, cycle_graph
-from distgraphs.experiments import run_threshold
+from distgraphs import ExperimentConfig, cycle_graph, run, threshold_exponent
 
 c6 = cycle_graph(6)
 marker = threshold_exponent(c6, 2)
@@ -24,7 +23,7 @@ config = ExperimentConfig(
         "trials": 20,
     },
 )
-report = run_threshold(config)
+report = run(config)
 
 print("success probability that Delta_C6(E) covers all nonzero t:")
 for point in report.summary["curve"]:

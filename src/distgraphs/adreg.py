@@ -95,9 +95,6 @@ class PointCloud:
     def unit_mass(self) -> Fraction:
         return Fraction(1, self.mass_denominator)
 
-    def mass_of_count(self, count: int) -> Fraction:
-        return Fraction(int(count), self.mass_denominator)
-
     def diameter(self) -> float:
         """Distance between the min and max corners; attained for
         product-structured clouds, where both corners are cloud points."""
@@ -312,7 +309,6 @@ class EdgeScaleRecord:
     edges: int
     band_fraction: float  # fraction of centers in the annulus band
     min_degree_band: int  # over band centers; -1 when none qualify
-    median_degree_band: float
     degree_reference: float  # epsilon^(1 - s)
 
 
@@ -364,7 +360,6 @@ def edge_scaling(
                 edges=graph.edge_count,
                 band_fraction=stats.fraction_in_band,
                 min_degree_band=int(band_deg.min()) if band_deg.size else -1,
-                median_degree_band=float(np.median(band_deg)) if band_deg.size else float("nan"),
                 degree_reference=e ** (1.0 - spec.s),
             )
         )

@@ -14,8 +14,8 @@ from pathlib import Path
 from . import ffgeom
 from . import field as ff
 from .errors import ConfigError, DistGraphsError
-from .experiments import ExperimentConfig, ExperimentReport, catalog_graph, run
-from .graphs import Graph, graph_from_text
+from .experiments import SWEEPS, ExperimentConfig, ExperimentReport, optional_count, read_param, run
+from .graphs import Graph, graph_from_name, graph_from_text
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -29,14 +29,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="distgraphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for kind in ("ir-sweep", "threshold", "extremal-table"):
-        sp = sub.add_parser(kind)
+    kinds = {kind: sub.add_parser(kind) for kind in SWEEPS}
+    for sp in kinds.values():
         _add_common(sp)
-        if kind == "extremal-table":
-            sp.add_argument("--cache", help="JSON cache file for ex(n, G) values")
-
-    sp = sub.add_parser("adreg-scan")
-    _add_common(sp)
+    kinds["extremal-table"].add_argument("--cache", help="JSON cache file for ex(n, G) values")
+    sp = kinds["adreg-scan"]
     sp.add_argument("--dim", type=int, help="ambient dimension (single-spec mode)")
     sp.add_argument("--lambda", dest="contraction", type=float, help="contraction ratio")
     sp.add_argument("--depth", type=int, help="iteration depth")
@@ -66,12 +63,6 @@ def _load_config(args, kind: str) -> ExperimentConfig:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"unreadable config {args.config}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"a config is a JSON object, got {type(doc).__name__}")
-        if doc.get("kind") != kind:
-            raise ConfigError(
-                f"config kind {doc.get('kind')!r} does not match subcommand {kind!r}"
-            )
     elif kind == "adreg-scan" and args.dim is not None:
         if args.contraction is None or args.depth is None:
             raise ConfigError("single-spec mode needs --dim, --lambda, and --depth")
@@ -85,24 +76,20 @@ def _load_config(args, kind: str) -> ExperimentConfig:
         }
     else:
         raise ConfigError(f"{kind} requires --config")
-    # Flag overrides apply before validation, so --seed can satisfy a
-    # randomized kind on its own.
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["out"] = args.out
-    if args.jobs is not None:
-        doc["jobs"] = args.jobs
-    if kind == "extremal-table" and getattr(args, "cache", None):
-        doc.setdefault("params", {})["cache"] = args.cache
-    return ExperimentConfig.from_dict(doc)
+    flags = {name: getattr(args, name) for name in ("seed", "out", "jobs") if getattr(args, name) is not None}
+    config = ExperimentConfig.from_dict(doc, **flags)
+    if config.kind != kind:
+        raise ConfigError(f"config kind {config.kind!r} does not match subcommand {kind!r}")
+    if getattr(args, "cache", None):
+        config.params = {**config.params, "cache": args.cache}
+    return config
 
 
 def _pattern(args) -> tuple[Graph, str]:
     if args.graph_file:
         return graph_from_text(Path(args.graph_file).read_text()), args.graph_file
     if args.graph:
-        return catalog_graph(args.graph), args.graph
+        return graph_from_name(args.graph), args.graph
     raise ConfigError("graph-distance-set needs --graph or --graph-file")
 
 
@@ -127,7 +114,8 @@ def _cmd_graph_distance_set(args) -> int:
         E = _points(args)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    ds = ffgeom.graph_distance_set(E, pattern, budget=args.budget)
+    budget = read_param("--budget", optional_count, args.budget)
+    ds = ffgeom.graph_distance_set(E, pattern, budget=budget)
     records = []
     for t in range(E.spec.q):
         status = (
@@ -144,7 +132,7 @@ def _cmd_graph_distance_set(args) -> int:
             "d": E.d,
             "n": len(E),
             "graph": pattern_name,
-            "budget": args.budget,
+            "budget": budget,
         },
         columns=["t", "status"],
         records=records,

@@ -19,7 +19,7 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -31,18 +31,20 @@ from .errors import (
     BudgetExceeded,
     ConfigError,
     DegenerateFit,
-    InvalidDegree,
+    DistGraphsError,
     NotBipartite,
-    NotOddPrime,
     TooLarge,
 )
 from .graphs import Graph, graph_from_name, graph_from_text, graph_to_text
 
 RNG_ID = "pcg64+seedseq-spawn/partial-fisher-yates"
 
-KINDS = ("ir-sweep", "threshold", "extremal-table", "adreg-scan")
-
-NAMED_SIZES = ("q", "q^{(d+1)/2}", "q^d/2", "q^d")
+NAMED_SIZES = {
+    "q": lambda q, d: q,
+    "q^{(d+1)/2}": lambda q, d: math.ceil(q ** ((d + 1) / 2)),
+    "q^d/2": lambda q, d: q**d // 2,
+    "q^d": lambda q, d: q**d,
+}
 
 
 def instance_seed(master_seed: int, index: int) -> int:
@@ -51,94 +53,132 @@ def instance_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def resolve_size(size_spec, q: int, d: int) -> int:
-    """Size schedule entry: an int, a named expression, or
-    {"coef": c, "exp": s} meaning ceil(c * q^s)."""
-    if isinstance(size_spec, bool):
-        raise ConfigError(f"bad size spec {size_spec!r}")
-    if isinstance(size_spec, int):
-        n = size_spec
-    elif isinstance(size_spec, str):
-        if size_spec == "q":
-            n = q
-        elif size_spec == "q^{(d+1)/2}":
-            n = math.ceil(q ** ((d + 1) / 2))
-        elif size_spec == "q^d/2":
-            n = q**d // 2
-        elif size_spec == "q^d":
-            n = q**d
-        else:
-            raise ConfigError(f"unknown named size {size_spec!r}; use one of {NAMED_SIZES}")
-    elif isinstance(size_spec, dict) and set(size_spec) == {"coef", "exp"}:
-        n = math.ceil(float(size_spec["coef"]) * q ** float(size_spec["exp"]))
-    else:
-        raise ConfigError(f"bad size spec {size_spec!r}")
-    if not 0 <= n <= q**d:
-        raise ConfigError(f"size {n} outside [0, q^d = {q**d}]")
-    return n
+# -- param readers ----------------------------------------------------------
+#
+# A reader maps one JSON value to what a sweep uses, and raises TypeError,
+# ValueError, OverflowError or a library error on a value it rejects.
+
+REQUIRED = object()  # the default of a param that must be given
+
+
+def read_param(key: str, reader: Callable, value):
+    """`reader(value)`; a value the reader rejects is a config error
+    naming `key`."""
+    try:
+        return reader(value)
+    except (TypeError, ValueError, OverflowError, DistGraphsError) as exc:
+        raise ConfigError(f"`{key}`: {exc}") from exc
+
+
+def _read_params(doc, table: dict) -> dict:
+    """`doc`'s values read through `table` (name -> (reader, default));
+    an unknown key or a missing required one is a config error."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"expected a JSON object, got {type(doc).__name__}")
+    problems = [f"unknown key {key!r}" for key in doc if key not in table] + [
+        f"missing key {key!r}" for key, (_, default) in table.items() if default is REQUIRED and key not in doc
+    ]
+    if problems:
+        raise ConfigError(f"{', '.join(problems)} (the keys are {list(table)})")
+    return {
+        key: read_param(key, reader, doc[key]) if key in doc else default
+        for key, (reader, default) in table.items()
+    }
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_param(params: dict, key: str, default: int) -> int:
-    value = params.get(key, default)
-    if not _is_int(value):
-        raise ConfigError(f"`{key}` must be an integer, got {value!r}")
-    return value
+def _is_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
-def _int_list(params: dict, key: str) -> list[int]:
-    values = params.get(key, [])
-    if not (isinstance(values, list) and all(map(_is_int, values))):
-        raise ConfigError(f"`{key}` must be a list of integers, got {values!r}")
-    return values
+def _checked(ok: Callable, what: str) -> Callable:
+    """A reader of the values for which `ok` holds."""
+    def read(value):
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return value
+
+    return read
 
 
-def _positive_floats(values, key: str) -> list[float]:
-    """A config's list of scales or radii as floats; an entry that is not
-    a finite positive number is a config error."""
-    try:
-        out = [float(v) for v in values]
-    except (TypeError, ValueError):
-        out = None
-    if out is None or not all(math.isfinite(x) and x > 0.0 for x in out):
-        raise ConfigError(f"`{key}` must be a list of finite positive numbers, got {values!r}")
-    return out
+def _optional(reader: Callable) -> Callable:
+    return lambda value: None if value is None else reader(value)
+
+
+def _list(item: Callable, nonempty: bool = False) -> Callable:
+    def read(value) -> list:
+        if not isinstance(value, (list, tuple)) or (nonempty and not value):
+            raise ValueError(f"must be a {'non-empty ' * nonempty}list, got {value!r}")
+        return [item(v) for v in value]
+
+    return read
+
+
+_count = _checked(lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+_positive_int = _checked(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_dim = _checked(lambda v: _is_int(v) and v >= 2, "an integer >= 2")
+_number = _checked(_is_number, "a finite number")
+_nonnegative = _checked(lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
+_positive = _checked(lambda v: _is_number(v) and v > 0, "a finite positive number")
+_string = _checked(lambda v: isinstance(v, str), "a string")
+_object = _checked(lambda v: isinstance(v, dict), "a JSON object")
+_scales = _list(lambda v: float(_positive(v)))
+_band = _checked(
+    lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+    "two numbers [c1, c2]",
+)
+_size_spec = _checked(
+    lambda v: _is_int(v)
+    or (isinstance(v, str) and v in NAMED_SIZES)
+    or (isinstance(v, dict) and set(v) == {"coef", "exp"} and all(map(_is_number, v.values()))),
+    f"an integer, one of {tuple(NAMED_SIZES)} or {{coef, exp}} (finite numbers)",
+)
+optional_count = _optional(_count)  # a search budget: null (no limit) or an integer >= 0
 
 
 def _field(entry) -> ff.FieldSpec:
-    """A config's `[p, k]` as a field; a pair make_field rejects, or a
-    field over the `DISTGRAPHS_MAX_Q` cap, is a config error."""
+    """A `[p, k]` pair as a field (make_field checks p, k and the q cap)."""
     if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_int, entry))):
-        raise ConfigError(f"a field is `[p, k]` with integer p and k, got {entry!r}")
+        raise ValueError(f"a field is `[p, k]` with integer p and k, got {entry!r}")
+    return ff.make_field(*entry)
+
+
+def resolve_size(size_spec, q: int, d: int) -> int:
+    """Size schedule entry: an int, a named expression, or
+    {"coef": c, "exp": s} with finite c and s, meaning ceil(c * q^s)."""
+    size_spec = read_param("size", _size_spec, size_spec)
     try:
-        return ff.make_field(*entry)
-    except (NotOddPrime, InvalidDegree, TooLarge) as exc:
-        raise ConfigError(str(exc)) from exc
+        if isinstance(size_spec, dict):
+            n = math.ceil(float(size_spec["coef"]) * q ** float(size_spec["exp"]))
+        else:
+            n = NAMED_SIZES[size_spec](q, d) if isinstance(size_spec, str) else size_spec
+    except OverflowError as exc:
+        raise ConfigError(f"size {size_spec!r} overflows: {exc}") from exc
+    if not 0 <= n <= q**d:
+        raise ConfigError(f"size {n} outside [0, q^d = {q**d}]")
+    return n
 
 
-def catalog_graph(name) -> Graph:
-    """A catalog graph by name; an unknown or undersized name is a
-    config error."""
-    try:
-        return graph_from_name(str(name))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _named_graph(name) -> tuple[str, Graph]:
+    return name, graph_from_name(_string(name))
 
 
-def _resolve_pattern(params: dict) -> tuple[str, Graph]:
-    if "graph" in params:
-        name = str(params["graph"])
-        return name, catalog_graph(name)
-    if "graph_text" in params:
-        try:
-            g = graph_from_text(str(params["graph_text"]))
-        except ValueError as exc:
-            raise ConfigError(f"bad `graph_text`: {exc}") from exc
-        return f"custom({g.n},{g.edge_count})", g
-    raise ConfigError("params need `graph` (catalog name) or `graph_text`")
+def _graph_text(text) -> tuple[str, Graph]:
+    g = graph_from_text(_string(text))
+    return f"custom({g.n},{g.edge_count})", g
+
+
+def _pattern(p: dict, default: Optional[str] = None) -> tuple[str, Graph]:
+    """The pattern of the `graph` or the `graph_text` param, else the
+    catalog graph `default`."""
+    if p["graph"] and p["graph_text"]:
+        raise ConfigError("give `graph` or `graph_text`, not both")
+    if not (p["graph"] or p["graph_text"] or default):
+        raise ConfigError("params need `graph` (catalog name) or `graph_text`")
+    return p["graph"] or p["graph_text"] or _named_graph(default)
 
 
 @dataclass
@@ -150,46 +190,30 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if self.jobs is not None and not (_is_int(self.jobs) and self.jobs >= 1):
-            raise ConfigError(f"jobs must be an integer >= 1, got {self.jobs!r}")
-        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        randomized = self.kind in ("ir-sweep", "threshold")
-        if randomized and self.seed is None:
+        if not (isinstance(self.kind, str) and self.kind in SWEEPS):
+            raise ConfigError(f"unknown kind {self.kind!r}; expected one of {tuple(SWEEPS)}")
+        read_param("params", _object, self.params)
+        read_param("seed", optional_count, self.seed)
+        read_param("jobs", _optional(_positive_int), self.jobs)
+        read_param("out", _optional(_string), self.out)
+        if SWEEPS[self.kind].seeded and self.seed is None:
             raise ConfigError(f"kind {self.kind!r} requires a seed")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls.from_dict(doc)
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"a config is a JSON object, got {type(doc).__name__}")
-        if not isinstance(doc.get("params", {}), dict):
-            raise ConfigError("config `params` must be a JSON object")
-        if "kind" not in doc:
-            raise ConfigError("config missing key 'kind'")
-        return cls(
-            kind=doc["kind"],
-            params=dict(doc.get("params", {})),
-            seed=doc.get("seed"),
-            jobs=doc.get("jobs"),
-            out=doc.get("out"),
-        )
+    def from_dict(cls, doc: dict, **overrides) -> "ExperimentConfig":
+        """The config a JSON document describes, with `overrides` (top-level
+        fields, such as CLI flags) in place of the document's, so that a
+        `seed` flag can satisfy a seeded kind."""
+        fields = {"kind": REQUIRED, "params": {}, "seed": None, "jobs": None, "out": None}
+        doc = _read_params(doc, {name: (lambda v: v, default) for name, default in fields.items()})
+        return cls(**{**doc, **overrides})
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "out": self.out,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -235,22 +259,15 @@ class ExperimentReport:
         return out
 
 
-def _meta() -> dict:
-    return {
-        "rng": RNG_ID,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-
-
 def _run_instances(instances: list, worker: Callable, jobs: Optional[int]) -> list:
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(instances) <= 1:
+    # The pool starts all its workers at once, so it is never larger than
+    # the cores or the instances.
+    cpus = os.cpu_count() or 1
+    workers = min(jobs or cpus, cpus, len(instances))
+    if workers <= 1:
         return [worker(inst) for inst in instances]
-    chunk = max(1, len(instances) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(instances) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, instances, chunksize=chunk))
 
 
@@ -260,6 +277,21 @@ IR_COLUMNS = [
     "p", "k", "q", "d", "size_spec", "size", "trial", "seed",
     "pass", "sum_ok", "worst_slack",
 ]
+
+
+def _ir_expand(p: dict, seed: int) -> list[dict]:
+    instances = []
+    for spec in p["fields"]:
+        for d in p["dims"]:
+            for size_spec in p["sizes"]:
+                size = resolve_size(size_spec, spec.q, d)
+                for trial in range(p["trials"]):
+                    instances.append({
+                        "spec": spec, "d": d,
+                        "size_spec": str(size_spec), "size": size, "trial": trial,
+                        "seed": instance_seed(seed, len(instances)),
+                    })
+    return instances
 
 
 def _ir_worker(inst: dict) -> dict:
@@ -277,45 +309,45 @@ def _ir_worker(inst: dict) -> dict:
     }
 
 
-def run_ir_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """Sample random subsets across a (field, dimension, size) grid and
-    check the exact remainder bound on each distance histogram."""
-    p = config.params
-    fields = [_field(f) for f in p.get("fields", [])]
-    dims = _int_list(p, "dims")
-    sizes = p.get("sizes", [])
-    trials = _int_param(p, "trials", 1)
-    if not fields or not dims or trials < 0:
-        raise ConfigError("ir-sweep needs `fields`, `dims`, and nonnegative `trials`")
-    instances = []
-    index = 0
-    for spec in fields:
-        for d in dims:
-            for size_spec in sizes:
-                size = resolve_size(size_spec, spec.q, d)
-                for trial in range(trials):
-                    instances.append({
-                        "spec": spec, "d": d,
-                        "size_spec": str(size_spec), "size": size, "trial": trial,
-                        "seed": instance_seed(config.seed, index),
-                    })
-                    index += 1
-    records = _run_instances(instances, _ir_worker, config.jobs)
+def _ir_summarize(p: dict, records: list, meta: dict):
     verdict = all(r["pass"] and r["sum_ok"] for r in records)
     summary = {
         "instances": len(records),
         "all_pass": verdict,
         "min_worst_slack": min((r["worst_slack"] for r in records), default=None),
     }
-    return ExperimentReport(config.as_dict(), IR_COLUMNS, records, summary, verdict, _meta())
+    return records, summary, verdict
 
 
 # -- threshold --------------------------------------------------------------
+#
+# Budget exhaustion marks an instance indeterminate; it is excluded from
+# rates, never counted as failure.  The verdict never asserts theorem
+# constants: it checks only that the success curve is nondecreasing up to
+# `max_inversions` dips of at most `noise_tolerance`, and that full-space
+# size levels succeed.
 
 THRESHOLD_COLUMNS = [
     "q", "d", "graph", "size", "trial", "seed",
     "success", "indeterminate", "n_contained", "n_indeterminate",
 ]
+
+
+def _threshold_sizes(p: dict) -> list[int]:
+    return sorted({resolve_size(s, p["field"].q, p["d"]) for s in p["sizes"]})
+
+
+def _threshold_expand(p: dict, seed: int) -> list[dict]:
+    name, pattern = _pattern(p)
+    instances = []
+    for size in _threshold_sizes(p):
+        for trial in range(p["trials"]):
+            instances.append({
+                "spec": p["field"], "d": p["d"], "graph": name,
+                "pattern": pattern, "size": size, "trial": trial,
+                "budget": p["budget"], "seed": instance_seed(seed, len(instances)),
+            })
+    return instances
 
 
 def _threshold_worker(inst: dict) -> dict:
@@ -333,42 +365,8 @@ def _threshold_worker(inst: dict) -> dict:
     }
 
 
-def run_threshold(config: ExperimentConfig) -> ExperimentReport:
-    """Empirical success curve for full nonzero-distance coverage by the
-    pattern, over a size schedule.  Budget exhaustion marks an instance
-    indeterminate; it is excluded from rates, never counted as failure.
-
-    The report never asserts theorem constants: the verdict checks only
-    that the curve is nondecreasing up to `max_inversions` dips of at
-    most `noise_tolerance`, and that full-space size levels succeed.
-    """
-    p = config.params
-    d = _int_param(p, "d", 0)
-    if "field" not in p or d < 2:
-        raise ConfigError("threshold needs `field` = [p, k] and `d` >= 2")
-    spec = _field(p["field"])
-    name, pattern = _resolve_pattern(p)
-    sizes = sorted({resolve_size(s, spec.q, d) for s in p.get("sizes", [])})
-    trials = _int_param(p, "trials", 0)
-    budget = p.get("budget")
-    try:
-        noise = float(p.get("noise_tolerance", 0.1))
-    except (TypeError, ValueError):
-        noise = math.nan
-    if not noise >= 0.0:
-        raise ConfigError(f"`noise_tolerance` must be a number >= 0, got {p['noise_tolerance']!r}")
-    max_inversions = _int_param(p, "max_inversions", 1)
-    instances = []
-    index = 0
-    for size in sizes:
-        for trial in range(trials):
-            instances.append({
-                "spec": spec, "d": d, "graph": name,
-                "pattern": pattern, "size": size, "trial": trial,
-                "budget": budget, "seed": instance_seed(config.seed, index),
-            })
-            index += 1
-    records = _run_instances(instances, _threshold_worker, config.jobs)
+def _threshold_summarize(p: dict, records: list, meta: dict):
+    sizes = _threshold_sizes(p)
     curve = []
     for size in sizes:
         rows = [r for r in records if r["size"] == size and not r["indeterminate"]]
@@ -378,8 +376,10 @@ def run_threshold(config: ExperimentConfig) -> ExperimentReport:
     inversions = [
         (rates[i] - rates[i + 1]) for i in range(len(rates) - 1) if rates[i] > rates[i + 1]
     ]
-    monotone_ok = len(inversions) <= max_inversions and all(v <= noise for v in inversions)
-    full = spec.q**d
+    monotone_ok = len(inversions) <= p["max_inversions"] and all(
+        v <= p["noise_tolerance"] for v in inversions
+    )
+    full = p["field"].q ** p["d"]
     anchor_ok = all(c["rate"] == 1.0 for c in curve if c["size"] == full and c["rate"] is not None)
     perfect = [c["size"] for c in curve if c["rate"] == 1.0]
     summary = {
@@ -388,135 +388,113 @@ def run_threshold(config: ExperimentConfig) -> ExperimentReport:
         "full_space_ok": anchor_ok,
         "smallest_size_fully_successful": min(perfect) if perfect else None,
     }
-    verdict = monotone_ok and anchor_ok if trials and sizes else True
-    return ExperimentReport(
-        config.as_dict(), THRESHOLD_COLUMNS, records, summary, verdict, _meta()
-    )
+    verdict = monotone_ok and anchor_ok if p["trials"] and sizes else True
+    return records, summary, verdict
 
 
 # -- extremal-table ----------------------------------------------------------
+#
+# The JSON cache is keyed by (n, canonical graph text); a hit is an
+# instance whose worker checks the cached witness again.
 
-EXTREMAL_COLUMNS = ["n", "graph", "ex", "witness_edges", "method", "cached", "verified", "elapsed_s"]
+EXTREMAL_COLUMNS = ["n", "graph", "ex", "witness_edges", "method", "cached", "verified"]
 
 
-def _extremal_worker(inst: dict) -> dict:
-    pattern = inst["pattern"]
-    n = inst["n"]
-    t0 = time.perf_counter()
-    skipped = False
-    try:
-        if inst["method"] == "exhaustive":
-            res = extremal.ex_exhaustive(n, pattern)
-        else:
-            res = extremal.ex_branch_bound(n, pattern)
-    except TooLarge:
-        skipped = True
-        res = None
-    elapsed = time.perf_counter() - t0
-    if skipped:
-        return {
-            "n": n, "graph": inst["graph"], "ex": None, "witness_edges": "skipped",
-            "method": inst["method"], "cached": False, "verified": None,
-            "elapsed_s": elapsed,
-        }
-    return {
-        "n": n, "graph": inst["graph"], "ex": res.value,
-        "witness_edges": ";".join(f"{u}-{v}" for u, v in res.witness.edges()),
-        "method": inst["method"], "cached": False,
-        "verified": extremal.verify_extremal_witness(res),
-        "elapsed_s": elapsed,
-    }
+def _extremal_pattern(name) -> tuple[str, Graph]:
+    name, g = _named_graph(name)
+    if g.edge_count == 0:
+        raise ValueError(f"extremal numbers are undefined for the edgeless {name}")
+    return name, g
 
 
 def _cache_key(n: int, pattern: Graph) -> str:
     return f"{n}|{graph_to_text(pattern)}"
 
 
-CACHE_ENTRY_KEYS = {"value", "witness_edges", "method"}
+CACHE_ENTRY = {
+    "value": (_count, REQUIRED),
+    "witness_edges": (_string, REQUIRED),
+    "method": (_string, REQUIRED),
+}
 
 
-def _load_cache(path) -> dict:
-    """The JSON cache of ex(n, G) cells.  Anything but a JSON object of
-    well-formed entries is a config error."""
+def _cache(path) -> tuple[str, dict]:
+    """A cache file path with its entries (none while the file is absent).
+    Anything but a JSON object of `CACHE_ENTRY` objects is rejected."""
+    if not Path(_string(path)).exists():
+        return path, {}
     try:
-        cache = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+        cache = _object(json.loads(Path(path).read_text()))
+    except OSError as exc:
         raise ConfigError(f"unreadable cache {path}: {exc}") from exc
-    if not isinstance(cache, dict) or not all(
-        isinstance(e, dict)
-        and set(e) == CACHE_ENTRY_KEYS
-        and _is_int(e["value"])
-        and isinstance(e["witness_edges"], str)
-        and isinstance(e["method"], str)
-        for e in cache.values()
-    ):
-        raise ConfigError(f"cache {path} is not a JSON object of {sorted(CACHE_ENTRY_KEYS)} entries")
-    return cache
+    for entry in cache.values():
+        _read_params(entry, CACHE_ENTRY)
+    return path, cache
 
 
-def _cached_record(n: int, name: str, pattern: Graph, hit: dict) -> dict:
-    """A cache hit as a record, its witness checked again as if fresh."""
+def _extremal_expand(p: dict, seed) -> list[dict]:
+    _, cache = p["cache"] or (None, {})
+    instances = []
+    for name, pattern in p["graphs"]:
+        for n in p["n_values"]:
+            hit = cache.get(_cache_key(n, pattern))
+            method = "exhaustive" if n <= p["exhaustive_max"] else "branch-bound"
+            inst = {"n": n, "graph": name, "pattern": pattern, "method": method, "hit": hit}
+            if hit:
+                try:
+                    edges = [tuple(map(int, e.split("-"))) for e in hit["witness_edges"].split(";") if e]
+                    inst["witness"] = Graph(n, edges)
+                except ValueError as exc:
+                    raise ConfigError(f"bad cached witness for ex({n}, {name}): {exc}") from exc
+            instances.append(inst)
+    return instances
+
+
+def _extremal_worker(inst: dict) -> dict:
+    row = {"n": inst["n"], "graph": inst["graph"], "method": inst["method"], "cached": False}
+    hit = inst["hit"]
+    if hit:
+        result = extremal.ExtremalResult(inst["n"], inst["pattern"], hit["value"], inst["witness"])
+        return {**row, "ex": hit["value"], "witness_edges": hit["witness_edges"], "method": hit["method"],
+                "cached": True, "verified": extremal.verify_extremal_witness(result)}
+    oracle = extremal.ex_exhaustive if inst["method"] == "exhaustive" else extremal.ex_branch_bound
+    t0 = time.perf_counter()
     try:
-        edges = [tuple(map(int, e.split("-"))) for e in hit["witness_edges"].split(";") if e]
-        witness = Graph(n, edges)
-    except ValueError as exc:
-        raise ConfigError(f"bad cached witness for ex({n}, {name}): {exc}") from exc
-    result = extremal.ExtremalResult(n, pattern, hit["value"], witness)
+        res = oracle(inst["n"], inst["pattern"])
+    except TooLarge:
+        return {**row, "ex": None, "witness_edges": "skipped", "verified": None,
+                "elapsed_s": time.perf_counter() - t0}
+    elapsed = time.perf_counter() - t0
     return {
-        "n": n, "graph": name, "ex": hit["value"],
-        "witness_edges": hit["witness_edges"], "method": hit["method"],
-        "cached": True, "verified": extremal.verify_extremal_witness(result),
-        "elapsed_s": 0.0,
+        **row, "ex": res.value, "elapsed_s": elapsed,
+        "witness_edges": ";".join(f"{u}-{v}" for u, v in res.witness.edges()),
+        "verified": extremal.verify_extremal_witness(res),
     }
 
 
-def run_extremal_table(config: ExperimentConfig) -> ExperimentReport:
-    """Exact ex(n, G) over a grid, with reference exponent columns in the
-    summary and a JSON cache keyed by (n, canonical graph text)."""
-    p = config.params
-    n_values = _int_list(p, "n_values")
-    graph_names = [str(g) for g in p.get("graphs", [])]
-    if not n_values or not graph_names:
-        raise ConfigError("extremal-table needs `n_values` and `graphs`")
-    exhaustive_max = _int_param(p, "exhaustive_max", 7)
-    cache_path = p.get("cache")
-    cache = {}
-    if cache_path and Path(cache_path).exists():
-        cache = _load_cache(cache_path)
-    patterns = {name: catalog_graph(name) for name in graph_names}
-    instances = []
-    cached_records = []
-    for name in graph_names:
-        pattern = patterns[name]
-        for n in n_values:
-            key = _cache_key(n, pattern)
-            if key in cache:
-                cached_records.append(_cached_record(n, name, pattern, cache[key]))
-            else:
-                method = "exhaustive" if n <= exhaustive_max else "branch-bound"
-                instances.append({"n": n, "graph": name, "pattern": pattern, "method": method})
-    fresh = _run_instances(instances, _extremal_worker, config.jobs)
-    for rec in fresh:
+def _extremal_summarize(p: dict, records: list, meta: dict):
+    path, cache = p["cache"] or (None, {})
+    patterns = dict(p["graphs"])
+    seconds = meta["cell_seconds"] = {}
+    for rec in records:
+        if rec["cached"]:
+            continue
+        seconds[f"{rec['graph']}|{rec['n']}"] = rec.pop("elapsed_s")
         if rec["ex"] is not None:
-            cache[_cache_key(rec["n"], patterns[rec["graph"]])] = {
-                "value": rec["ex"],
-                "witness_edges": rec["witness_edges"],
-                "method": rec["method"],
-            }
-    if cache_path:
-        Path(cache_path).write_text(json.dumps(cache, indent=1) + "\n")
-    records = sorted(
-        cached_records + fresh, key=lambda r: (r["graph"], r["n"])
-    )
+            entry = {"value": rec["ex"], "witness_edges": rec["witness_edges"], "method": rec["method"]}
+            cache[_cache_key(rec["n"], patterns[rec["graph"]])] = entry
+    if path:
+        Path(path).write_text(json.dumps(cache, indent=1) + "\n")
+    records = sorted(records, key=lambda r: (r["graph"], r["n"]))
     references = {}
-    for name in graph_names:
+    for name, pattern in patterns.items():
         try:
-            info = extremal.best_known_exponent(patterns[name])
+            info = extremal.best_known_exponent(pattern)
             references[name] = {
                 "alpha": str(info.alpha),
                 "source": info.source,
                 "n^(2-alpha)": {
-                    str(n): float(n) ** (2.0 - float(info.alpha)) for n in n_values
+                    str(n): float(n) ** (2.0 - float(info.alpha)) for n in p["n_values"]
                 },
             }
         except NotBipartite:
@@ -527,12 +505,14 @@ def run_extremal_table(config: ExperimentConfig) -> ExperimentReport:
         "skipped": sum(1 for r in records if r["ex"] is None),
         "reference_exponents": references,
     }
-    return ExperimentReport(
-        config.as_dict(), EXTREMAL_COLUMNS, records, summary, verdict, _meta()
-    )
+    return records, summary, verdict
 
 
 # -- adreg-scan ---------------------------------------------------------------
+#
+# Per fractal spec: net sizes across scales, an annulus-band t scan, the
+# edge-count scaling fit at the best-band t, and pattern approximation
+# searches.
 
 ADREG_COLUMNS = [
     "record", "d", "contraction", "depth", "t", "eps",
@@ -542,27 +522,47 @@ ADREG_COLUMNS = [
     "graph", "found", "witness_valid", "witness_indices",
 ]
 
+# One entry of `specs`; its `eps`, `t_grid` and `approx_eps` replace the
+# shared params of the same names.
+ADREG_SPEC_PARAMS = {
+    "d": (_positive_int, REQUIRED),
+    "contraction": (_number, REQUIRED),
+    "depth": (_count, REQUIRED),
+    "eps": (_scales, ()),
+    "t_grid": (_scales, ()),
+    "approx_eps": (_scales, ()),
+}
 
-def _fractal_spec(sp) -> adreg.FractalSpec:
-    """An adreg-scan spec object as a FractalSpec; a missing or
-    non-numeric `d`, `contraction` or `depth` is a config error."""
-    if not (
-        isinstance(sp, dict)
-        and _is_int(sp.get("d"))
-        and _is_int(sp.get("depth"))
-        and isinstance(sp.get("contraction"), (int, float))
-        and not isinstance(sp.get("contraction"), bool)
-    ):
-        raise ConfigError(
-            f"an adreg-scan spec needs integer `d` and `depth` and a number `contraction`, got {sp!r}"
-        )
-    return adreg.FractalSpec(sp["d"], float(sp["contraction"]), sp["depth"])
+
+def _adreg_expand(p: dict, seed) -> list[dict]:
+    name, pattern = _pattern(p, default="C6")
+    instances = []
+    for sp in p["specs"]:
+        spec = adreg.FractalSpec(sp["d"], float(sp["contraction"]), sp["depth"])
+        # default: dyadic scales 2^-3, 2^-4, ... above the cell-scale floor
+        eps_list = sp["eps"] or p["eps"] or [
+            2.0**-j for j in range(3, 12) if 2.0**-j >= 4.0 * spec.cell_side
+        ][:4]
+        if len(eps_list) < 3:
+            raise ConfigError("each spec needs >= 3 usable eps values (spec `eps`, shared `eps`, "
+                              "or a depth large enough for the dyadic defaults)")
+        for e in eps_list:
+            adreg.check_scale(spec, e)
+        approx_eps = sp["approx_eps"] or p["approx_eps"] or [max(eps_list)]
+        if not set(approx_eps) <= set(eps_list):
+            raise ConfigError(f"`approx_eps` {approx_eps} must be among the scan's eps {eps_list}")
+        instances.append({
+            "spec": spec, "eps_list": eps_list, "approx_eps": approx_eps,
+            "t_grid": sp["t_grid"] or p["t_grid"] or [round(0.3 + 0.05 * i, 2) for i in range(13)],
+            "band": p["band"], "graph": name, "pattern": pattern, "budget": p["budget"],
+        })
+    return instances
 
 
 def _adreg_worker(inst: dict) -> list[dict]:
-    spec = adreg.FractalSpec(inst["d"], inst["contraction"], inst["depth"])
+    spec = inst["spec"]
     eps_list = sorted(inst["eps_list"])
-    band = tuple(inst["band"])
+    band = inst["band"]
     pattern = inst["pattern"]
     cloud = adreg.cantor_product(spec)
     base = {"d": spec.d, "contraction": spec.contraction, "depth": spec.depth}
@@ -630,61 +630,16 @@ def _adreg_worker(inst: dict) -> list[dict]:
     }]
 
 
-def run_adreg_scan(config: ExperimentConfig) -> ExperimentReport:
-    """Per fractal spec: net sizes across scales, an annulus-band t
-    scan, the edge-count scaling fit at the best-band t, and pattern
-    approximation searches."""
-    p = config.params
-    specs = p.get("specs", [])
-    if not specs:
-        raise ConfigError("adreg-scan needs `specs`")
-    name, pattern = _resolve_pattern(p) if ("graph" in p or "graph_text" in p) else (
-        "C6", graph_from_name("C6")
-    )
-    band = p.get("band", adreg.DEFAULT_BAND)
-    if not (
-        isinstance(band, (list, tuple))
-        and len(band) == 2
-        and all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in band)
-    ):
-        raise ConfigError(f"`band` must be two numbers [c1, c2], got {band!r}")
-    instances = []
-    for sp in specs:
-        spec = _fractal_spec(sp)
-        eps_list = _positive_floats(sp.get("eps") or p.get("eps", []), "eps")
-        if not eps_list:
-            # default: dyadic scales 2^-3, 2^-4, ... above the cell-scale floor
-            eps_list = [2.0**-j for j in range(3, 12) if 2.0**-j >= 4.0 * spec.cell_side][:4]
-        if len(eps_list) < 3:
-            raise ConfigError(
-                "each spec needs >= 3 usable eps values (spec `eps`, shared `eps`, "
-                "or a depth large enough for the dyadic defaults)"
-            )
-        for e in eps_list:
-            adreg.check_scale(spec, e)
-        t_grid = _positive_floats(sp.get("t_grid") or p.get("t_grid", []), "t_grid")
-        if not t_grid:
-            t_grid = [round(0.3 + 0.05 * i, 2) for i in range(13)]
-        approx_eps = _positive_floats(sp.get("approx_eps") or p.get("approx_eps", []), "approx_eps")
-        if not approx_eps:
-            approx_eps = [max(eps_list)]
-        instances.append({
-            "d": spec.d, "contraction": spec.contraction, "depth": spec.depth,
-            "eps_list": eps_list, "t_grid": t_grid, "band": band,
-            "graph": name, "pattern": pattern,
-            "approx_eps": approx_eps, "budget": p.get("budget"),
-        })
-    nested = _run_instances(instances, _adreg_worker, config.jobs)
-    records = [row for rows in nested for row in rows]
+def _adreg_summarize(p: dict, results: list, meta: dict):
+    records = [row for rows in results for row in rows]
     net_ok = all(r["net_valid"] for r in records if r["record"] == "net")
     wit_ok = all(
         r["witness_valid"]
         for r in records
         if r["record"] == "approx" and r["witness_valid"] is not None
     )
-    verdict = net_ok and wit_ok
     summary = {
-        "specs": len(specs),
+        "specs": len(p["specs"]),
         "nets_valid": net_ok,
         "witnesses_valid": wit_ok,
         "slopes": [
@@ -696,16 +651,76 @@ def run_adreg_scan(config: ExperimentConfig) -> ExperimentReport:
             if r["record"] == "summary"
         ],
     }
-    return ExperimentReport(config.as_dict(), ADREG_COLUMNS, records, summary, verdict, _meta())
+    return records, summary, net_ok and wit_ok
 
 
-RUNNERS = {
-    "ir-sweep": run_ir_sweep,
-    "threshold": run_threshold,
-    "extremal-table": run_extremal_table,
-    "adreg-scan": run_adreg_scan,
+# -- the registry -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A sweep kind: its param table, name -> (reader, default), whether
+    it needs a master seed, its record columns, and its stages.
+    `expand(params, seed)` lists the instances, `worker(instance)` runs
+    one, and `summarize(params, results, meta)` returns (records, summary,
+    verdict), putting what varies between runs into `meta`."""
+
+    params: dict
+    seeded: bool
+    columns: list[str]
+    expand: Callable
+    worker: Callable
+    summarize: Callable
+
+
+SWEEPS: dict[str, Sweep] = {
+    "ir-sweep": Sweep({
+        "fields": (_list(_field, nonempty=True), REQUIRED),
+        "dims": (_list(_dim, nonempty=True), REQUIRED),
+        "sizes": (_list(_size_spec), ()),
+        "trials": (_count, 1),
+    }, True, IR_COLUMNS, _ir_expand, _ir_worker, _ir_summarize),
+    "threshold": Sweep({
+        "field": (_field, REQUIRED),
+        "d": (_dim, REQUIRED),
+        "graph": (_named_graph, None),
+        "graph_text": (_graph_text, None),
+        "sizes": (_list(_size_spec), ()),
+        "trials": (_count, 0),
+        "budget": (optional_count, None),
+        "noise_tolerance": (_nonnegative, 0.1),
+        "max_inversions": (_count, 1),
+    }, True, THRESHOLD_COLUMNS, _threshold_expand, _threshold_worker, _threshold_summarize),
+    "extremal-table": Sweep({
+        "n_values": (_list(_count, nonempty=True), REQUIRED),
+        "graphs": (_list(_extremal_pattern, nonempty=True), REQUIRED),
+        "exhaustive_max": (_count, 7),
+        "cache": (_optional(_cache), None),
+    }, False, EXTREMAL_COLUMNS, _extremal_expand, _extremal_worker, _extremal_summarize),
+    "adreg-scan": Sweep({
+        "specs": (_list(lambda doc: _read_params(doc, ADREG_SPEC_PARAMS), nonempty=True), REQUIRED),
+        "eps": (_scales, ()),
+        "t_grid": (_scales, ()),
+        "approx_eps": (_scales, ()),
+        "band": (_band, adreg.DEFAULT_BAND),
+        "graph": (_named_graph, None),
+        "graph_text": (_graph_text, None),
+        "budget": (optional_count, None),
+    }, False, ADREG_COLUMNS, _adreg_expand, _adreg_worker, _adreg_summarize),
 }
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
-    return RUNNERS[config.kind](config)
+    """Read the config's params through its kind's table, run the
+    instances (in parallel when `jobs` allows) and summarize them."""
+    sweep = SWEEPS[config.kind]
+    params = _read_params(config.params, sweep.params)
+    results = _run_instances(sweep.expand(params, config.seed), sweep.worker, config.jobs)
+    meta = {
+        "rng": RNG_ID,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    }
+    records, summary, verdict = sweep.summarize(params, results, meta)
+    return ExperimentReport(config.as_dict(), sweep.columns, records, summary, verdict, meta)

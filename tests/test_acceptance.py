@@ -18,9 +18,7 @@ from distgraphs.adreg import FractalSpec, cantor_product, find_approximation, gr
 from distgraphs.experiments import (
     ExperimentConfig,
     instance_seed,
-    run_adreg_scan,
-    run_ir_sweep,
-    run_threshold,
+    run,
 )
 from distgraphs.extremal import (
     ex_branch_bound,
@@ -103,7 +101,7 @@ def _ir_config(jobs: int = 1) -> ExperimentConfig:
 @pytest.fixture(scope="session")
 def ir_report():
     t0 = time.perf_counter()
-    report = run_ir_sweep(_ir_config())
+    report = run(_ir_config())
     report.summary["elapsed"] = time.perf_counter() - t0
     return report
 
@@ -116,7 +114,7 @@ def _threshold_config(jobs: int = 1) -> ExperimentConfig:
 
 @pytest.fixture(scope="session")
 def threshold_report():
-    return run_threshold(_threshold_config())
+    return run(_threshold_config())
 
 
 def _anchor_record(inst: dict) -> dict:
@@ -215,7 +213,7 @@ def pair_rows():
 @pytest.fixture(scope="session")
 def adreg_report():
     t0 = time.perf_counter()
-    report = run_adreg_scan(ExperimentConfig(kind="adreg-scan", params=ADREG_PARAMS))
+    report = run(ExperimentConfig(kind="adreg-scan", params=ADREG_PARAMS))
     report.summary["elapsed"] = time.perf_counter() - t0
     return report
 
@@ -382,9 +380,9 @@ def test_criterion_10_approximation_witnesses(adreg_report):
 
 def test_criterion_11_determinism(ir_report, pair_rows, anchor_rows, threshold_report):
     with criterion(11, "seeded determinism across parallelism"):
-        assert run_ir_sweep(_ir_config(jobs=1)).records_csv() == ir_report.records_csv()
-        assert run_ir_sweep(_ir_config(jobs=4)).records_csv() == ir_report.records_csv()
+        assert run(_ir_config(jobs=1)).records_csv() == ir_report.records_csv()
+        assert run(_ir_config(jobs=4)).records_csv() == ir_report.records_csv()
         assert _pair_rows(jobs=4) == pair_rows[0]
         assert _anchor_rows(jobs=4) == anchor_rows[0]
-        rerun = run_threshold(_threshold_config(jobs=4))
+        rerun = run(_threshold_config(jobs=4))
         assert rerun.records_csv() == threshold_report.records_csv()

@@ -1,16 +1,24 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distgraphs import experiments
 from distgraphs.cli import main
 from distgraphs.errors import ConfigError
 from distgraphs.experiments import (
+    SWEEPS,
     ExperimentConfig,
     instance_seed,
     resolve_size,
     run,
-    run_extremal_table,
-    run_ir_sweep,
 )
 
 
@@ -83,10 +91,10 @@ def test_ir_sweep_empty_schedule_vacuous():
 
 
 def test_ir_sweep_deterministic_across_jobs():
-    a = run_ir_sweep(ExperimentConfig(kind="ir-sweep", seed=9, params=IR_PARAMS))
-    b = run_ir_sweep(ExperimentConfig(kind="ir-sweep", seed=9, params=IR_PARAMS, jobs=4))
+    a = run(ExperimentConfig(kind="ir-sweep", seed=9, params=IR_PARAMS))
+    b = run(ExperimentConfig(kind="ir-sweep", seed=9, params=IR_PARAMS, jobs=4))
     assert a.records_csv() == b.records_csv()
-    c = run_ir_sweep(ExperimentConfig(kind="ir-sweep", seed=10, params=IR_PARAMS))
+    c = run(ExperimentConfig(kind="ir-sweep", seed=10, params=IR_PARAMS))
     assert a.records_csv() != c.records_csv()
 
 
@@ -117,10 +125,10 @@ def test_extremal_table_cache(tmp_path):
         kind="extremal-table",
         params={"n_values": [3, 4], "graphs": ["C4"], "cache": str(cache)},
     )
-    first = run_extremal_table(cfg)
+    first = run(cfg)
     assert [r["ex"] for r in first.records] == [3, 4]
     assert cache.exists()
-    again = run_extremal_table(cfg)
+    again = run(cfg)
     assert all(r["cached"] for r in again.records)
     assert [r["ex"] for r in again.records] == [3, 4]
 
@@ -223,10 +231,10 @@ def test_extremal_table_rechecks_cache_hits(tmp_path, capsys):
     # ex(4, C4) is 3; K4 has 6 edges and contains C4.
     poisoned = {key: {"value": 6, "witness_edges": "0-1;0-2;0-3;1-2;1-3;2-3", "method": "exhaustive"}}
     assert _extremal_cache_run(tmp_path, json.dumps(poisoned)) == 1
-    assert "4,C4,6,0-1;0-2;0-3;1-2;1-3;2-3,exhaustive,true,false," in capsys.readouterr().out
+    assert "4,C4,6,0-1;0-2;0-3;1-2;1-3;2-3,exhaustive,true,false\n" in capsys.readouterr().out
     honest = {key: {"value": 3, "witness_edges": "0-1;0-2;0-3", "method": "exhaustive"}}
     assert _extremal_cache_run(tmp_path, json.dumps(honest)) == 0
-    assert ",true,true," in capsys.readouterr().out
+    assert ",true,true\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -307,6 +315,31 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "band": ["lo", 8]}}, ["adreg-scan"]),
         ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "noise_tolerance": "x"}},
          ["threshold"]),
+        # a dimension below 2, a size spec that is not finite or overflows
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "dims": [1]}}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "sizes": [{"coef": "x", "exp": 1}]}}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "sizes": [{"coef": 1, "exp": 1e9}]}}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "sizes": [{"coef": float("nan"), "exp": 1}]}},
+         ["ir-sweep"]),
+        # a scalar where a list belongs
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "sizes": 5}}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "fields": 5}}, ["ir-sweep"]),
+        ({"kind": "extremal-table", "params": {"n_values": [3], "graphs": 5}}, ["extremal-table"]),
+        ({"kind": "adreg-scan", "params": {"specs": 5}}, ["adreg-scan"]),
+        # a bad budget, count, vertex count, pattern, cache path or out path
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "budget": "x"}}, ["threshold"]),
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "trials": -2}}, ["threshold"]),
+        ({"kind": "extremal-table", "params": {"n_values": [-1], "graphs": ["C4"]}}, ["extremal-table"]),
+        ({"kind": "extremal-table", "params": {"n_values": [3], "graphs": ["K1"]}}, ["extremal-table"]),
+        ({"kind": "extremal-table", "params": {"n_values": [3], "graphs": ["C4"], "cache": 5}},
+         ["extremal-table"]),
+        ({"kind": "ir-sweep", "seed": 1, "out": 5, "params": IR_ONE}, ["ir-sweep"]),
+        ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "budget": "x"}}, ["adreg-scan"]),
+        (None, ["graph-distance-set", "--p", "3", "--d", "2", "--graph", "C4", "--budget", "-1"]),
+        # an unknown key in params, at the top level or in an adreg-scan spec
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "trails": 5}}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": 1, "job": 5, "params": IR_ONE}, ["ir-sweep"]),
+        ({"kind": "adreg-scan", "params": {"specs": [{**ADREG_ONE, "epsilon": [0.1]}]}}, ["adreg-scan"]),
     ],
     ids=[
         "list", "seed-negative", "seed-float", "seed-string", "seed-bool", "seed-flag-negative",
@@ -316,6 +349,10 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         "max-inversions-string", "n-values-string", "exhaustive-max-string", "adreg-no-d",
         "adreg-no-contraction", "adreg-no-depth", "eps-nan", "eps-overflow", "eps-string",
         "t-grid-string", "approx-eps-zero", "band-string", "noise-tolerance-string",
+        "dims-1", "size-coef-string", "size-exp-overflow", "size-coef-nan", "sizes-scalar",
+        "fields-scalar", "graphs-scalar", "specs-scalar", "budget-string", "trials-negative",
+        "n-values-negative", "graphs-edgeless", "cache-int", "out-int", "adreg-budget-string",
+        "budget-flag-negative", "param-unknown", "top-level-unknown", "spec-unknown",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):
@@ -374,3 +411,85 @@ def test_cli_bad_input_files_exit_2(tmp_path, capsys, points, graph):
     assert main(["graph-distance-set", "--points-file", str(pts), "--graph-file", str(gf)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_worker_pool_is_bounded(monkeypatch):
+    """The pool never has more workers than cores or instances, whatever
+    `jobs` asks for; a fake executor maps the work in this process."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    expected = run(ExperimentConfig(kind="ir-sweep", seed=9, params=IR_PARAMS, jobs=1)).records_csv()
+    for cpus, workers in [(3, 3), (64, 8)]:  # IR_PARAMS has 8 instances
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = run(ExperimentConfig(kind="ir-sweep", seed=9, params=IR_PARAMS, jobs=100000))
+        assert sizes[-1] == workers and report.records_csv() == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run(ExperimentConfig(kind="ir-sweep", seed=9, params=IR_PARAMS, jobs=100000))
+    assert sizes == [3, 8]
+
+
+# -- config fuzzing -----------------------------------------------------------
+#
+# One change to a tiny valid config per example.  Every integer in the pool
+# is at most 4 and `jobs` stays 1, so a change that still validates runs in
+# milliseconds.
+
+FUZZ_BASE = {
+    "ir-sweep": {"kind": "ir-sweep", "seed": 1, "jobs": 1, "params": {
+        "fields": [[3, 1]], "dims": [2], "sizes": [3, 9], "trials": 1}},
+    "threshold": {"kind": "threshold", "seed": 1, "jobs": 1, "params": {
+        "field": [3, 1], "d": 2, "graph": "C4", "sizes": [4, 9], "trials": 1}},
+    "extremal-table": {"kind": "extremal-table", "jobs": 1, "params": {"n_values": [4], "graphs": ["C4"]}},
+    "adreg-scan": {"kind": "adreg-scan", "jobs": 1, "params": {
+        "specs": [{"d": 1, "contraction": 0.45, "depth": 7}],
+        "eps": [2.0**-3, 2.0**-4, 2.0**-5], "t_grid": [0.6], "graph": "K2"}},
+}
+FUZZ_POOL = [None, True, "x", [], {}, -1, 0, 1.5, math.nan, math.inf, 1e308, [[3]], [-1], [4]]
+SPEC_KEYS = ["d", "contraction", "depth", "eps", "t_grid", "approx_eps"]
+
+
+@st.composite
+def _fuzzed_config(draw):
+    kind = draw(st.sampled_from(sorted(FUZZ_BASE)))
+    doc = copy.deepcopy(FUZZ_BASE[kind])
+    targets = {"params": (doc["params"], sorted(SWEEPS[kind].params)), "top": (doc, ["kind", "seed", "params", "out"])}
+    if kind == "adreg-scan":
+        targets["spec"] = (doc["params"]["specs"][0], SPEC_KEYS)
+    target, keys = targets[draw(st.sampled_from(sorted(targets)))]
+    target[draw(st.sampled_from(keys + ["unknown_key"]))] = draw(st.sampled_from(FUZZ_POOL))
+    return kind, doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(_fuzzed_config())
+def test_fuzzed_config_exits_cleanly(case):
+    kind, doc = case
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a fuzzed `out` or `cache` path lands here
+        try:
+            with open("cfg.json", "w") as fh:
+                json.dump(doc, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([kind, "--config", "cfg.json"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("config error:") and lines[0].endswith("\n")
