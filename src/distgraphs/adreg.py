@@ -121,12 +121,19 @@ def _cantor_centers(contraction: float, depth: int) -> np.ndarray:
     return starts + length / 2.0
 
 
+def check_cloud(spec: FractalSpec) -> None:
+    """Reject a spec whose cloud is over the DISTGRAPHS_MAX_CLOUD cap.
+    2^(depth d) > cap exactly when depth d >= cap.bit_length(), so the
+    point count itself is never formed."""
+    cap = max_cloud_size()
+    if spec.depth * spec.d >= cap.bit_length():
+        raise TooLarge(f"cloud of 2^{spec.depth * spec.d} points exceeds the cap {cap}")
+
+
 def cantor_product(spec: FractalSpec) -> PointCloud:
     """Centers of all depth-n cells of the d-fold Cantor product, in
     lexicographic order (first axis slowest), uniform weights."""
-    cap = max_cloud_size()
-    if spec.n_points > cap:
-        raise TooLarge(f"cloud of {spec.n_points} points exceeds the cap {cap}")
+    check_cloud(spec)
     axis = _cantor_centers(spec.contraction, spec.depth)
     grids = np.meshgrid(*([axis] * spec.d), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)

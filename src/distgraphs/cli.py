@@ -106,6 +106,13 @@ def _points(args) -> ffgeom.PointSet:
     return ffgeom.random_subset(spec, args.d, args.size, seed=args.seed)
 
 
+def _write(report: ExperimentReport, out: str) -> None:
+    try:
+        report.write(out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report to {out}: {exc}") from exc
+
+
 def _cmd_graph_distance_set(args) -> int:
     # Everything the flags name is input: an unreadable or malformed file,
     # or a value the library rejects, is a config error.
@@ -144,7 +151,7 @@ def _cmd_graph_distance_set(args) -> int:
         verdict=covers if args.require_coverage else None,
     )
     if args.out:
-        report.write(args.out)
+        _write(report, args.out)
     sys.stdout.write(report.records_csv())
     sys.stdout.write(f"# covers_all_nonzero={str(covers).lower()}\n")
     return 0 if report.verdict in (None, True) else 1
@@ -158,7 +165,7 @@ def main(argv=None) -> int:
         config = _load_config(args, args.command)
         report = run(config)
         if config.out:
-            report.write(config.out)
+            _write(report, config.out)
         else:
             sys.stdout.write(report.records_csv())
         verdict = report.verdict

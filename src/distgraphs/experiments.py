@@ -539,6 +539,7 @@ def _adreg_expand(p: dict, seed) -> list[dict]:
     instances = []
     for sp in p["specs"]:
         spec = adreg.FractalSpec(sp["d"], float(sp["contraction"]), sp["depth"])
+        read_param("specs", adreg.check_cloud, spec)
         # default: dyadic scales 2^-3, 2^-4, ... above the cell-scale floor
         eps_list = sp["eps"] or p["eps"] or [
             2.0**-j for j in range(3, 12) if 2.0**-j >= 4.0 * spec.cell_side

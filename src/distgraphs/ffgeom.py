@@ -3,7 +3,11 @@ square-root-cancellation bound check, and G-distance sets.
 
 Points are stored as an (n, d) array of packed element codes so the
 pairwise-norm kernel runs through the field's cached numpy operation
-tables.  All theorem-level comparisons are exact integer arithmetic.
+tables.  The kernel builds one q x q squared-difference table
+sqdiff[a, b] = (a - b)^2 per pass; a block's norm codes are
+sqdiff[x_0, y_0] plus, through the addition table, sqdiff[x_j, y_j]
+for each further coordinate j, with no (rows, n, d) temporary.  All
+theorem-level comparisons are exact integer arithmetic.
 
 The distance histogram takes one of two paths, chosen from |E| alone.
 When |E|^2 >= 4 q^d it is the Fourier picture of the count: F_q^d is
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +76,18 @@ class PointSet:
         self.codes = codes
         self.codes.setflags(write=False)
 
+    @classmethod
+    def _from_codes(cls, spec: FieldSpec, d: int, codes: np.ndarray) -> "PointSet":
+        """Trusted constructor from an (n, d) int32 array of distinct,
+        in-range codes, for the sets this module makes distinct by
+        construction."""
+        E = cls.__new__(cls)
+        E.spec = spec
+        E.d = d
+        E.codes = codes
+        E.codes.setflags(write=False)
+        return E
+
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -87,7 +103,7 @@ class PointSet:
             raise SpecMismatch("shift from a different space")
         add = self.spec.add_table
         zc = np.array([c.code for c in shift.coords], dtype=np.int32)
-        return PointSet(self.spec, self.d, add[self.codes, zc[None, :]])
+        return PointSet._from_codes(self.spec, self.d, add[self.codes, zc[None, :]])
 
     def permute_coordinates(self, perm: Sequence[int]) -> "PointSet":
         return PointSet(self.spec, self.d, self.codes[:, list(perm)])
@@ -99,11 +115,13 @@ class PointSet:
 def all_points(spec: FieldSpec, d: int) -> PointSet:
     """All q^d points in lexicographic order (first coordinate varies
     slowest)."""
+    if d < 2:
+        raise DimensionTooSmall(f"need d >= 2, got {d}")
     total = spec.q**d
     cap = max_point_count()
     if total > cap:
         raise TooLarge(f"q^d = {total} exceeds the configured cap {cap}")
-    return PointSet(spec, d, _unflatten(np.arange(total), spec.q, d))
+    return PointSet._from_codes(spec, d, _unflatten(np.arange(total), spec.q, d))
 
 
 def _unflatten(idx: np.ndarray, q: int, d: int) -> np.ndarray:
@@ -154,37 +172,34 @@ def random_subset(spec: FieldSpec, d: int, size: int, seed) -> PointSet:
         raise DimensionTooSmall(f"need d >= 2, got {d}")
     rng = np.random.default_rng(seed)
     picks = np.array(_partial_fisher_yates(total, size, rng), dtype=np.int64)
-    return PointSet(spec, d, _unflatten(picks, spec.q, d))
+    return PointSet._from_codes(spec, d, _unflatten(picks, spec.q, d))
 
 
 # -- pairwise norms and histograms ---------------------------------------
 
 
-def _norm_block(E: PointSet, rows: slice) -> np.ndarray:
-    """Norms ||x_i - x_j|| (as codes) for i in `rows`, all j."""
-    spec = E.spec
-    sub, sq, add = spec.sub_table, spec.square_table, spec.add_table
-    diff = sub[E.codes[rows, None, :], E.codes[None, :, :]]
-    sqd = sq[diff]
-    acc = sqd[..., 0]
-    for jj in range(1, E.d):
-        acc = add[acc, sqd[..., jj]]
-    return acc
-
-
-def _row_chunk(E: PointSet) -> int:
-    n = max(len(E), 1)
-    return max(1, _CHUNK // (n * max(E.d, 1)))
+def _norm_blocks(E: PointSet) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, norm codes ||x_i - x_j|| for i in `rows` and every j), over
+    blocks of about _CHUNK / d cells."""
+    spec, n = E.spec, len(E)
+    sqdiff = spec.square_table[spec.sub_table]
+    add = spec.add_table
+    step = max(1, _CHUNK // (max(n, 1) * max(E.d, 1)))
+    for lo in range(0, n, step):
+        rows = slice(lo, min(lo + step, n))
+        a, b = E.codes[rows, None, :], E.codes[None, :, :]
+        acc = sqdiff[a[..., 0], b[..., 0]]
+        for j in range(1, E.d):
+            acc = add[acc, sqdiff[a[..., j], b[..., j]]]
+        yield rows, acc
 
 
 def pairwise_norms(E: PointSet) -> np.ndarray:
     """Full (n, n) matrix of pairwise norm codes."""
     n = len(E)
     out = np.empty((n, n), dtype=np.int32)
-    step = _row_chunk(E)
-    for lo in range(0, n, step):
-        rows = slice(lo, min(lo + step, n))
-        out[rows] = _norm_block(E, rows)
+    for rows, block in _norm_blocks(E):
+        out[rows] = block
     return out
 
 
@@ -263,10 +278,7 @@ def distance_histogram(E: PointSet) -> DistanceHistogram:
     if n * n >= 4 * spec.q**E.d:
         np.add.at(counts, _all_norms(spec, E.d), _autocorrelation(E))
         return DistanceHistogram(spec, counts, n)
-    step = _row_chunk(E)
-    for lo in range(0, n, step):
-        rows = slice(lo, min(lo + step, n))
-        block = _norm_block(E, rows)
+    for _, block in _norm_blocks(E):
         counts += np.bincount(block.ravel(), minlength=spec.q)
     return DistanceHistogram(spec, counts, n)
 
@@ -369,12 +381,7 @@ class GraphDistanceSet:
         return {self.spec.from_code(t) for t in self.contained}
 
 
-def graph_distance_set(
-    E: PointSet,
-    pattern: Graph,
-    budget: Optional[int] = None,
-    norms: Optional[np.ndarray] = None,
-) -> GraphDistanceSet:
+def graph_distance_set(E: PointSet, pattern: Graph, budget: Optional[int] = None) -> GraphDistanceSet:
     """Test every t in F_q for pattern containment in the t-distance
     graph.  The pairwise norm matrix is computed once and shared.
 
@@ -383,8 +390,7 @@ def graph_distance_set(
     before spending budget: absent, never indeterminate."""
     if pattern.n > len(E):
         return GraphDistanceSet(E.spec, frozenset(), frozenset())
-    if norms is None:
-        norms = pairwise_norms(E)
+    norms = pairwise_norms(E)
     contained = set()
     indeterminate = set()
     witnesses = {}

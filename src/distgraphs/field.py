@@ -31,6 +31,22 @@ def max_field_size() -> int:
     return env_cap(ENV_MAX_Q, DEFAULT_MAX_Q)
 
 
+def _check_field(p: int, k: int) -> None:
+    """Reject a degree below 1, a characteristic that is not an odd prime
+    and a field over the DISTGRAPHS_MAX_Q cap.  The cap comes before the
+    trial-division primality test, and p^k is never formed for a k that
+    is over the cap on its own: 3^k > 2^k > cap once k >= cap.bit_length()."""
+    if not isinstance(k, int) or k < 1:
+        raise InvalidDegree(f"extension degree must be >= 1, got {k}")
+    if p < 3 or p % 2 == 0:
+        raise NotOddPrime(f"characteristic must be an odd prime, got {p}")
+    cap = max_field_size()
+    if p > cap or k >= cap.bit_length() or p**k > cap:
+        raise TooLarge(f"q = {p}^{k} exceeds the configured cap {cap}")
+    if not _is_prime(p):
+        raise NotOddPrime(f"characteristic must be an odd prime, got {p}")
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -125,10 +141,7 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
-        if k < 1:
-            raise InvalidDegree(f"extension degree must be >= 1, got {k}")
-        if p < 3 or p % 2 == 0 or not _is_prime(p):
-            raise NotOddPrime(f"characteristic must be an odd prime, got {p}")
+        _check_field(p, k)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise InvalidDegree(f"modulus must be monic of degree exactly {k}")
@@ -378,15 +391,8 @@ def make_field(p: int, k: int) -> FieldSpec:
     The search enumerates non-leading coefficient vectors by packed code,
     so the choice is deterministic; for k = 1 it returns the modulus X.
     """
-    if not isinstance(k, int) or k < 1:
-        raise InvalidDegree(f"extension degree must be >= 1, got {k}")
-    if p < 3 or p % 2 == 0 or not _is_prime(p):
-        raise NotOddPrime(f"characteristic must be an odd prime, got {p}")
-    q = p**k
-    cap = max_field_size()
-    if q > cap:
-        raise TooLarge(f"q = {q} exceeds the configured cap {cap}")
-    for code in range(q):
+    _check_field(p, k)
+    for code in range(p**k):
         modulus = _decode_coeffs(code, p, k) + (1,)
         if _poly_irreducible(modulus, p):
             return FieldSpec(p, k, modulus)

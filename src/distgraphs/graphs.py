@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, NoEdges, NotBipartite, TooSmall
+from .errors import BudgetExceeded, NoEdges, NotBipartite, TooLarge, TooSmall
 
 
 class Graph:
@@ -52,14 +52,9 @@ class Graph:
     @classmethod
     def from_bool_matrix(cls, adj: np.ndarray) -> "Graph":
         """Graph from a symmetric boolean adjacency matrix (diagonal ignored)."""
-        n = adj.shape[0]
-        rows = []
-        for i in range(n):
-            row = np.array(adj[i], dtype=bool, copy=True)
-            row[i] = False
-            packed = np.packbits(row, bitorder="little").tobytes()
-            rows.append(int.from_bytes(packed, "little"))
-        return cls._from_rows(n, rows)
+        packed = np.packbits(np.asarray(adj, dtype=bool), axis=1, bitorder="little")
+        rows = [int.from_bytes(row.tobytes(), "little") & ~(1 << i) for i, row in enumerate(packed)]
+        return cls._from_rows(len(rows), rows)
 
     @property
     def edge_count(self) -> int:
@@ -150,22 +145,38 @@ def shattering_graph(k: int, include_empty: bool = True) -> Graph:
 
 
 _NAME_RE = re.compile(r"^([CPKQS])(\d+)$")
+MAX_CATALOG_EDGES = 1 << 16
+
+
+def _cube_edges(k: int) -> int:
+    """k 2^(k-1), the edge count of Q_k and S_k, with k clipped at 17,
+    where it is already over the cap."""
+    k = min(k, 17)
+    return k << (k - 1) if k else 0
+
+
+# kind -> (constructor, edge count of kind<num>)
+_CATALOG = {
+    "C": (cycle_graph, lambda n: n),
+    "P": (path_graph, lambda n: n - 1),
+    "K": (complete_graph, lambda n: n * (n - 1) // 2),
+    "Q": (hypercube_graph, _cube_edges),
+    "S": (shattering_graph, _cube_edges),
+}
 
 
 def graph_from_name(name: str) -> Graph:
     """Catalog lookup: C<n> cycle, P<n> path, K<n> complete, Q<k>
-    hypercube, S<k> shattering."""
+    hypercube, S<k> shattering.  A graph with more than
+    MAX_CATALOG_EDGES edges is rejected before it is built."""
     m = _NAME_RE.match(name.strip())
     if not m:
         raise ValueError(f"unrecognized graph name {name!r}")
-    kind, num = m.group(1), int(m.group(2))
-    return {
-        "C": cycle_graph,
-        "P": path_graph,
-        "K": complete_graph,
-        "Q": hypercube_graph,
-        "S": shattering_graph,
-    }[kind](num)
+    make, edge_count = _CATALOG[m.group(1)]
+    num = int(m.group(2))
+    if edge_count(num) > MAX_CATALOG_EDGES:
+        raise TooLarge(f"{m.group(0)} has more than {MAX_CATALOG_EDGES} edges")
+    return make(num)
 
 
 # -- text format --------------------------------------------------------

@@ -1,11 +1,11 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's search and table machinery: the
-embedding oracle enumerates every injective map, the histogram oracle
-runs scalar field arithmetic point by point, the sampler oracle draws
-its swap indices one call at a time, and the net and annulus
-oracles scan the whole cloud for every center, with the same distance
-predicates as the library's grid-filtered kernels.
+embedding oracle enumerates every injective map, the histogram and
+pairwise-norm oracles run scalar field arithmetic point by point, the
+sampler oracle draws its swap indices one call at a time, and the net
+and annulus oracles scan the whole cloud for every center, with the
+same distance predicates as the library's grid-filtered kernels.
 """
 
 from itertools import permutations
@@ -48,6 +48,14 @@ def histogram_oracle(E: PointSet) -> dict[int, int]:
             t = (x - y).norm().code
             counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+def pairwise_norms_oracle(E: PointSet) -> np.ndarray:
+    """The (n, n) matrix of norm codes ||x_i - x_j||, one scalar
+    FieldElement computation per pair."""
+    pts = E.points()
+    norms = [[(x - y).norm().code for y in pts] for x in pts]
+    return np.array(norms, dtype=np.int64).reshape(len(pts), len(pts))
 
 
 def partial_fisher_yates_oracle(n: int, size: int, rng: np.random.Generator) -> list[int]:

@@ -61,6 +61,13 @@ def test_cloud_cap(monkeypatch):
     monkeypatch.setenv("DISTGRAPHS_MAX_CLOUD", "100")
     with pytest.raises(TooLarge):
         cantor_product(FractalSpec(2, 0.4, 4))
+    cantor_product(FractalSpec(2, 0.4, 3))  # 64 points
+
+
+def test_cloud_cap_never_forms_the_point_count():
+    # 2^(10^9) points: rejected at once, the exponent in the message
+    with pytest.raises(TooLarge, match=r"2\^1000000000 points"):
+        cantor_product(FractalSpec(1, 0.45, 10**9))
 
 
 def test_cloud_points_distinct_and_inside_unit_cube():

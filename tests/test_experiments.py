@@ -340,6 +340,16 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "trails": 5}}, ["ir-sweep"]),
         ({"kind": "ir-sweep", "seed": 1, "job": 5, "params": IR_ONE}, ["ir-sweep"]),
         ({"kind": "adreg-scan", "params": {"specs": [{**ADREG_ONE, "epsilon": [0.1]}]}}, ["adreg-scan"]),
+        # a field, cloud or catalog graph over its cap, however far over
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "fields": [[3, 100000]]}}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "fields": [[3, 300000000]]}}, ["ir-sweep"]),
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "fields": [[100000000003, 1]]}}, ["ir-sweep"]),
+        (None, ["graph-distance-set", "--p", "100000000003", "--d", "2", "--graph", "C4"]),
+        ({"kind": "adreg-scan", "params": {"specs": [{**ADREG_ONE, "depth": 20}]}}, ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [{**ADREG_ONE, "depth": 1000000000}]}}, ["adreg-scan"]),
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "graph": "K1000"}}, ["threshold"]),
+        ({"kind": "extremal-table", "params": {"n_values": [3], "graphs": ["Q30"]}}, ["extremal-table"]),
+        (None, ["graph-distance-set", "--p", "3", "--d", "2", "--graph", "K1000"]),
     ],
     ids=[
         "list", "seed-negative", "seed-float", "seed-string", "seed-bool", "seed-flag-negative",
@@ -353,6 +363,8 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         "fields-scalar", "graphs-scalar", "specs-scalar", "budget-string", "trials-negative",
         "n-values-negative", "graphs-edgeless", "cache-int", "out-int", "adreg-budget-string",
         "budget-flag-negative", "param-unknown", "top-level-unknown", "spec-unknown",
+        "field-degree-1e5", "field-degree-3e8", "field-prime-1e11", "field-flag-prime-1e11",
+        "cloud-depth-20", "cloud-depth-1e9", "graph-k1000", "graphs-q30", "graph-flag-k1000",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):
@@ -400,8 +412,11 @@ def test_cli_bad_env_cap_exits_2(tmp_path, capsys, monkeypatch, var, value, doc,
         ("3 1 2 2\n0 1\n0 1\n", "2 1\n0 1\n"),  # a missing point line
         ("3 1 2 1\n0 1\n0 1\n", "2 1\n1 0\n"),  # a graph edge with u > v
         (None, "2 1\n0 1\n"),  # no such points file
+        ("1000003 1 2 1\n0 1\n0 0\n", "2 1\n0 1\n"),  # a field over the cap
+        ("1000003 1 2 4\n0 1\n0 0\n0 1\n1 0\n1 1\n", "2 1\n0 1\n"),
     ],
-    ids=["digits-and-extra-line", "missing-line", "graph-edge-order", "no-points-file"],
+    ids=["digits-and-extra-line", "missing-line", "graph-edge-order", "no-points-file",
+         "field-over-cap-1-point", "field-over-cap-4-points"],
 )
 def test_cli_bad_input_files_exit_2(tmp_path, capsys, points, graph):
     pts, gf = tmp_path / "pts.txt", tmp_path / "g.txt"
@@ -409,8 +424,31 @@ def test_cli_bad_input_files_exit_2(tmp_path, capsys, points, graph):
         pts.write_text(points)
     gf.write_text(graph)
     assert main(["graph-distance-set", "--points-file", str(pts), "--graph-file", str(gf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ir-sweep", "--seed", "1", "--out", "{file}"],
+        ["graph-distance-set", "--p", "3", "--d", "2", "--graph", "C4", "--out", "{file}"],
+    ],
+    ids=["sweep-out", "graph-distance-set-out"],
+)
+def test_cli_out_naming_a_file_exits_2(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "ir-sweep", "params": IR_ONE}))
+    argv = [a.format(file=taken) for a in argv]
+    if argv[0] == "ir-sweep":
+        argv[1:1] = ["--config", str(cfg)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
+    assert err.startswith("config error:") and err.count("\n") == 1 and str(taken) in err
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_worker_pool_is_bounded(monkeypatch):

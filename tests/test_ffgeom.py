@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import histogram_oracle, partial_fisher_yates_oracle
+from oracles import histogram_oracle, pairwise_norms_oracle, partial_fisher_yates_oracle
 from distgraphs import ffgeom
 from distgraphs.errors import (
     DimensionTooSmall,
@@ -67,6 +67,25 @@ def test_point_set_validation(f3):
         PointSet(f3, 1, np.zeros((2, 1), dtype=np.int32))
     with pytest.raises(ValueError):
         PointSet(f3, 2, np.zeros((2, 2), dtype=np.int32))  # duplicate rows
+
+
+def test_permute_coordinates_rechecks_distinctness(f3):
+    E = PointSet(f3, 2, np.array([[0, 1], [0, 2]], dtype=np.int32))
+    assert E.permute_coordinates([1, 0]).codes.tolist() == [[1, 0], [2, 0]]
+    with pytest.raises(ValueError, match="distinct"):
+        E.permute_coordinates([0, 0])
+
+
+def test_built_sets_pass_the_public_checks(f5):
+    # random_subset, all_points and translate skip the checks; their sets
+    # must pass them anyway.
+    E = random_subset(f5, 3, 60, seed=2)
+    shift = Point(f5.from_code(c) for c in (1, 4, 2))
+    for S in (E, E.translate(shift), all_points(f5, 2)):
+        assert S.codes.dtype == np.int32 and not S.codes.flags.writeable
+        assert np.array_equal(PointSet(S.spec, S.d, S.codes.copy()).codes, S.codes)
+    with pytest.raises(DimensionTooSmall):
+        all_points(f5, 1)
 
 
 def test_random_subset_contract(f3):
@@ -149,6 +168,33 @@ def test_histogram_matches_pairwise_norms(space, kind, seed):
         rng = np.random.default_rng(seed)
         shift = Point(spec.from_code(int(c)) for c in rng.integers(spec.q, size=d))
         assert np.array_equal(counts, distance_histogram(E.translate(shift)).counts)
+
+
+# Fields of extension degree 1, 2 and 3 under the default cap, and sparse
+# samples of F_49^6, where q^d > 2^32 and no transform could hold the space.
+_NORM_SPACES = [
+    (p, k, d) for p, k in [(3, 1), (7, 1), (13, 1), (3, 2), (7, 2), (3, 3)] for d in (2, 3, 4)
+] + [(7, 2, 6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_NORM_SPACES),
+    st.integers(0, 30),
+    st.integers(1, 7),
+    st.integers(0, 2**32),
+)
+def test_pairwise_norms_match_scalar_oracle(space, size, rows_per_block, seed):
+    p, k, d = space
+    spec = make_field(p, k)
+    E = random_subset(spec, d, min(size, spec.q**d), seed)
+    expected = pairwise_norms_oracle(E)
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of `rows_per_block` rows, so several blocks run
+        mp.setattr(ffgeom, "_CHUNK", rows_per_block * max(len(E), 1) * d)
+        assert np.array_equal(pairwise_norms(E), expected)
+        counts = distance_histogram(E).counts
+    assert np.array_equal(counts, np.bincount(expected.ravel(), minlength=spec.q))
 
 
 def test_histogram_path_rule(monkeypatch, f5):

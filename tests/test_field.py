@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from distgraphs import field
 from distgraphs.errors import (
     DivisionByZero,
     InvalidDegree,
@@ -60,6 +61,23 @@ def test_make_field_respects_cap(monkeypatch):
     with pytest.raises(TooLarge):
         make_field(3, 3)
     make_field(5, 2)
+
+
+def test_field_cap_comes_before_primality(monkeypatch):
+    real = field._is_prime
+
+    def guarded(n):
+        assert n <= field.max_field_size(), f"primality test of {n}, over the cap"
+        return real(n)
+
+    monkeypatch.setattr(field, "_is_prime", guarded)
+    for p, k in [(100000000003, 1), (1000003, 1), (3, 4), (3, 100000), (3, 300000000)]:
+        with pytest.raises(TooLarge, match=rf"q = {p}\^{k} exceeds the configured cap 49$"):
+            make_field(p, k)
+        with pytest.raises(TooLarge):  # the cap comes before the modulus checks too
+            FieldSpec(p, k, (0, 1))
+    assert make_field(7, 2).q == 49
+    assert FieldSpec(13, 1, (0, 1)).q == 13
 
 
 def test_arithmetic_examples():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_contains, random_graph
-from distgraphs.errors import BudgetExceeded, NoEdges, NotBipartite, TooSmall
+from distgraphs.errors import BudgetExceeded, NoEdges, NotBipartite, TooLarge, TooSmall
 from distgraphs.graphs import (
     Graph,
     bipartition,
@@ -93,6 +93,30 @@ def test_graph_from_name():
     assert graph_from_name("P3") == path_graph(3)
     with pytest.raises(ValueError):
         graph_from_name("X7")
+
+
+def test_graph_from_name_edge_cap():
+    # the largest of each kind under 2^16 edges, then the smallest over it
+    assert graph_from_name("K362").edge_count == 65341
+    assert graph_from_name("Q13").edge_count == graph_from_name("S13").edge_count == 13 * 2**12
+    assert graph_from_name("C65536").edge_count == graph_from_name("P65537").edge_count == 65536
+    for name in ("K363", "Q14", "S14", "C65537", "P65538", "K1000", "Q30", "S" + "9" * 40):
+        with pytest.raises(TooLarge):
+            graph_from_name(name)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17])
+def test_from_bool_matrix_matches_edge_list(n):
+    rng = np.random.default_rng(n)
+    for density in (0.0, 0.3, 0.7, 1.0):
+        upper = np.triu(rng.random((n, n)) < density, 1)
+        adj = upper | upper.T
+        adj[np.diag_indices(n)] = True  # the diagonal is ignored
+        before = adj.copy()
+        g = Graph.from_bool_matrix(adj)
+        assert g == Graph(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))])
+        assert g.edge_count == int(upper.sum())
+        assert np.array_equal(adj, before)
 
 
 # -- bipartition and part degrees -------------------------------------------
