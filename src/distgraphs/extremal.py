@@ -1,10 +1,19 @@
 """Exact extremal numbers ex(n, G) at desk scale, the bipartite exponent
 catalog, and threshold-exponent arithmetic.
 
-Two independent oracles compute ex(n, G): a labeled exhaustive scan
-(edge-count descending, so the first G-free graph found fixes the value)
-and a branch-and-bound over edge inclusion with incremental freeness
-checks.  Exponents are exact rationals throughout; the case splits they
+Two independent oracles compute ex(n, G), and both return the
+lexicographically first maximum G-free edge set as the witness:
+
+- a labeled exhaustive scan, edge counts descending, so the first
+  G-free edge set found fixes the value;
+- a hereditary branch-and-bound that proves ex(k, G) for k = 1 .. n in
+  turn.  At each k it branches on edges with incremental anchored
+  searches, one per arc orbit of G, and cuts with ex(k-1, G): a G-free
+  graph minus a vertex is G-free, so every vertex of a graph beating
+  the best has degree at least its edge count minus ex(k-1, G).
+  Vertex 0's neighbours are taken to be a prefix 1 .. deg(0).
+
+Exponents are exact rationals throughout; the case splits they
 feed are equality-sensitive, so no floats are allowed here.
 """
 
@@ -72,13 +81,25 @@ def ex_exhaustive(n: int, pattern: Graph, max_n: Optional[int] = None) -> Extrem
     raise AssertionError("unreachable: the empty graph is always pattern-free")
 
 
-def _anchored_plans(pattern: Graph) -> list[_Plan]:
-    """One plan per directed pattern edge, anchored so positions 0 and 1
-    are that edge's endpoints."""
-    plans = []
+def _arc_orbit_plans(pattern: Graph) -> list[_Plan]:
+    """One anchored plan per orbit of directed pattern edges under
+    Aut(G), positions 0 and 1 anchored at the orbit's first arc.
+
+    Arc (c, d) joins the orbit of a representative (a, b) when a
+    self-embedding of G maps a to c and b to d; such a map is a bijection
+    carrying the edges onto the edges, so it is an automorphism.  Any
+    copy of G through a host edge then has some representative arc on
+    it, so the representatives answer every "copy through (u, v)?"."""
+    degs = pattern.degrees()
+    plans: list[_Plan] = []
     for a, b in pattern.edges():
-        plans.append(_Plan(pattern, induced=False, anchor=(a, b)))
-        plans.append(_Plan(pattern, induced=False, anchor=(b, a)))
+        for arc in ((a, b), (b, a)):
+            pre = ((0, arc[0]), (1, arc[1]))
+            if all(
+                _search_rows(pattern.rows, degs, pattern.n, plan, _Budget(None), pre) is None
+                for plan in plans
+            ):
+                plans.append(_Plan(pattern, False, arc))
     return plans
 
 
@@ -88,30 +109,56 @@ def ex_branch_bound(
     max_n: Optional[int] = None,
     budget: Optional[int] = None,
 ) -> ExtremalResult:
-    """ex(n, G) by branching on edges in a fixed order.
+    """ex(n, G) by proving ex(k, G) for k = 1 .. n in turn, each by
+    branching on the edges of K_k in lexicographic order, include first.
 
-    Adding an edge only requires searching for pattern copies through
-    that edge (anchored search), and branches are cut when the current
-    count plus the remaining undecided edges cannot beat the best graph
-    found so far.  Agrees with ex_exhaustive wherever both run.
+    Including an edge needs only a search for copies of G through it,
+    one anchored search per arc orbit of G.  A branch is cut when its
+    count plus the undecided edges cannot beat the best graph found, and
+    by two further cuts:
+
+    - hereditary degrees: deleting a vertex of a G-free graph H leaves a
+      G-free graph on k - 1 vertices, so deg(x) >= e(H) - ex(k-1, G).
+      After excluding edge (u, v), the branch is cut when u or v can no
+      longer reach that degree for any H beating the best;
+    - vertex 0's neighbours form a prefix 1 .. deg(0): once (0, j) is
+      excluded, so is every (0, j') with j' > j (swapping j and j'
+      gives a lexicographically earlier copy of the same graph).
+
+    Neither cut removes the lexicographically first maximum G-free edge
+    set, which is the witness returned, as ex_exhaustive's is; the two
+    oracles agree on value and witness wherever both run.  One budget of
+    search nodes is spent across the whole chain.
     """
     _check_pattern(pattern)
     cap = max_n if max_n is not None else env_cap(ENV_MAX_BRANCH, DEFAULT_MAX_BRANCH)
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the branch-and-bound cap {cap}")
-    all_edges = list(combinations(range(n), 2))
-    total = len(all_edges)
-    anchored = _anchored_plans(pattern)
+    plans = _arc_orbit_plans(pattern)
     search_budget = _Budget(budget)
-    rows = [0] * n
-    degs = [0] * n
+    value, rows = 0, ()
+    for k in range(1, n + 1):
+        value, rows = _ex_given_previous(k, value, plans, search_budget)
+    return ExtremalResult(n, pattern, value, Graph._from_rows(n, rows))
+
+
+def _ex_given_previous(
+    k: int, ex_prev: int, plans: list[_Plan], search_budget: _Budget
+) -> tuple[int, tuple[int, ...]]:
+    """ex(k, G) and the rows of its lexicographically first witness,
+    given ex(k-1, G) = ex_prev."""
+    all_edges = list(combinations(range(k), 2))
+    total = len(all_edges)
+    rows = [0] * k
+    degs = [0] * k
+    left = [k - 1] * k  # undecided edges at each vertex
     best = -1
     best_rows: tuple[int, ...] = ()
 
     def creates_copy(u: int, v: int) -> bool:
-        for plan in anchored:
-            pre = ((0, u), (1, v))
-            if _search_rows(rows, degs, n, plan, search_budget, preassigned=pre) is not None:
+        pre = ((0, u), (1, v))
+        for plan in plans:
+            if _search_rows(rows, degs, k, plan, search_budget, preassigned=pre) is not None:
                 return True
         return False
 
@@ -125,21 +172,30 @@ def ex_branch_bound(
                 best, best_rows = count, tuple(rows)
             return
         u, v = all_edges[i]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        degs[u] += 1
-        degs[v] += 1
-        fresh_copy = creates_copy(u, v)
-        if not fresh_copy:
-            dfs(i + 1, count + 1)
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        degs[u] -= 1
-        degs[v] -= 1
-        dfs(i + 1, count)
+        left[u] -= 1
+        left[v] -= 1
+        # Vertex 0's neighbours form a prefix: (0, v) only after (0, v - 1).
+        if u or v == 1 or rows[0] >> (v - 1) & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            degs[u] += 1
+            degs[v] += 1
+            if not creates_copy(u, v):
+                dfs(i + 1, count + 1)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            degs[u] -= 1
+            degs[v] -= 1
+        # Every vertex of a G-free graph with more than best edges has
+        # at least best + 1 - ex(k-1) of them.
+        need = best + 1 - ex_prev
+        if degs[u] + left[u] >= need and degs[v] + left[v] >= need:
+            dfs(i + 1, count)
+        left[u] += 1
+        left[v] += 1
 
     dfs(0, 0)
-    return ExtremalResult(n, pattern, best, Graph._from_rows(n, best_rows))
+    return best, best_rows
 
 
 def verify_extremal_witness(result: ExtremalResult) -> bool:

@@ -6,6 +6,8 @@ pairwise-norm oracles run scalar field arithmetic point by point, the
 sampler oracle draws its swap indices one call at a time, and the net
 and annulus oracles scan the whole cloud for every center, with the
 same distance predicates as the library's grid-filtered kernels.
+`all_arc_plans` is the extremal branch-and-bound's former plan set, one
+anchored plan per directed pattern edge with no symmetry reduction.
 """
 
 from itertools import permutations
@@ -14,7 +16,7 @@ import numpy as np
 
 from distgraphs.adreg import GUARD
 from distgraphs.ffgeom import PointSet
-from distgraphs.graphs import Graph
+from distgraphs.graphs import Graph, _Plan
 
 
 def brute_contains(host: Graph, pattern: Graph, induced: bool = False):
@@ -37,6 +39,16 @@ def brute_contains(host: Graph, pattern: Graph, induced: bool = False):
         if ok:
             return mapping
     return None
+
+
+def all_arc_plans(pattern: Graph) -> list[_Plan]:
+    """One plan per directed pattern edge, anchored so positions 0 and 1
+    are that edge's endpoints."""
+    plans = []
+    for a, b in pattern.edges():
+        plans.append(_Plan(pattern, induced=False, anchor=(a, b)))
+        plans.append(_Plan(pattern, induced=False, anchor=(b, a)))
+    return plans
 
 
 def histogram_oracle(E: PointSet) -> dict[int, int]:

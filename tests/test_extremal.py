@@ -1,10 +1,14 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_contains
+from oracles import all_arc_plans, brute_contains, random_graph
 from distgraphs.errors import BudgetExceeded, EmptyPattern, NotBipartite, BadDimension, TooLarge
 from distgraphs.extremal import (
+    _arc_orbit_plans,
     AKS,
     BONDY_SIMONOVITS,
     ERDOS_SIMONOVITS,
@@ -18,6 +22,8 @@ from distgraphs.extremal import (
 )
 from distgraphs.graphs import (
     Graph,
+    _Budget,
+    _search_rows,
     complete_graph,
     cycle_graph,
     hypercube_graph,
@@ -70,6 +76,96 @@ def test_oracle_equivalence_small():
             # Independent freeness check on both witnesses.
             assert brute_contains(a.witness, pattern) is None
             assert brute_contains(b.witness, pattern) is None
+
+
+def _random_connected_graph(n: int, rng) -> Graph:
+    """A random spanning tree on n vertices plus random extra edges."""
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    edges |= set(random_graph(n, 0.4, rng).edges())
+    return Graph(n, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 5), st.integers(0, 6))
+def test_oracles_agree_on_value_and_witness(seed, pattern_n, n):
+    # Both oracles return the lexicographically first maximum G-free
+    # edge set, so the witnesses are equal, not just both valid.
+    pattern = _random_connected_graph(pattern_n, np.random.default_rng(seed))
+    a = ex_exhaustive(n, pattern)
+    b = ex_branch_bound(n, pattern)
+    assert a.value == b.value
+    assert a.witness == b.witness
+
+
+# ex(n, C4), OEIS A006855, n = 0..10
+EX_C4 = [0, 0, 1, 3, 4, 6, 7, 9, 11, 13, 16]
+
+
+def test_branch_bound_known_values():
+    c4, k3, p4 = cycle_graph(4), complete_graph(3), path_graph(4)
+    for n in range(11):
+        assert ex_branch_bound(n, c4).value == EX_C4[n], n
+        # Mantel.
+        assert ex_branch_bound(n, k3).value == n * n // 4, n
+    for n in range(10):
+        # Faudree-Schelp: disjoint triangles, with a clique on the rest.
+        a, r = divmod(n, 3)
+        assert ex_branch_bound(n, p4).value == 3 * a + r * (r - 1) // 2, n
+
+
+def test_arc_orbit_counts():
+    counts = {
+        "C4": (cycle_graph(4), 1),
+        "K3": (complete_graph(3), 1),
+        "C6": (cycle_graph(6), 1),
+        "Q3": (hypercube_graph(3), 1),
+        "P3": (path_graph(3), 2),
+        "P4": (path_graph(4), 3),
+    }
+    for name, (pattern, expected) in counts.items():
+        assert len(_arc_orbit_plans(pattern)) == expected, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_arc_orbit_plans_find_the_same_copies(seed):
+    rng = np.random.default_rng(seed)
+    pattern = random_graph(int(rng.integers(2, 6)), 0.6, rng)
+    host = random_graph(int(rng.integers(2, 9)), 0.5, rng)
+    u, v = (int(x) for x in rng.choice(host.n, 2, replace=False))
+    host = Graph(host.n, set(host.edges()) | {(min(u, v), max(u, v))})
+    degs = host.degrees()
+
+    def copy_through(plans) -> bool:
+        pre = ((0, u), (1, v))
+        return any(
+            _search_rows(host.rows, degs, host.n, plan, _Budget(None), pre) is not None
+            for plan in plans
+        )
+
+    assert copy_through(_arc_orbit_plans(pattern)) == copy_through(all_arc_plans(pattern))
+
+
+def test_oracles_match_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    atlas = nx.graph_atlas_g()
+    patterns = {"C4": cycle_graph(4), "K3": complete_graph(3), "P4": path_graph(4), "C6": cycle_graph(6)}
+    for name, pattern in patterns.items():
+        g = nx.Graph(list(pattern.edges()))
+        for n in range(1, 8):
+            expected = max(
+                h.number_of_edges()
+                for h in atlas
+                if h.number_of_nodes() == n and not GraphMatcher(h, g).subgraph_is_monomorphic()
+            )
+            assert ex_branch_bound(n, pattern).value == expected, (name, n)
+            # The labeled scan takes 3 to 23 s per pattern at n = 7, where
+            # test_criterion_3 already ties it to branch-and-bound for C4,
+            # C6 and P4.
+            if n <= 6 or name == "K3":
+                assert ex_exhaustive(n, pattern).value == expected, (name, n)
 
 
 def test_ex_monotone_and_bounded():
