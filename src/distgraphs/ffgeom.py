@@ -69,8 +69,12 @@ class PointSet:
         codes = np.asarray(codes, dtype=np.int32).reshape(-1, d)
         if codes.size and (codes.min() < 0 or codes.max() >= spec.q):
             raise ValueError("element code out of range")
-        if len(np.unique(codes, axis=0)) != len(codes):
-            raise ValueError("points must be distinct")
+        # Rows compared as opaque byte strings: np.unique(axis=0) would
+        # build a d-field record type, costly for a wide set of few rows.
+        if len(codes) > 1:
+            rows = np.ascontiguousarray(codes).view(np.dtype((np.void, codes.itemsize * d)))
+            if len(np.unique(rows)) != len(codes):
+                raise ValueError("points must be distinct")
         self.spec = spec
         self.d = d
         self.codes = codes
@@ -416,15 +420,11 @@ def write_points_file(E: PointSet, path) -> None:
     loop: first the constant terms of all d coordinates, then the X
     coefficients, ...)."""
     spec = E.spec
+    cells = spec.digit_table[E.codes].transpose(0, 2, 1).reshape(len(E), spec.k * E.d)
     with open(path, "w") as fh:
         fh.write(f"{spec.p} {spec.k} {E.d} {len(E)}\n")
         fh.write(" ".join(str(c) for c in spec.modulus) + "\n")
-        for row in E.codes:
-            cells = []
-            for c in range(spec.k):
-                pc = spec.p**c
-                cells.extend((int(code) // pc) % spec.p for code in row)
-            fh.write(" ".join(str(c) for c in cells) + "\n")
+        fh.writelines(" ".join(map(str, row)) + "\n" for row in cells.tolist())
 
 
 def _digits(line: str, count: int, p: int, where: str) -> list[int]:
@@ -454,5 +454,5 @@ def read_points_file(path) -> PointSet:
         raise ValueError(f"header says {n} points but the file has {len(lines) - 2} point lines")
     spec = FieldSpec(p, k, _digits(lines[1], k + 1, p, "modulus line"))
     rows = [_digits(line, d * k, p, f"point line {i}") for i, line in enumerate(lines[2:])]
-    codes = [[sum(row[c * d + j] * p**c for c in range(k)) for j in range(d)] for row in rows]
-    return PointSet(spec, d, codes)
+    digits = np.array(rows, dtype=np.int64).reshape(n, k, d).transpose(0, 2, 1)
+    return PointSet(spec, d, spec.encode(digits))

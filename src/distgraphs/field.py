@@ -7,10 +7,11 @@ irreducible of degree k (least packed integer code of the non-leading
 coefficients), so field tables are reproducible across runs and machines.
 For k = 1 this convention yields the modulus X and plain mod-p arithmetic.
 
-Every element also has an integer code sum(c_i * p^i); a FieldSpec caches
-dense numpy operation tables over these codes so bulk geometry code can
-stay vectorized while the scalar FieldElement path remains an independent
-reference implementation.
+Every element also has an integer code sum(c_i * p^i).  FieldSpec caches
+the (q, k) table of these base-p digits and has one encode step back to
+codes.  Addition is digit-wise mod p, so the add and sub tables are one
+numpy expression each over the digit table, and the points-file codec uses
+the same pair.  The scalar FieldElement path is the tables' reference.
 """
 
 from __future__ import annotations
@@ -200,36 +201,31 @@ class FieldSpec:
 
     # -- vectorized operation tables over packed codes -------------------
 
-    def _binary_table(self, op) -> np.ndarray:
-        els = self.elements()
-        t = np.empty((self.q, self.q), dtype=np.int32)
-        for i, a in enumerate(els):
-            for j, b in enumerate(els):
-                t[i, j] = op(a, b).code
-        t.setflags(write=False)
-        return t
+    @cached_property
+    def digit_table(self) -> np.ndarray:
+        """(q, k) table: row `code` holds the base-p digits c_i of code."""
+        return self._read_only(np.arange(self.q)[:, None] // self.p ** np.arange(self.k) % self.p)
+
+    def encode(self, digits: np.ndarray) -> np.ndarray:
+        """Read-only int32 codes of the digit vectors along the last axis
+        of `digits`, each digit first reduced mod p."""
+        return self._read_only((np.asarray(digits) % self.p) @ self.p ** np.arange(self.k))
 
     @cached_property
     def add_table(self) -> np.ndarray:
-        return self._binary_table(lambda a, b: a + b)
+        return self.encode(self.digit_table[:, None] + self.digit_table[None])
 
     @cached_property
     def sub_table(self) -> np.ndarray:
-        return self._binary_table(lambda a, b: a - b)
-
-    @cached_property
-    def mul_table(self) -> np.ndarray:
-        return self._binary_table(lambda a, b: a * b)
-
-    @cached_property
-    def neg_table(self) -> np.ndarray:
-        t = np.array([(-e).code for e in self.elements()], dtype=np.int32)
-        t.setflags(write=False)
-        return t
+        return self.encode(self.digit_table[:, None] - self.digit_table[None])
 
     @cached_property
     def square_table(self) -> np.ndarray:
-        t = np.array([(e * e).code for e in self.elements()], dtype=np.int32)
+        return self._read_only([(e * e).code for e in self.elements()])
+
+    @staticmethod
+    def _read_only(values) -> np.ndarray:
+        t = np.array(values, dtype=np.int32)
         t.setflags(write=False)
         return t
 

@@ -190,10 +190,15 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
+    """Inverse of graph_to_text.  A header n over MAX_CATALOG_EDGES is
+    rejected before any row is allocated: no pattern that large embeds
+    in a host this package builds."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("graph text needs a header line `n m`")
     n, m = int(tokens[0]), int(tokens[1])
+    if n > MAX_CATALOG_EDGES:
+        raise TooLarge(f"graph text has n = {n} vertices, over the cap {MAX_CATALOG_EDGES}")
     body = tokens[2:]
     if len(body) != 2 * m:
         raise ValueError(f"expected {2*m} edge endpoints, got {len(body)}")

@@ -298,3 +298,12 @@ def test_verify_net_matches_oracle_on_corrupted_nets(seed, d, epsilon, shrink):
         moved_centers[k] = net.centers[j] + step / np.linalg.norm(step) * 3.0 * epsilon * shrink
         moved = dataclasses.replace(net, centers=moved_centers)
         assert verify_net(cloud, moved) == verify_net_oracle(cloud.points, moved_centers, epsilon) is False
+    # A cloud point well within 3 epsilon of a center (the center itself,
+    # at the least) appended as an extra center: the centers are a
+    # superset of a covering set, so only separation fails.
+    gaps = np.linalg.norm(cloud.points[:, None] - net.centers[None], axis=2).min(axis=1)
+    i = int(rng.choice(np.flatnonzero(gaps < 2.9 * epsilon)))
+    extra = dataclasses.replace(
+        net, center_indices=np.append(net.center_indices, i), centers=np.vstack([net.centers, cloud.points[i]])
+    )
+    assert verify_net(cloud, extra) is verify_net_oracle(cloud.points, extra.centers, epsilon) is False

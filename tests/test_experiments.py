@@ -350,6 +350,10 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "graph": "K1000"}}, ["threshold"]),
         ({"kind": "extremal-table", "params": {"n_values": [3], "graphs": ["Q30"]}}, ["extremal-table"]),
         (None, ["graph-distance-set", "--p", "3", "--d", "2", "--graph", "K1000"]),
+        ({"kind": "threshold", "seed": 1, "params": {
+            "field": [3, 1], "d": 2, "graph_text": "10000000 0", "sizes": [4], "trials": 1}},
+         ["threshold"]),
+        ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "graph_text": "10000000 0\n"}}, ["adreg-scan"]),
     ],
     ids=[
         "list", "seed-negative", "seed-float", "seed-string", "seed-bool", "seed-flag-negative",
@@ -365,6 +369,7 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         "budget-flag-negative", "param-unknown", "top-level-unknown", "spec-unknown",
         "field-degree-1e5", "field-degree-3e8", "field-prime-1e11", "field-flag-prime-1e11",
         "cloud-depth-20", "cloud-depth-1e9", "graph-k1000", "graphs-q30", "graph-flag-k1000",
+        "graph-text-1e7-vertices", "adreg-graph-text-1e7-vertices",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):
@@ -414,9 +419,11 @@ def test_cli_bad_env_cap_exits_2(tmp_path, capsys, monkeypatch, var, value, doc,
         (None, "2 1\n0 1\n"),  # no such points file
         ("1000003 1 2 1\n0 1\n0 0\n", "2 1\n0 1\n"),  # a field over the cap
         ("1000003 1 2 4\n0 1\n0 0\n0 1\n1 0\n1 1\n", "2 1\n0 1\n"),
+        ("3 1 2 1\n0 1\n0 1\n", "10000000 0\n"),  # a graph over the vertex cap
+        ("3 1 2 1\n0 1\n0 1\n", f"1{'0' * 100} 0\n"),
     ],
     ids=["digits-and-extra-line", "missing-line", "graph-edge-order", "no-points-file",
-         "field-over-cap-1-point", "field-over-cap-4-points"],
+         "field-over-cap-1-point", "field-over-cap-4-points", "graph-1e7-vertices", "graph-1e100-vertices"],
 )
 def test_cli_bad_input_files_exit_2(tmp_path, capsys, points, graph):
     pts, gf = tmp_path / "pts.txt", tmp_path / "g.txt"
@@ -527,7 +534,59 @@ def test_fuzzed_config_exits_cleanly(case):
                 code = main([kind, "--config", "cfg.json"])
         finally:
             os.chdir(cwd)
+    _assert_clean_exit(code, err.getvalue())
+
+
+def _assert_clean_exit(code: int, err: str) -> None:
     assert code in (0, 1, 2)
     if code == 2:
-        lines = err.getvalue().splitlines(keepends=True)
+        lines = err.splitlines(keepends=True)
         assert len(lines) == 1 and lines[0].startswith("config error:") and lines[0].endswith("\n")
+
+
+# -- input-file fuzzing -------------------------------------------------------
+#
+# Up to three line or token edits to each of a tiny valid points file and
+# graph file.  Pool integers reach 10^7 and 10^40, so a header that sizes an
+# allocation from its own numbers shows up here.
+
+FILE_BASE = {
+    "points": "3 2 2 3\n1 0 1\n0 0 0 0\n1 2 0 1\n2 2 1 0\n",  # three points of F_9^2
+    "graph": "3 2\n0 1\n1 2\n",  # P3
+}
+FILE_POOL = ["0", "1", "2", "3", "9", "-1", "x", "1.5", "", "0 0", "10000000", "9" * 40, "\x00"]
+
+
+@st.composite
+def _fuzzed_file(draw, text):
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        op = draw(st.sampled_from(["token", "drop", "duplicate", "blank"]))
+        if op == "token" and lines:
+            tokens = lines[i].split()
+            j = draw(st.integers(0, len(tokens)))  # j == len(tokens) appends one
+            tokens[j:j + 1] = [draw(st.sampled_from(FILE_POOL))]
+            lines[i] = " ".join(tokens)
+        elif op == "drop" and lines:
+            del lines[i]
+        elif op == "duplicate" and lines:
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(i, "")
+    return ("\n".join(lines) + "\n").encode() + draw(st.sampled_from([b""] * 7 + [b"\xff"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzzed_file(FILE_BASE["points"]), _fuzzed_file(FILE_BASE["graph"]))
+def test_fuzzed_input_files_exit_cleanly(points, graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        pts, gf = os.path.join(tmp, "pts.txt"), os.path.join(tmp, "g.txt")
+        with open(pts, "wb") as fh:
+            fh.write(points)
+        with open(gf, "wb") as fh:
+            fh.write(graph)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["graph-distance-set", "--points-file", pts, "--graph-file", gf])
+    _assert_clean_exit(code, err.getvalue())

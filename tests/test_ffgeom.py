@@ -1,7 +1,10 @@
+import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import histogram_oracle, pairwise_norms_oracle, partial_fisher_yates_oracle
+import distgraphs
 from distgraphs import ffgeom
 from distgraphs.errors import (
     DimensionTooSmall,
@@ -18,7 +22,7 @@ from distgraphs.errors import (
     TooLarge,
 )
 from distgraphs.experiments import instance_seed
-from distgraphs.field import Point, make_field
+from distgraphs.field import FieldSpec, Point, make_field
 from distgraphs.ffgeom import (
     PointSet,
     all_points,
@@ -229,8 +233,11 @@ def test_fourier_rounding_guard(monkeypatch, f5):
 
 
 def test_import_does_not_load_numpy_fft():
+    # The child imports the same package as this process, installed or not.
+    root = str(Path(distgraphs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
     code = "import sys, distgraphs; sys.exit('numpy.fft' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_out_of_range_t_is_rejected(f5):
@@ -393,9 +400,12 @@ def test_pairwise_norms_symmetry(f5):
 
 
 def test_points_file_round_trip(tmp_path, f5):
-    for spec, d in [(f5, 2), (make_field(3, 2), 3)]:
-        E = random_subset(spec, d, 6, seed=10)
-        path = tmp_path / f"pts_{spec.q}_{d}.txt"
+    for spec, d, size in [
+        (f5, 2, 6), (make_field(3, 2), 3, 6), (make_field(3, 3), 2, 40),
+        (FieldSpec(3, 3, (2, 2, 0, 1)), 3, 25), (make_field(7, 2), 2, 0), (make_field(3, 3), 3, 0),
+    ]:
+        E = random_subset(spec, d, size, seed=10)
+        path = tmp_path / f"pts_{spec.q}_{d}_{size}.txt"
         write_points_file(E, path)
         back = read_points_file(path)
         assert back.spec == E.spec and back.d == E.d
@@ -412,6 +422,19 @@ def test_points_file_format_is_coefficient_major(tmp_path):
     assert lines[1] == "1 0 1"
     # Constant terms of both coordinates first, then the X coefficients.
     assert lines[2] == "2 1 1 2"
+
+    f27 = make_field(3, 3)
+    E = PointSet(f27, 3, np.array([[5, 19, 26], [0, 9, 1]], dtype=np.int32))
+    write_points_file(E, path)  # 5 = 2+X, 19 = 1+2X^2, 26 = 2+2X+2X^2, 9 = X^2
+    assert path.read_text().splitlines() == [
+        "3 3 3 2",
+        " ".join(map(str, f27.modulus)),
+        "2 1 2 1 0 2 0 2 2",
+        "0 0 1 0 0 0 0 1 0",
+    ]
+
+    write_points_file(PointSet(f9, 2, np.zeros((0, 2), dtype=np.int32)), path)
+    assert path.read_text() == "3 2 2 0\n1 0 1\n"
 
 
 def test_points_file_errors(tmp_path):
@@ -430,6 +453,26 @@ def test_points_file_errors(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError):
             read_points_file(bad)
+
+
+def test_wide_point_sets_are_cheap(tmp_path, f3):
+    # An empty subset of F_3^(10^6) and two points of F_3^(10^5): the
+    # distinctness check allocates O(n d), not a record type of d fields.
+    path = tmp_path / "wide.txt"
+    path.write_text("3 1 1000000 0\n0 1\n")
+    codes = np.zeros((2, 10**5), dtype=np.int32)
+    tracemalloc.start()
+    try:
+        E = read_points_file(path)
+        with pytest.raises(ValueError, match="distinct"):
+            PointSet(f3, 10**5, codes)
+        codes[1, -1] = 1
+        assert len(PointSet(f3, 10**5, codes)) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(E), E.d) == (0, 10**6)
+    assert peak < 8 * codes.nbytes
 
 
 def test_points_file_trailing_blank_lines(tmp_path):

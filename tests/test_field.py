@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from distgraphs import field
@@ -167,17 +168,27 @@ def test_norm_negation_symmetry(spec):
         assert (x - y).norm() == (y - x).norm()
 
 
+# Every field with q <= 49, then moduli that are irreducible but not the
+# least ones, which make_field never picks.
+TABLE_FIELDS = [
+    make_field(p, k) for p, k in [
+        (3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1),
+        (5, 2), (3, 3), (29, 1), (31, 1), (37, 1), (41, 1), (43, 1), (47, 1), (7, 2),
+    ]
+] + [FieldSpec(3, 2, (2, 2, 1)), FieldSpec(3, 3, (2, 2, 0, 1)), FieldSpec(5, 2, (2, 1, 1))]
+
+
 def test_tables_match_scalar_ops():
-    for p, k in [(3, 1), (3, 2), (5, 1)]:
-        spec = make_field(p, k)
+    for spec in TABLE_FIELDS:
         els = enumerate_field(spec)
-        for i, a in enumerate(els):
-            assert spec.neg_table[i] == (-a).code
-            assert spec.square_table[i] == (a * a).code
-            for j, b in enumerate(els):
-                assert spec.add_table[i, j] == (a + b).code
-                assert spec.sub_table[i, j] == (a - b).code
-                assert spec.mul_table[i, j] == (a * b).code
+        assert spec.digit_table.tolist() == [list(a.coeffs) for a in els]
+        assert spec.encode(spec.digit_table).tolist() == list(range(spec.q))
+        assert spec.encode(spec.digit_table - spec.p).tolist() == list(range(spec.q))
+        assert spec.square_table.tolist() == [(a * a).code for a in els]
+        assert spec.add_table.tolist() == [[(a + b).code for b in els] for a in els]
+        assert spec.sub_table.tolist() == [[(a - b).code for b in els] for a in els]
+        for table in (spec.digit_table, spec.add_table, spec.sub_table, spec.square_table):
+            assert table.dtype == np.int32 and not table.flags.writeable
 
 
 def test_fieldspec_rejects_reducible_modulus():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import brute_contains, random_graph
 from distgraphs.errors import BudgetExceeded, NoEdges, NotBipartite, TooLarge, TooSmall
 from distgraphs.graphs import (
+    MAX_CATALOG_EDGES,
     Graph,
     bipartition,
     complete_graph,
@@ -265,3 +266,10 @@ def test_text_parse_errors():
         graph_from_text("3 2\n0 1\n0 1\n")  # duplicate
     with pytest.raises(ValueError):
         graph_from_text("2 1\n0 5\n")  # out of range
+
+
+def test_text_vertex_cap():
+    assert graph_from_text(f"{MAX_CATALOG_EDGES} 1\n0 1\n").n == MAX_CATALOG_EDGES
+    for n in (MAX_CATALOG_EDGES + 1, 10**7, 10**100):
+        with pytest.raises(TooLarge):
+            graph_from_text(f"{n} 0\n")
