@@ -41,11 +41,10 @@ for j in (3, 4, 5, 6):
 eps = 2.0**-5
 net = greedy_net(cloud, eps)
 print("\nannulus mass / eps at eps = 2^-5 (want it order 1):")
-for t in (0.45, 0.60, 0.75):
-    stats = annulus_stats(cloud, net.centers, t, eps)
+for stats in annulus_stats(cloud, net.centers, [0.45, 0.60, 0.75], eps):
     ratios = stats.masses / eps
     print(
-        f"  t={t}: median ratio {np.median(ratios):.2f}, "
+        f"  t={stats.t}: median ratio {np.median(ratios):.2f}, "
         f"in-band fraction {stats.fraction_in_band:.2f}"
     )
 

@@ -17,6 +17,13 @@ filters: it returns a superset of the points whose distance could fall in
 the query's range, and the same distance predicate as a whole-cloud scan
 then decides every candidate, so results are identical to that scan's,
 ties at the boundaries included.
+
+`annulus_stats` takes a whole grid of t values at one epsilon in one
+pass: one cell grid, and one shell query per center over
+[min t, max t + epsilon], a superset of every annulus in the grid.  Each
+t's count is then read off that center's sorted candidate distances as
+#{d <= t + epsilon} - #{d <= t}, which is exactly the number with
+t < d <= t + epsilon; a single t is a one-element grid.
 """
 
 from __future__ import annotations
@@ -271,27 +278,32 @@ class AnnulusStats:
 def annulus_stats(
     cloud: PointCloud,
     centers: np.ndarray,
-    t: float,
+    ts: Sequence[float],
     epsilon: float,
     band: tuple[float, float] = DEFAULT_BAND,
-) -> AnnulusStats:
-    if not (t > 0.0 and epsilon > 0.0 and isfinite(t + epsilon)):
-        raise ConfigError(f"t and epsilon must be positive and finite, got {t}, {epsilon}")
+) -> list[AnnulusStats]:
+    """One AnnulusStats per t of `ts`, in order, from one pass over the centers."""
+    for t in ts:
+        if not (t > 0.0 and epsilon > 0.0 and isfinite(t + epsilon)):
+            raise ConfigError(f"t and epsilon must be positive and finite, got {t}, {epsilon}")
+    if not len(ts):
+        return []
     centers = np.asarray(centers, dtype=float)
-    counts = np.empty(len(centers), dtype=np.int64)
-    pts = cloud.points
-    grid = _CellGrid(pts, epsilon)
+    radii = np.ravel([(t, t + epsilon) for t in ts])  # t_0, t_0 + epsilon, t_1, t_1 + epsilon, ...
+    counts = np.empty((len(ts), len(centers)), dtype=np.int64)
+    grid = _CellGrid(cloud.points, epsilon)
     for i, c in enumerate(centers):
-        dist = np.linalg.norm(pts[grid.shell(c, t, t + epsilon)] - c, axis=1)
-        counts[i] = int(np.count_nonzero((dist > t) & (dist <= t + epsilon)))
+        dist = np.linalg.norm(cloud.points[grid.shell(c, min(ts), max(ts) + epsilon)] - c, axis=1)
+        within = np.searchsorted(np.sort(dist), radii, side="right")  # #{dist <= r} per radius r
+        counts[:, i] = within[1::2] - within[::2]
     masses = counts / float(cloud.mass_denominator)
-    lo, hi = band[0] * epsilon, band[1] * epsilon
-    in_band = (masses >= lo) & (masses <= hi)
-    quant = tuple(float(x) for x in np.quantile(masses, [0.0, 0.25, 0.5, 0.75, 1.0])) if len(
-        centers
-    ) else (0.0,) * 5
-    frac = float(in_band.mean()) if len(centers) else 0.0
-    return AnnulusStats(t, epsilon, counts, masses, band, in_band, frac, quant)
+    in_band = (masses >= band[0] * epsilon) & (masses <= band[1] * epsilon)
+    frac = in_band.mean(axis=1) if len(centers) else np.zeros(len(ts))
+    quant = np.quantile(masses, [0.0, 0.25, 0.5, 0.75, 1.0], axis=1).T if len(centers) else np.zeros((len(ts), 5))
+    return [
+        AnnulusStats(t, epsilon, counts[k], masses[k], band, in_band[k], float(frac[k]), tuple(map(float, quant[k])))
+        for k, t in enumerate(ts)
+    ]
 
 
 # -- approximate distance graphs -------------------------------------------
@@ -358,7 +370,7 @@ def edge_scaling(
         e = net.epsilon
         graph = approx_distance_graph(net, t, e)
         degrees = np.array(graph.degrees(), dtype=np.int64)
-        stats = annulus_stats(cloud, net.centers, t, e, band)
+        [stats] = annulus_stats(cloud, net.centers, [t], e, band)
         band_deg = degrees[stats.in_band]
         records.append(
             EdgeScaleRecord(

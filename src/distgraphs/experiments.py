@@ -127,8 +127,8 @@ _string = _checked(lambda v: isinstance(v, str), "a string")
 _object = _checked(lambda v: isinstance(v, dict), "a JSON object")
 _scales = _list(lambda v: float(_positive(v)))
 _band = _checked(
-    lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
-    "two numbers [c1, c2]",
+    lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)) and 0 <= v[0] <= v[1],
+    "two numbers [c1, c2] with 0 <= c1 <= c2",
 )
 _size_spec = _checked(
     lambda v: _is_int(v)
@@ -544,9 +544,9 @@ def _adreg_expand(p: dict, seed) -> list[dict]:
         eps_list = sp["eps"] or p["eps"] or [
             2.0**-j for j in range(3, 12) if 2.0**-j >= 4.0 * spec.cell_side
         ][:4]
-        if len(eps_list) < 3:
-            raise ConfigError("each spec needs >= 3 usable eps values (spec `eps`, shared `eps`, "
-                              "or a depth large enough for the dyadic defaults)")
+        if len(set(eps_list)) < max(3, len(eps_list)):
+            raise ConfigError(f"each spec needs >= 3 usable eps values, no two equal, got {eps_list} (spec `eps`, "
+                              "shared `eps`, or a depth large enough for the dyadic defaults)")
         for e in eps_list:
             adreg.check_scale(spec, e)
         approx_eps = sp["approx_eps"] or p["approx_eps"] or [max(eps_list)]
@@ -578,21 +578,17 @@ def _adreg_worker(inst: dict) -> list[dict]:
             "net_valid": adreg.verify_net(cloud, net),
         })
     eps_mid = eps_list[len(eps_list) // 2]
-    best_t, best_frac = None, -1.0
-    for t in inst["t_grid"]:
-        stats = adreg.annulus_stats(cloud, nets[eps_mid].centers, t, eps_mid, band)
-        rows.append({
-            **base, "record": "annulus", "t": t, "eps": eps_mid,
-            "band_fraction": stats.fraction_in_band,
-            "median_mass": stats.quantiles[2],
-        })
-        if stats.fraction_in_band > best_frac:
-            best_t, best_frac = t, stats.fraction_in_band
+    scan = adreg.annulus_stats(cloud, nets[eps_mid].centers, inst["t_grid"], eps_mid, band)
+    rows += [{
+        **base, "record": "annulus", "t": stats.t, "eps": eps_mid,
+        "band_fraction": stats.fraction_in_band, "median_mass": stats.quantiles[2],
+    } for stats in scan]
+    best = max(scan, key=lambda stats: stats.fraction_in_band)  # the first t of the largest fraction
     try:
-        scaling = adreg.edge_scaling(spec, cloud, [nets[e] for e in eps_list], best_t, band)
+        scaling = adreg.edge_scaling(spec, cloud, [nets[e] for e in eps_list], best.t, band)
         for r in scaling.records:
             rows.append({
-                **base, "record": "scaling", "t": best_t, "eps": r.epsilon,
+                **base, "record": "scaling", "t": best.t, "eps": r.epsilon,
                 "net_size": r.net_size, "edges": r.edges,
                 "band_fraction": r.band_fraction,
                 "min_degree_band": r.min_degree_band,
@@ -605,18 +601,18 @@ def _adreg_worker(inst: dict) -> list[dict]:
         slope, predicted, degenerate = None, 2.0 * spec.s - 1.0, True
     for e in inst["approx_eps"]:
         try:
-            witness = adreg.find_approximation(nets[e], pattern, best_t, e, inst["budget"])
+            witness = adreg.find_approximation(nets[e], pattern, best.t, e, inst["budget"])
         except BudgetExceeded:
             rows.append({
-                **base, "record": "approx", "t": best_t, "eps": e,
+                **base, "record": "approx", "t": best.t, "eps": e,
                 "graph": inst["graph"], "found": None, "witness_valid": None,
             })
             continue
         rows.append({
-            **base, "record": "approx", "t": best_t, "eps": e,
+            **base, "record": "approx", "t": best.t, "eps": e,
             "graph": inst["graph"], "found": witness is not None,
             "witness_valid": (
-                adreg.verify_approximation(witness.points, pattern, best_t, e)
+                adreg.verify_approximation(witness.points, pattern, best.t, e)
                 if witness else None
             ),
             "witness_indices": (
@@ -624,8 +620,8 @@ def _adreg_worker(inst: dict) -> list[dict]:
             ),
         })
     return rows + [{
-        **base, "record": "summary", "t": best_t,
-        "band_fraction": best_frac, "edges": None,
+        **base, "record": "summary", "t": best.t,
+        "band_fraction": best.fraction_in_band, "edges": None,
         "n_eps_s": slope, "degree_reference": predicted,
         "net_valid": not degenerate,
     }]

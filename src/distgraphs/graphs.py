@@ -317,15 +317,16 @@ class _Plan:
         n = pattern.n
         degs = pattern.degrees()
         placed: list[int] = list(anchor) if anchor else []
+        placed_mask = sum(1 << v for v in placed)
         remaining = [v for v in range(n) if v not in placed]
 
         def rank(v: int) -> tuple[int, int, int]:
-            placed_nbrs = sum(1 for w in placed if pattern.has_edge(v, w))
-            return (placed_nbrs, degs[v], -v)
+            return ((pattern.rows[v] & placed_mask).bit_count(), degs[v], -v)
 
         while remaining:
             best = max(remaining, key=rank)
             placed.append(best)
+            placed_mask |= 1 << best
             remaining.remove(best)
 
         self.n = n
@@ -441,6 +442,14 @@ def _witness_from_plan(plan: _Plan, images: tuple[int, ...]) -> EmbeddingWitness
     return EmbeddingWitness(tuple(mapping))
 
 
+def _contains(host: Graph, pattern: Graph, induced: bool, budget: Optional[int]) -> Optional[EmbeddingWitness]:
+    if pattern.n > host.n:
+        return None  # before any plan is built: ordering a large pattern is itself costly
+    plan = _get_plan(pattern, induced)
+    images = _search_rows(host.rows, host.degrees(), host.n, plan, _Budget(budget))
+    return None if images is None else _witness_from_plan(plan, images)
+
+
 def contains_subgraph(
     host: Graph, pattern: Graph, budget: Optional[int] = None
 ) -> Optional[EmbeddingWitness]:
@@ -451,9 +460,7 @@ def contains_subgraph(
     budget may be set; exhausting it raises BudgetExceeded rather than
     returning None.
     """
-    plan = _get_plan(pattern, induced=False)
-    images = _search_rows(host.rows, host.degrees(), host.n, plan, _Budget(budget))
-    return None if images is None else _witness_from_plan(plan, images)
+    return _contains(host, pattern, False, budget)
 
 
 def contains_induced_subgraph(
@@ -461,9 +468,7 @@ def contains_induced_subgraph(
 ) -> Optional[EmbeddingWitness]:
     """As contains_subgraph, additionally rejecting maps where a pattern
     non-edge lands on a host edge."""
-    plan = _get_plan(pattern, induced=True)
-    images = _search_rows(host.rows, host.degrees(), host.n, plan, _Budget(budget))
-    return None if images is None else _witness_from_plan(plan, images)
+    return _contains(host, pattern, True, budget)
 
 
 def verify_embedding(

@@ -118,10 +118,10 @@ def test_net_size_band_across_depths():
 
 def test_annulus_far_and_complement():
     cloud = cantor_product(FractalSpec(2, 0.45, 4))
-    far = annulus_stats(cloud, cloud.points[:4], t=cloud.diameter() + 1.0, epsilon=0.1)
+    [far] = annulus_stats(cloud, cloud.points[:4], ts=[cloud.diameter() + 1.0], epsilon=0.1)
     assert far.counts.max() == 0
     t = 0.3
-    wide = annulus_stats(cloud, cloud.points[:4], t=t, epsilon=100.0)
+    [wide] = annulus_stats(cloud, cloud.points[:4], ts=[t], epsilon=100.0)
     for i in range(4):
         ball = np.count_nonzero(
             np.linalg.norm(cloud.points - cloud.points[i], axis=1) <= t
@@ -132,7 +132,7 @@ def test_annulus_far_and_complement():
 def test_annulus_band_at_typical_scale():
     cloud = cantor_product(FractalSpec(2, 0.45, 7))
     net = greedy_net(cloud, 2.0**-5)
-    stats = annulus_stats(cloud, net.centers, t=0.6, epsilon=2.0**-5, band=DEFAULT_BAND)
+    [stats] = annulus_stats(cloud, net.centers, ts=[0.6], epsilon=2.0**-5, band=DEFAULT_BAND)
     assert stats.fraction_in_band >= 0.5
     assert stats.masses.min() >= 0.0 and stats.masses.max() <= 1.0
 
@@ -140,10 +140,13 @@ def test_annulus_band_at_typical_scale():
 def test_annulus_validation():
     cloud = cantor_product(FractalSpec(1, 0.45, 3))
     with pytest.raises(ConfigError):
-        annulus_stats(cloud, cloud.points[:1], t=-1.0, epsilon=0.1)
+        annulus_stats(cloud, cloud.points[:1], ts=[-1.0], epsilon=0.1)
     for t, epsilon in [(float("nan"), 0.1), (0.5, float("nan")), (0.5, float("inf")), (1e308, 1e308)]:
         with pytest.raises(ConfigError):
-            annulus_stats(cloud, cloud.points[:1], t=t, epsilon=epsilon)
+            annulus_stats(cloud, cloud.points[:1], ts=[t], epsilon=epsilon)
+        with pytest.raises(ConfigError):  # one bad t fails the whole grid
+            annulus_stats(cloud, cloud.points[:1], ts=[0.25, t, 0.5], epsilon=epsilon)
+    assert annulus_stats(cloud, cloud.points[:1], ts=[], epsilon=0.1) == []
 
 
 def test_approx_graph_trivia():
@@ -232,10 +235,11 @@ def _assert_matches_oracles(cloud: PointCloud, epsilon: float, ts) -> None:
     net = greedy_net(cloud, epsilon)
     assert np.array_equal(net.center_indices, greedy_net_oracle(cloud.points, epsilon))
     assert verify_net(cloud, net) == verify_net_oracle(cloud.points, net.centers, epsilon) is True
-    for t in ts:
-        stats = annulus_stats(cloud, net.centers, t, epsilon)
+    on_net = annulus_stats(cloud, net.centers, ts, epsilon)
+    on_every_point = annulus_stats(cloud, cloud.points, ts, epsilon)
+    assert [stats.t for stats in on_net] == [stats.t for stats in on_every_point] == list(ts)
+    for t, stats, every in zip(ts, on_net, on_every_point):
         assert np.array_equal(stats.counts, annulus_counts_oracle(cloud.points, net.centers, t, epsilon))
-        every = annulus_stats(cloud, cloud.points, t, epsilon)
         assert np.array_equal(every.counts, annulus_counts_oracle(cloud.points, cloud.points, t, epsilon))
 
 
@@ -249,10 +253,11 @@ def test_grid_kernels_match_oracles_on_cantor_clouds(spec):
     # Scales from below the smallest gap (every point its own center) to
     # above the diameter (one center); t = 1 - lambda is the distance of
     # the two first-level cells, so each center has points at exactly t.
+    # The t grid is unsorted and repeats 0.3.
     cloud = cantor_product(spec)
     gap, diam = _min_gap(cloud.points), cloud.diameter()
     for eps in (gap / 7, gap / 3, 2.0**-5, 2.0**-3, diam / 3, diam * 1.5):
-        _assert_matches_oracles(cloud, eps, (1.0 - spec.contraction, gap, 0.3, eps, abs(diam - eps)))
+        _assert_matches_oracles(cloud, eps, (1.0 - spec.contraction, gap, 0.3, eps, abs(diam - eps), 0.3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,14 +273,14 @@ def test_grid_kernels_match_oracles_on_cantor_clouds(spec):
 def test_grid_kernels_match_oracles_on_random_clouds(seed, d, n, lattice, offset, epsilon, t):
     # Lattice clouds repeat points and put many pairs at exactly equal
     # distances, with t and t + epsilon among them (all dyadic); the
-    # offsets move the coordinate scale.
+    # offsets move the coordinate scale.  The t grid repeats t.
     rng = np.random.default_rng(seed)
     pts = rng.random((n, d))
     if lattice:
         pts = np.floor(pts * lattice) / lattice
         epsilon, t = (max(1, round(v * lattice)) / lattice for v in (epsilon, t))
     cloud = PointCloud(pts + offset, n)
-    _assert_matches_oracles(cloud, epsilon, (t, 3.0 * epsilon, 1.0 / (lattice or 8)))
+    _assert_matches_oracles(cloud, epsilon, (t, 3.0 * epsilon, 1.0 / (lattice or 8), t))
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,7 @@ The tracer module is only loaded; nothing is installed."""
 import functools
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,17 @@ def test_traced_functions_exist(tracer):
         module = importlib.import_module(f"distgraphs.{layer}")
         for name in fns:
             assert callable(getattr(module, name, None)), f"distgraphs.{layer}.{name}"
+
+
+@pytest.mark.parametrize(
+    "layer, name, position, param",
+    [("adreg", "annulus_stats", 1, "centers"), ("ffgeom", "distance_histogram", 0, "E"),
+     ("experiments", "_run_instances", 0, "instances")],
+)
+def test_counted_arguments_keep_their_positions(layer, name, position, param):
+    # The tracer's work counters read these arguments by position.
+    fn = getattr(importlib.import_module(f"distgraphs.{layer}"), name)
+    assert list(inspect.signature(fn).parameters)[position] == param
 
 
 def test_traced_tables_are_cached_properties(tracer):

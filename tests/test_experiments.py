@@ -5,12 +5,13 @@ import json
 import math
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distgraphs import experiments
+from distgraphs import adreg, experiments
 from distgraphs.cli import main
 from distgraphs.errors import ConfigError
 from distgraphs.experiments import (
@@ -160,6 +161,39 @@ def test_adreg_scan_runner():
     assert kinds == {"net", "annulus", "scaling", "approx", "summary"}
     nets = [r for r in report.records if r["record"] == "net"]
     assert all(r["net_valid"] for r in nets)
+
+
+def test_adreg_scan_builds_one_grid_per_annulus_scan(monkeypatch):
+    # Per scale one grid for the greedy net, one for its check and one for
+    # the edge-scaling annulus; the whole t scan shares one more.
+    built = []
+
+    class CountingGrid(adreg._CellGrid):
+        def __init__(self, points, h):
+            built.append(h)
+            super().__init__(points, h)
+
+    monkeypatch.setattr(adreg, "_CellGrid", CountingGrid)
+    eps = [2.0**-4, 2.0**-5, 2.0**-6]
+    params = {"specs": [{"d": 2, "contraction": 0.45, "depth": 8}], "eps": eps, "approx_eps": eps,
+              "t_grid": [0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80], "graph": "C6"}
+    sweep = SWEEPS["adreg-scan"]
+    [inst] = sweep.expand(experiments._read_params(params, sweep.params), None)
+    rows = sweep.worker(inst)
+    assert len(built) == 2 * len(eps) + 1 + len(eps) == 10
+    assert sum(r["record"] == "annulus" for r in rows) == 9
+
+
+def test_adreg_scan_pattern_larger_than_every_net():
+    # 2000 isolated vertices fit in no net of the 128-point cloud: every
+    # approx row is a proof of absence, reached without ordering the pattern.
+    t0 = time.perf_counter()
+    report = run(ExperimentConfig(kind="adreg-scan", params={
+        "specs": [{"d": 1, "contraction": 0.45, "depth": 7}], "eps": [2.0**-3, 2.0**-4, 2.0**-5],
+        "approx_eps": [2.0**-3, 2.0**-5], "t_grid": [0.6], "graph_text": "2000 0"}))
+    approx = [r for r in report.records if r["record"] == "approx"]
+    assert [r["found"] for r in approx] == [False, False]
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_report_write(tmp_path):
@@ -313,6 +347,13 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "t_grid": ["x"]}}, ["adreg-scan"]),
         ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "approx_eps": [0.0]}}, ["adreg-scan"]),
         ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "band": ["lo", 8]}}, ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "band": [8, 0.125]}}, ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "band": [-5, -1]}}, ["adreg-scan"]),
+        # fewer than 3 distinct scales, or a repeated one
+        ({"kind": "adreg-scan", "params": {"specs": [{**ADREG_ONE, "eps": [0.125, 0.125, 0.0625]}]}},
+         ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "eps": [0.125, 0.0625, 0.125, 0.03125]}},
+         ["adreg-scan"]),
         ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "noise_tolerance": "x"}},
          ["threshold"]),
         # a dimension below 2, a size spec that is not finite or overflows
@@ -362,7 +403,8 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         "degree-float", "field-over-cap", "dims-string", "trials-string", "d-string", "trials-float",
         "max-inversions-string", "n-values-string", "exhaustive-max-string", "adreg-no-d",
         "adreg-no-contraction", "adreg-no-depth", "eps-nan", "eps-overflow", "eps-string",
-        "t-grid-string", "approx-eps-zero", "band-string", "noise-tolerance-string",
+        "t-grid-string", "approx-eps-zero", "band-string", "band-reversed", "band-negative",
+        "eps-two-distinct", "eps-repeated", "noise-tolerance-string",
         "dims-1", "size-coef-string", "size-exp-overflow", "size-coef-nan", "sizes-scalar",
         "fields-scalar", "graphs-scalar", "specs-scalar", "budget-string", "trials-negative",
         "n-values-negative", "graphs-edgeless", "cache-int", "out-int", "adreg-budget-string",

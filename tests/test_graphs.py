@@ -10,6 +10,7 @@ from distgraphs.errors import BudgetExceeded, NoEdges, NotBipartite, TooLarge, T
 from distgraphs.graphs import (
     MAX_CATALOG_EDGES,
     Graph,
+    _Plan,
     bipartition,
     complete_graph,
     contains_induced_subgraph,
@@ -190,6 +191,36 @@ def test_budget_is_not_absence():
         contains_subgraph(complete_graph(8), cycle_graph(7), budget=2)
     # Same query without a budget succeeds.
     assert contains_subgraph(complete_graph(8), cycle_graph(7)) is not None
+
+
+def test_pattern_larger_than_host_builds_no_plan():
+    # Ordering a 2000-vertex pattern would take seconds; no pattern fits a
+    # smaller host, so the answer comes before any search order is built.
+    pattern = Graph(2000)
+    assert contains_subgraph(cycle_graph(4), pattern) is None
+    assert contains_induced_subgraph(cycle_graph(4), pattern) is None
+    assert pattern._plans == {}
+
+
+@pytest.mark.parametrize(
+    "pattern, anchor, order",
+    [
+        ("C4", None, (0, 1, 2, 3)),
+        ("C6", None, (0, 1, 2, 3, 4, 5)),
+        ("P4", None, (1, 2, 0, 3)),
+        ("K4", None, (0, 1, 2, 3)),
+        ("Q3", None, (0, 1, 2, 3, 4, 5, 6, 7)),
+        ("S2", None, (0, 5, 1, 3, 4, 2)),
+        ("C6", (2, 3), (2, 3, 1, 0, 4, 5)),
+        ("Q3", (5, 7), (5, 7, 1, 3, 0, 2, 4, 6)),
+    ],
+)
+def test_plan_order_is_pinned(pattern, anchor, order):
+    # Most placed neighbours first, then higher degree, then lower index.
+    g = graph_from_name(pattern)
+    assert _Plan(g, False, anchor).order == order
+    if anchor is None:
+        assert _Plan(g, True).order == order
 
 
 def test_pattern_with_isolated_vertices_needs_spare_room():
