@@ -108,11 +108,14 @@ def _optional(reader: Callable) -> Callable:
     return lambda value: None if value is None else reader(value)
 
 
-def _list(item: Callable, nonempty: bool = False) -> Callable:
+def _list(item: Callable, nonempty: bool = False, distinct: bool = False) -> Callable:
     def read(value) -> list:
         if not isinstance(value, (list, tuple)) or (nonempty and not value):
             raise ValueError(f"must be a {'non-empty ' * nonempty}list, got {value!r}")
-        return [item(v) for v in value]
+        items = [item(v) for v in value]
+        if distinct and len(set(items)) < len(items):
+            raise ValueError(f"must not repeat an entry, got {value!r}")
+        return items
 
     return read
 
@@ -126,6 +129,7 @@ _positive = _checked(lambda v: _is_number(v) and v > 0, "a finite positive numbe
 _string = _checked(lambda v: isinstance(v, str), "a string")
 _object = _checked(lambda v: isinstance(v, dict), "a JSON object")
 _scales = _list(lambda v: float(_positive(v)))
+_distinct_scales = _list(lambda v: float(_positive(v)), distinct=True)
 _band = _checked(
     lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)) and 0 <= v[0] <= v[1],
     "two numbers [c1, c2] with 0 <= c1 <= c2",
@@ -530,7 +534,7 @@ ADREG_SPEC_PARAMS = {
     "depth": (_count, REQUIRED),
     "eps": (_scales, ()),
     "t_grid": (_scales, ()),
-    "approx_eps": (_scales, ()),
+    "approx_eps": (_distinct_scales, ()),
 }
 
 
@@ -689,8 +693,8 @@ SWEEPS: dict[str, Sweep] = {
         "max_inversions": (_count, 1),
     }, True, THRESHOLD_COLUMNS, _threshold_expand, _threshold_worker, _threshold_summarize),
     "extremal-table": Sweep({
-        "n_values": (_list(_count, nonempty=True), REQUIRED),
-        "graphs": (_list(_extremal_pattern, nonempty=True), REQUIRED),
+        "n_values": (_list(_count, nonempty=True, distinct=True), REQUIRED),
+        "graphs": (_list(_extremal_pattern, nonempty=True, distinct=True), REQUIRED),
         "exhaustive_max": (_count, 7),
         "cache": (_optional(_cache), None),
     }, False, EXTREMAL_COLUMNS, _extremal_expand, _extremal_worker, _extremal_summarize),
@@ -698,7 +702,7 @@ SWEEPS: dict[str, Sweep] = {
         "specs": (_list(lambda doc: _read_params(doc, ADREG_SPEC_PARAMS), nonempty=True), REQUIRED),
         "eps": (_scales, ()),
         "t_grid": (_scales, ()),
-        "approx_eps": (_scales, ()),
+        "approx_eps": (_distinct_scales, ()),
         "band": (_band, adreg.DEFAULT_BAND),
         "graph": (_named_graph, None),
         "graph_text": (_graph_text, None),

@@ -4,8 +4,12 @@ catalog, and threshold-exponent arithmetic.
 Two independent oracles compute ex(n, G), and both return the
 lexicographically first maximum G-free edge set as the witness:
 
-- a labeled exhaustive scan, edge counts descending, so the first
-  G-free edge set found fixes the value;
+- a hereditary exhaustive scan over isomorphism classes: a G-free graph
+  minus a vertex is G-free, so the G-free graphs on k vertices are the
+  G-free one-vertex extensions of the classes on k - 1 vertices, for
+  k = 1 .. n.  Each extension is searched whole for a copy of G, and
+  one graph per class is kept by a canonical certificate (colour
+  refinement, then individualization);
 - a hereditary branch-and-bound that proves ex(k, G) for k = 1 .. n in
   turn.  At each k it branches on edges with incremental anchored
   searches, one per arc orbit of G, and cuts with ex(k-1, G): a G-free
@@ -21,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional
+from itertools import combinations, permutations
+from typing import Optional, Sequence
 
 from .errors import BadDimension, EmptyPattern, TooLarge, env_cap
 from .graphs import (
@@ -33,6 +37,7 @@ from .graphs import (
     _get_plan,
     _search_rows,
     contains_subgraph,
+    iter_bits,
     min_side_max_degree,
 )
 
@@ -56,29 +61,170 @@ def _check_pattern(pattern: Graph) -> None:
 
 
 def ex_exhaustive(n: int, pattern: Graph, max_n: Optional[int] = None) -> ExtremalResult:
-    """ex(n, G) by scanning all labeled graphs on n vertices.
+    """ex(n, G) from the G-free graphs on n - 1 vertices, one per
+    isomorphism class (`_free_classes`).
 
-    Scans edge counts descending; within a count the first G-free edge
-    set found settles the value, so the worst case is the sum of
-    C(C(n,2), m) over m above the answer.
+    Every G-free graph on n vertices is one of them plus a vertex n - 1,
+    so the value is the largest edge count m for which some class plus
+    a vertex of degree m minus its edge count is G-free.  Edge counts
+    are tried in descending order, and the first with a G-free
+    extension ends the scan.  The witness is the lexicographically
+    first maximum G-free edge set over all labeled graphs on n
+    vertices: the least sorted edge list over the relabelings of the
+    classes attaining the value.
     """
     _check_pattern(pattern)
     cap = max_n if max_n is not None else env_cap(ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE)
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the exhaustive cap {cap}")
-    all_edges = list(combinations(range(n), 2))
+    if n == 0:
+        return ExtremalResult(0, pattern, 0, Graph(0))
+    classes = _free_classes(n - 1, pattern)
+    sizes = [sum(r.bit_count() for r in rows) // 2 for rows in classes]
+    for m in range(n * (n - 1) // 2, -1, -1):
+        tops = [
+            ext
+            for rows, size in zip(classes, sizes)
+            if size <= m
+            for nbrs in combinations(range(n - 1), m - size)
+            if _is_free(ext := _extend(rows, sum(1 << v for v in nbrs)), pattern)
+        ]
+        if tops:
+            break
+    witness = min(map(_first_edge_list, dict.fromkeys(map(_certificate, tops))))
+    return ExtremalResult(n, pattern, m, Graph(n, witness))
+
+
+def _free_classes(n: int, pattern: Graph) -> list[tuple[int, ...]]:
+    """The G-free graphs on n vertices, one canonical rows tuple per
+    isomorphism class.
+
+    Deleting a vertex of a G-free graph leaves a G-free graph, so every
+    class on n vertices is a class on n - 1 vertices plus a vertex n - 1
+    joined to some subset of the others.  Each such extension is
+    searched for a copy of G, and the G-free ones are cut to one per
+    class by `_certificate`."""
+    if n == 0:
+        return [()]
+    free = (
+        ext
+        for rows in _free_classes(n - 1, pattern)
+        for nbrs in range(1 << (n - 1))
+        if _is_free(ext := _extend(rows, nbrs), pattern)
+    )
+    return list(dict.fromkeys(map(_certificate, free)))
+
+
+def _extend(rows: Sequence[int], nbrs: int) -> list[int]:
+    """The graph plus a new last vertex joined to the vertex set `nbrs`."""
+    new = len(rows)
+    return [r | (nbrs >> v & 1) << new for v, r in enumerate(rows)] + [nbrs]
+
+
+def _is_free(rows: Sequence[int], pattern: Graph) -> bool:
+    """No copy of G, by the plain (unanchored) search, which stays correct
+    for patterns with isolated vertices or several components."""
     plan = _get_plan(pattern, induced=False)
-    budget = _Budget(None)
-    for m in range(len(all_edges), -1, -1):
-        for combo in combinations(all_edges, m):
-            rows = [0] * n
-            for u, v in combo:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            degs = [r.bit_count() for r in rows]
-            if _search_rows(rows, degs, n, plan, budget) is None:
-                return ExtremalResult(n, pattern, m, Graph(n, combo))
-    raise AssertionError("unreachable: the empty graph is always pattern-free")
+    return _search_rows(rows, [r.bit_count() for r in rows], len(rows), plan, _Budget(None)) is None
+
+
+def _refine(rows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
+    """The coarsest equitable refinement of an ordered partition: split
+    each cell by its vertices' neighbour counts in every cell, the parts
+    in increasing order of those counts, until nothing splits.  Only
+    adjacency decides the splits and their order, so relabeling the
+    graph relabels the result."""
+    width = len(rows).bit_length()  # every count is below 2**width
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        split: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            parts: dict[int, list[int]] = {}
+            for v in cell:
+                key = 0
+                for m in masks:  # orders as the tuple of counts
+                    key = key << width | (rows[v] & m).bit_count()
+                parts.setdefault(key, []).append(v)
+            split.extend(parts[key] for key in sorted(parts))
+        if len(split) == len(cells):
+            return cells
+        cells = split
+
+
+def _twins(rows: Sequence[int], u: int, v: int) -> bool:
+    """Same neighbours apart from each other, so that swapping u and v
+    is an automorphism."""
+    return rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
+
+
+def _certificate(rows: Sequence[int]) -> tuple[int, ...]:
+    """A canonical form: two graphs get the same certificate iff they
+    are isomorphic.
+
+    Individualization-refinement: refine the ordered partition, branch
+    on each vertex of its first non-singleton cell as a new singleton
+    cell in front of the rest, and at each discrete partition read off
+    the rows relabeled by cell position.  The certificate is the least
+    such rows tuple.  Swapping two twins of a cell is an automorphism
+    fixing the branch so far, so only the first of each set of twins in
+    a cell is branched on."""
+    n = len(rows)
+    best: Optional[tuple[int, ...]] = None
+
+    def search(cells: list[list[int]]) -> None:
+        nonlocal best
+        cells = _refine(rows, cells)
+        if len(cells) == n:
+            pos = {v: i for i, (v,) in enumerate(cells)}
+            key = tuple(sum(1 << pos[w] for w in iter_bits(rows[v])) for (v,) in cells)
+            if best is None or key < best:
+                best = key
+            return
+        i = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+        cell = cells[i]
+        tried: list[int] = []
+        for v in cell:
+            if any(_twins(rows, u, v) for u in tried):
+                continue
+            tried.append(v)
+            search(cells[:i] + [[v], [w for w in cell if w != v]] + cells[i + 1 :])
+
+    search([list(range(n))])
+    return best
+
+
+def _first_edge_list(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The lexicographically least sorted edge list over the relabelings
+    of a graph.  That list starts (0, 1), ..., (0, D) with D the maximum
+    degree, so only labelings that give vertex 0 to a maximum-degree
+    vertex and labels 1 .. D to its neighbours are tried.  Swapping two
+    twins gives the same edge list, so twins keep their order."""
+    n = len(rows)
+    if n == 0:
+        return []
+    edges = [(u, v) for u in range(n) for v in iter_bits(rows[u]) if u < v]
+    earlier_twins = [[u for u in range(v) if _twins(rows, u, v)] for v in range(n)]
+    top = max(r.bit_count() for r in rows)
+    best = None
+    for c in range(n):
+        if rows[c].bit_count() != top or earlier_twins[c]:
+            continue
+        nbrs = list(iter_bits(rows[c]))
+        others = [v for v in range(n) if v != c and not rows[c] >> v & 1]
+        for head in permutations(nbrs):
+            for tail in permutations(others):
+                label = [0] * n
+                for i, v in enumerate((c, *head, *tail)):
+                    label[v] = i
+                if any(label[u] > label[v] for v in range(n) for u in earlier_twins[v]):
+                    continue
+                key = sorted((min(label[u], label[v]), max(label[u], label[v])) for u, v in edges)
+                if best is None or key < best:
+                    best = key
+    return best
 
 
 def _arc_orbit_plans(pattern: Graph) -> list[_Plan]:
@@ -126,9 +272,11 @@ def ex_branch_bound(
       gives a lexicographically earlier copy of the same graph).
 
     Neither cut removes the lexicographically first maximum G-free edge
-    set, which is the witness returned, as ex_exhaustive's is; the two
-    oracles agree on value and witness wherever both run.  One budget of
-    search nodes is spent across the whole chain.
+    set, which is the witness returned.  ex_exhaustive finds the same
+    set by another route, as the least labeling of the maximum classes
+    of its isomorph-free scan; the two oracles agree on value and
+    witness wherever both run.  One budget of search nodes is spent
+    across the whole chain.
     """
     _check_pattern(pattern)
     cap = max_n if max_n is not None else env_cap(ENV_MAX_BRANCH, DEFAULT_MAX_BRANCH)

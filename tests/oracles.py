@@ -7,16 +7,19 @@ sampler oracle draws its swap indices one call at a time, and the net
 and annulus oracles scan the whole cloud for every center, with the
 same distance predicates as the library's grid-filtered kernels.
 `all_arc_plans` is the extremal branch-and-bound's former plan set, one
-anchored plan per directed pattern edge with no symmetry reduction.
+anchored plan per directed pattern edge with no symmetry reduction, and
+`ex_labeled_oracle` is the former exhaustive ex(n, G) oracle, a scan of
+every labeled graph on n vertices.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from distgraphs.adreg import GUARD
+from distgraphs.extremal import ExtremalResult
 from distgraphs.ffgeom import PointSet
-from distgraphs.graphs import Graph, _Plan
+from distgraphs.graphs import Graph, _Budget, _Plan, _get_plan, _search_rows
 
 
 def brute_contains(host: Graph, pattern: Graph, induced: bool = False):
@@ -49,6 +52,27 @@ def all_arc_plans(pattern: Graph) -> list[_Plan]:
         plans.append(_Plan(pattern, induced=False, anchor=(a, b)))
         plans.append(_Plan(pattern, induced=False, anchor=(b, a)))
     return plans
+
+
+def ex_labeled_oracle(n: int, pattern: Graph) -> ExtremalResult:
+    """ex(n, G) by scanning the labeled graphs on n vertices, edge
+    counts descending, each edge count's edge sets in lexicographic
+    order: the first G-free edge set found is the value and the
+    lexicographically first maximum witness.  The worst case is the sum
+    of C(C(n, 2), m) over m above the answer, so keep n <= 6."""
+    all_edges = list(combinations(range(n), 2))
+    plan = _get_plan(pattern, induced=False)
+    budget = _Budget(None)
+    for m in range(len(all_edges), -1, -1):
+        for combo in combinations(all_edges, m):
+            rows = [0] * n
+            for u, v in combo:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            degs = [r.bit_count() for r in rows]
+            if _search_rows(rows, degs, n, plan, budget) is None:
+                return ExtremalResult(n, pattern, m, Graph(n, combo))
+    raise AssertionError("unreachable: the empty graph is always pattern-free")
 
 
 def histogram_oracle(E: PointSet) -> dict[int, int]:

@@ -354,6 +354,13 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
          ["adreg-scan"]),
         ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "eps": [0.125, 0.0625, 0.125, 0.03125]}},
          ["adreg-scan"]),
+        # a repeated approximation scale, table size or pattern
+        ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "approx_eps": [0.125, 0.125]}}, ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [{**ADREG_ONE, "approx_eps": [0.125, 0.125]}]}},
+         ["adreg-scan"]),
+        ({"kind": "extremal-table", "params": {"n_values": [4, 4], "graphs": ["C4", "C4"]}}, ["extremal-table"]),
+        ({"kind": "extremal-table", "params": {"n_values": [4, 5, 4], "graphs": ["C4"]}}, ["extremal-table"]),
+        ({"kind": "extremal-table", "params": {"n_values": [4], "graphs": ["C4", "K3", "C4"]}}, ["extremal-table"]),
         ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "noise_tolerance": "x"}},
          ["threshold"]),
         # a dimension below 2, a size spec that is not finite or overflows
@@ -404,7 +411,8 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         "max-inversions-string", "n-values-string", "exhaustive-max-string", "adreg-no-d",
         "adreg-no-contraction", "adreg-no-depth", "eps-nan", "eps-overflow", "eps-string",
         "t-grid-string", "approx-eps-zero", "band-string", "band-reversed", "band-negative",
-        "eps-two-distinct", "eps-repeated", "noise-tolerance-string",
+        "eps-two-distinct", "eps-repeated", "approx-eps-repeated", "spec-approx-eps-repeated",
+        "table-repeated", "n-values-repeated", "graphs-repeated", "noise-tolerance-string",
         "dims-1", "size-coef-string", "size-exp-overflow", "size-coef-nan", "sizes-scalar",
         "fields-scalar", "graphs-scalar", "specs-scalar", "budget-string", "trials-negative",
         "n-values-negative", "graphs-edgeless", "cache-int", "out-int", "adreg-budget-string",

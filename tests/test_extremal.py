@@ -1,14 +1,18 @@
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_arc_plans, brute_contains, random_graph
+from oracles import all_arc_plans, brute_contains, ex_labeled_oracle, random_graph
 from distgraphs.errors import BudgetExceeded, EmptyPattern, NotBipartite, BadDimension, TooLarge
 from distgraphs.extremal import (
     _arc_orbit_plans,
+    _certificate,
+    _first_edge_list,
+    _free_classes,
     AKS,
     BONDY_SIMONOVITS,
     ERDOS_SIMONOVITS,
@@ -30,6 +34,14 @@ from distgraphs.graphs import (
     path_graph,
     shattering_graph,
 )
+
+# Patterns with an isolated vertex or several components.
+DISCONNECTED = {
+    "S2": shattering_graph(2),
+    "K2+K1": Graph(3, [(0, 1)]),
+    "2K2": Graph(4, [(0, 1), (2, 3)]),
+    "P3+K1": Graph(4, [(0, 1), (1, 2)]),
+}
 
 
 def test_ex_known_values():
@@ -97,6 +109,93 @@ def test_oracles_agree_on_value_and_witness(seed, pattern_n, n):
     assert a.witness == b.witness
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(0, 6))
+def test_exhaustive_matches_labeled_scan(seed, pattern_n, n):
+    # Random patterns, isolated vertices and several components included.
+    rng = np.random.default_rng(seed)
+    pattern = random_graph(pattern_n + 1, float(rng.uniform(0.2, 0.9)), rng)
+    if pattern.edge_count == 0:
+        pattern = Graph(pattern.n, [(0, pattern.n - 1)])
+    a, b = ex_exhaustive(n, pattern), ex_labeled_oracle(n, pattern)
+    assert (a.value, a.witness) == (b.value, b.witness)
+
+
+@pytest.mark.parametrize("name", sorted(DISCONNECTED))
+def test_exhaustive_matches_labeled_scan_on_disconnected_patterns(name):
+    pattern = DISCONNECTED[name]
+    for n in range(7):
+        a, b = ex_exhaustive(n, pattern), ex_labeled_oracle(n, pattern)
+        assert (a.value, a.witness) == (b.value, b.witness), n
+
+
+def _relabeled(g: Graph, perm) -> Graph:
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _isomorphic(a: Graph, b: Graph) -> bool:
+    # An edge-preserving bijection between equal edge counts is an isomorphism.
+    return a.n == b.n and a.edge_count == b.edge_count and brute_contains(a, b) is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 7))
+def test_certificate_is_relabeling_invariant(seed, n):
+    rng = np.random.default_rng(seed)
+    g = random_graph(n, float(rng.uniform(0.1, 0.9)), rng)
+    h = _relabeled(g, [int(v) for v in rng.permutation(n)])
+    assert _certificate(g.rows) == _certificate(h.rows)
+    # The certificate is itself a labeling of the graph.
+    assert _isomorphic(g, Graph._from_rows(n, _certificate(g.rows)))
+
+
+def test_certificate_on_regular_graphs_that_are_not_vertex_transitive():
+    # Refinement leaves one cell, and not every choice of first vertex
+    # gives the same leaves: C3 + C4 and its complement.
+    c3c4 = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+    complement = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7) if not c3c4.has_edge(u, v)])
+    rng = np.random.default_rng(3)
+    for g in (c3c4, complement):
+        for _ in range(20):
+            h = _relabeled(g, [int(v) for v in rng.permutation(7)])
+            assert _certificate(h.rows) == _certificate(g.rows)
+
+
+def test_certificates_of_networkx_atlas():
+    # Every graph on at most 7 vertices, once each up to isomorphism:
+    # the certificates are distinct, and a relabeling keeps each one.
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(7)
+    seen = set()
+    for h in nx.graph_atlas_g():
+        g = Graph(h.number_of_nodes(), list(h.edges()))
+        cert = _certificate(g.rows)
+        assert cert not in seen
+        seen.add(cert)
+        assert _certificate(_relabeled(g, [int(v) for v in rng.permutation(g.n)]).rows) == cert
+    assert len(seen) == 1253
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 6))
+def test_first_edge_list_is_least_over_all_relabelings(seed, n):
+    rng = np.random.default_rng(seed)
+    g = random_graph(n, float(rng.uniform(0.1, 0.9)), rng)
+    least = min(sorted(_relabeled(g, perm).edges()) for perm in permutations(range(n)))
+    assert _first_edge_list(g.rows) == least
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6))
+def test_equal_certificates_only_for_isomorphic_graphs(seed, n):
+    # Equal edge counts on few vertices, so that both outcomes occur.
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = int(rng.integers(len(pairs) + 1))
+    a, b = (Graph(n, [pairs[i] for i in rng.choice(len(pairs), m, replace=False)]) for _ in range(2))
+    assert (_certificate(a.rows) == _certificate(b.rows)) == _isomorphic(a, b)
+
+
 # ex(n, C4), OEIS A006855, n = 0..10
 EX_C4 = [0, 0, 1, 3, 4, 6, 7, 9, 11, 13, 16]
 
@@ -161,11 +260,23 @@ def test_oracles_match_networkx_atlas():
                 if h.number_of_nodes() == n and not GraphMatcher(h, g).subgraph_is_monomorphic()
             )
             assert ex_branch_bound(n, pattern).value == expected, (name, n)
-            # The labeled scan takes 3 to 23 s per pattern at n = 7, where
-            # test_criterion_3 already ties it to branch-and-bound for C4,
-            # C6 and P4.
-            if n <= 6 or name == "K3":
-                assert ex_exhaustive(n, pattern).value == expected, (name, n)
+            assert ex_exhaustive(n, pattern).value == expected, (name, n)
+    # The exhaustive cap.
+    assert ex_exhaustive(8, patterns["C4"]).value == EX_C4[8]
+
+
+def test_free_class_counts_match_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    atlas = nx.graph_atlas_g()
+    for pattern in (cycle_graph(4), complete_graph(3)):
+        g = nx.Graph(list(pattern.edges()))
+        expected = [0] * 8
+        for h in atlas:
+            if h.number_of_nodes() <= 7 and not GraphMatcher(h, g).subgraph_is_monomorphic():
+                expected[h.number_of_nodes()] += 1
+        assert [len(_free_classes(k, pattern)) for k in range(8)] == expected
 
 
 def test_ex_monotone_and_bounded():
