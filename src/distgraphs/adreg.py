@@ -24,6 +24,11 @@ pass: one cell grid, and one shell query per center over
 t's count is then read off that center's sorted candidate distances as
 #{d <= t + epsilon} - #{d <= t}, which is exactly the number with
 t < d <= t + epsilon; a single t is a one-element grid.
+
+A net carries its scale epsilon, and the approximate distance graph,
+the approximation search and the edge-count fit read epsilon from the
+net: the 10 epsilon tolerance and 3 epsilon separation are always those
+of the net's own scale.
 """
 
 from __future__ import annotations
@@ -198,7 +203,6 @@ class Net:
     center_indices: np.ndarray  # indices into the source cloud
     centers: np.ndarray  # (m, d) coordinates
     epsilon: float
-    covers: bool
 
     @property
     def size(self) -> int:
@@ -234,7 +238,7 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> Net:
         while i < n and covered[i]:
             i += 1
     idx = np.array(chosen, dtype=np.int64)
-    return Net(idx, pts[idx].copy(), epsilon, covers=True)
+    return Net(idx, pts[idx].copy(), epsilon)
 
 
 def verify_net(cloud: PointCloud, net: Net) -> bool:
@@ -314,10 +318,11 @@ def _pairwise_dist(centers: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
-def approx_distance_graph(net: Net, t: float, epsilon: float) -> Graph:
-    """Graph on net centers with x ~ y iff | |x - y| - t | < 10 epsilon."""
+def approx_distance_graph(net: Net, t: float) -> Graph:
+    """Graph on net centers with x ~ y iff | |x - y| - t | < 10 epsilon,
+    where epsilon is the net's scale."""
     dist = _pairwise_dist(net.centers)
-    adj = np.abs(dist - t) < 10.0 * epsilon
+    adj = np.abs(dist - t) < 10.0 * net.epsilon
     return Graph.from_bool_matrix(adj)
 
 
@@ -326,8 +331,7 @@ class EdgeScaleRecord:
     epsilon: float
     net_size: int
     edges: int
-    band_fraction: float  # fraction of centers in the annulus band
-    min_degree_band: int  # over band centers; -1 when none qualify
+    degrees: np.ndarray  # int64 per net center, in the net's order
     degree_reference: float  # epsilon^(1 - s)
 
 
@@ -349,17 +353,11 @@ def check_scale(spec: FractalSpec, epsilon: float) -> None:
         )
 
 
-def edge_scaling(
-    spec: FractalSpec,
-    cloud: PointCloud,
-    nets: Sequence[Net],
-    t: float,
-    band: tuple[float, float] = DEFAULT_BAND,
-) -> EdgeScalingResult:
-    """Edge counts of the approximate distance graphs on the given nets
-    of `cloud` (one per scale, taken in ascending epsilon), with the
-    fitted log-log slope (expected around 2s - 1) and the per-scale
-    degree statistics of the annulus-regular centers."""
+def edge_scaling(spec: FractalSpec, nets: Sequence[Net], t: float) -> EdgeScalingResult:
+    """Edge counts and center degrees of the approximate distance graphs
+    on the given nets, one per scale and each graph at its net's scale
+    epsilon, in ascending epsilon, with the fitted log-log slope of edges
+    against 1/epsilon (expected around 2s - 1)."""
     nets = sorted(nets, key=lambda net: net.epsilon)
     if len(nets) < 3:
         raise ConfigError(f"need at least 3 epsilon values, got {len(nets)}")
@@ -367,19 +365,14 @@ def edge_scaling(
         check_scale(spec, net.epsilon)
     records = []
     for net in nets:
-        e = net.epsilon
-        graph = approx_distance_graph(net, t, e)
-        degrees = np.array(graph.degrees(), dtype=np.int64)
-        [stats] = annulus_stats(cloud, net.centers, [t], e, band)
-        band_deg = degrees[stats.in_band]
+        graph = approx_distance_graph(net, t)
         records.append(
             EdgeScaleRecord(
-                epsilon=e,
+                epsilon=net.epsilon,
                 net_size=net.size,
                 edges=graph.edge_count,
-                band_fraction=stats.fraction_in_band,
-                min_degree_band=int(band_deg.min()) if band_deg.size else -1,
-                degree_reference=e ** (1.0 - spec.s),
+                degrees=np.array(graph.degrees(), dtype=np.int64),
+                degree_reference=net.epsilon ** (1.0 - spec.s),
             )
         )
     if any(r.edges == 0 for r in records):
@@ -428,26 +421,21 @@ def verify_approximation(
 
 
 def find_approximation(
-    net: Net,
-    pattern: Graph,
-    t: float,
-    epsilon: float,
-    budget: Optional[int] = None,
+    net: Net, pattern: Graph, t: float, *, budget: Optional[int] = None
 ) -> Optional[ApproximationWitness]:
-    """Search the approximate distance graph for the pattern and return
-    the witness point tuple, re-validated explicitly.  Budget exhaustion
-    propagates as BudgetExceeded."""
-    h = approx_distance_graph(net, t, epsilon)
-    w = contains_subgraph(h, pattern, budget=budget)
+    """Search the approximate distance graph for the pattern, at the
+    net's scale epsilon, and return the witness point tuple, re-validated
+    explicitly.  Budget exhaustion propagates as BudgetExceeded."""
+    w = contains_subgraph(approx_distance_graph(net, t), pattern, budget=budget)
     if w is None:
         return None
     pts = net.centers[list(w.mapping)]
-    if not verify_approximation(pts, pattern, t, epsilon):
+    if not verify_approximation(pts, pattern, t, net.epsilon):
         raise AssertionError("embedding found but approximation validation failed")
     return ApproximationWitness(
         pattern,
         t,
-        epsilon,
+        net.epsilon,
         tuple(int(net.center_indices[v]) for v in w.mapping),
         pts,
     )

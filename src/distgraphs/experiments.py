@@ -154,6 +154,10 @@ def resolve_size(size_spec, q: int, d: int) -> int:
     """Size schedule entry: an int, a named expression, or
     {"coef": c, "exp": s} with finite c and s, meaning ceil(c * q^s)."""
     size_spec = read_param("size", _size_spec, size_spec)
+    # q >= 3 gives q^64 > 2^63, so capping the exponent keeps the test exact
+    # and never forms a huge power
+    if q ** min(d, 64) >= ffgeom.MAX_SAMPLE_SPACE:
+        raise ConfigError(f"q^{d} with q = {q} is not below 2^63, the int64 range of sampled point indices")
     try:
         if isinstance(size_spec, dict):
             n = math.ceil(float(size_spec["coef"]) * q ** float(size_spec["exp"]))
@@ -589,13 +593,17 @@ def _adreg_worker(inst: dict) -> list[dict]:
     } for stats in scan]
     best = max(scan, key=lambda stats: stats.fraction_in_band)  # the first t of the largest fraction
     try:
-        scaling = adreg.edge_scaling(spec, cloud, [nets[e] for e in eps_list], best.t, band)
+        scaling = adreg.edge_scaling(spec, [nets[e] for e in eps_list], best.t)
         for r in scaling.records:
+            # the t scan already holds the middle scale's counts at the best t
+            stats = best if r.epsilon == eps_mid else adreg.annulus_stats(
+                cloud, nets[r.epsilon].centers, [best.t], r.epsilon, band)[0]
+            band_deg = r.degrees[stats.in_band]
             rows.append({
                 **base, "record": "scaling", "t": best.t, "eps": r.epsilon,
                 "net_size": r.net_size, "edges": r.edges,
-                "band_fraction": r.band_fraction,
-                "min_degree_band": r.min_degree_band,
+                "band_fraction": stats.fraction_in_band,
+                "min_degree_band": int(band_deg.min()) if band_deg.size else -1,
                 "degree_reference": r.degree_reference,
             })
         slope = scaling.slope
@@ -605,23 +613,15 @@ def _adreg_worker(inst: dict) -> list[dict]:
         slope, predicted, degenerate = None, 2.0 * spec.s - 1.0, True
     for e in inst["approx_eps"]:
         try:
-            witness = adreg.find_approximation(nets[e], pattern, best.t, e, inst["budget"])
+            witness = adreg.find_approximation(nets[e], pattern, best.t, budget=inst["budget"])
+            found = witness is not None
         except BudgetExceeded:
-            rows.append({
-                **base, "record": "approx", "t": best.t, "eps": e,
-                "graph": inst["graph"], "found": None, "witness_valid": None,
-            })
-            continue
+            witness, found = None, None
         rows.append({
             **base, "record": "approx", "t": best.t, "eps": e,
-            "graph": inst["graph"], "found": witness is not None,
-            "witness_valid": (
-                adreg.verify_approximation(witness.points, pattern, best.t, e)
-                if witness else None
-            ),
-            "witness_indices": (
-                ";".join(map(str, witness.center_indices)) if witness else None
-            ),
+            "graph": inst["graph"], "found": found,
+            "witness_valid": adreg.verify_approximation(witness.points, pattern, best.t, e) if witness else None,
+            "witness_indices": ";".join(map(str, witness.center_indices)) if witness else None,
         })
     return rows + [{
         **base, "record": "summary", "t": best.t,

@@ -71,14 +71,15 @@ def ex_exhaustive(n: int, pattern: Graph, max_n: Optional[int] = None) -> Extrem
     extension ends the scan.  The witness is the lexicographically
     first maximum G-free edge set over all labeled graphs on n
     vertices: the least sorted edge list over the relabelings of the
-    classes attaining the value.
+    classes attaining the value.  With fewer than |V(G)| vertices the
+    answer is K_n, and no class is built.
     """
     _check_pattern(pattern)
     cap = max_n if max_n is not None else env_cap(ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE)
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the exhaustive cap {cap}")
-    if n == 0:
-        return ExtremalResult(0, pattern, 0, Graph(0))
+    if n < pattern.n:  # no room for a copy of G, so K_n is the answer
+        return ExtremalResult(n, pattern, n * (n - 1) // 2, Graph(n, combinations(range(n), 2)))
     classes = _free_classes(n - 1, pattern)
     sizes = [sum(r.bit_count() for r in rows) // 2 for rows in classes]
     for m in range(n * (n - 1) // 2, -1, -1):

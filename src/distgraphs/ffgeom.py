@@ -47,6 +47,9 @@ from .graphs import Graph, contains_subgraph
 DEFAULT_MAX_POINTS = 5000
 ENV_MAX_POINTS = "DISTGRAPHS_MAX_POINTS"
 
+# Sampled point indices are drawn and kept as int64, so q^d stays below 2^63.
+MAX_SAMPLE_SPACE = 1 << 63
+
 _CHUNK = 1 << 22  # target cells per pairwise block
 
 
@@ -168,6 +171,8 @@ def random_subset(spec: FieldSpec, d: int, size: int, seed) -> PointSet:
     lexicographic point indices.
     """
     total = spec.q**d
+    if total >= MAX_SAMPLE_SPACE:
+        raise TooLarge(f"q^d = {total} is not below 2^63, the int64 range of point indices")
     if size > total:
         raise SizeTooLarge(f"size {size} exceeds q^d = {total}")
     if size < 0:

@@ -373,7 +373,7 @@ def test_criterion_10_approximation_witnesses(adreg_report):
         eps = 2.0**-5
         net = greedy_net(cloud, eps)
         for pattern in (complete_graph(2), cycle_graph(4), cycle_graph(6)):
-            w = find_approximation(net, pattern, 0.6, eps)
+            w = find_approximation(net, pattern, 0.6)
             assert w is not None
             assert verify_approximation(w.points, pattern, 0.6, eps)
 

@@ -21,7 +21,7 @@ from distgraphs.adreg import (
     verify_net,
 )
 from distgraphs.errors import BudgetExceeded, ConfigError, DegenerateFit, TooLarge
-from distgraphs.graphs import complete_graph, cycle_graph
+from distgraphs.graphs import complete_graph, cycle_graph, graph_from_name
 from oracles import annulus_counts_oracle, greedy_net_oracle, verify_net_oracle
 
 
@@ -152,11 +152,11 @@ def test_annulus_validation():
 def test_approx_graph_trivia():
     cloud = cantor_product(FractalSpec(2, 0.45, 4))
     net = greedy_net(cloud, 0.05)
-    far = approx_distance_graph(net, cloud.diameter() + 10 * 0.05 + 1.0, 0.05)
+    far = approx_distance_graph(net, cloud.diameter() + 10 * 0.05 + 1.0)
     assert far.edge_count == 0
     # Two centers at exactly distance t are adjacent.
     d01 = float(np.linalg.norm(net.centers[0] - net.centers[1]))
-    g = approx_distance_graph(net, d01, 0.05)
+    g = approx_distance_graph(net, d01)
     assert g.has_edge(0, 1)
 
 
@@ -164,7 +164,7 @@ def test_edge_scaling_monotone_and_fit():
     spec = FractalSpec(2, 0.45, 7)
     cloud = cantor_product(spec)
     nets = [greedy_net(cloud, e) for e in (2.0**-3, 2.0**-4, 2.0**-5)]
-    res = edge_scaling(spec, cloud, nets, 0.6)
+    res = edge_scaling(spec, nets, 0.6)
     edges = [r.edges for r in sorted(res.records, key=lambda r: r.epsilon)]
     assert edges == sorted(edges, reverse=True)
     assert res.slope > 0
@@ -175,7 +175,7 @@ def test_edge_scaling_errors():
     cloud = cantor_product(spec)
     with pytest.raises(ConfigError):
         # fewer than 3 scales
-        edge_scaling(spec, cloud, [greedy_net(cloud, e) for e in (0.125, 0.25)], 0.6)
+        edge_scaling(spec, [greedy_net(cloud, e) for e in (0.125, 0.25)], 0.6)
     with pytest.raises(ConfigError):
         check_scale(spec, spec.cell_side)  # below the 4-cell floor
     sparse = FractalSpec(1, 0.45, 5)
@@ -183,7 +183,7 @@ def test_edge_scaling_errors():
     sparse_nets = [greedy_net(sparse_cloud, e) for e in (0.125, 0.25, 0.5)]
     with pytest.raises(DegenerateFit):
         # t far beyond the diameter: every scale yields an edgeless graph.
-        edge_scaling(sparse, sparse_cloud, sparse_nets, 50.0)
+        edge_scaling(sparse, sparse_nets, 50.0)
 
 
 def test_find_approximation_k2_and_validator():
@@ -191,7 +191,7 @@ def test_find_approximation_k2_and_validator():
     cloud = cantor_product(spec)
     eps = 2.0**-4
     net = greedy_net(cloud, eps)
-    w = find_approximation(net, complete_graph(2), 0.6, eps)
+    w = find_approximation(net, complete_graph(2), 0.6)
     assert w is not None
     assert verify_approximation(w.points, complete_graph(2), 0.6, eps)
     # Perturbing a point inside the separation radius must fail (b).
@@ -209,9 +209,40 @@ def test_find_approximation_absent_and_budget():
     cloud = cantor_product(spec)
     eps = 2.0**-4
     net = greedy_net(cloud, eps)
-    assert find_approximation(net, complete_graph(2), cloud.diameter() + 1.0, eps) is None
+    assert find_approximation(net, complete_graph(2), cloud.diameter() + 1.0) is None
     with pytest.raises(BudgetExceeded):
-        find_approximation(net, cycle_graph(6), 0.6, eps, budget=1)
+        find_approximation(net, cycle_graph(6), 0.6, budget=1)
+
+
+def test_find_approximation_takes_budget_by_keyword_only():
+    # An old call with epsilon in fourth position must not bind it to budget.
+    net = greedy_net(cantor_product(FractalSpec(1, 0.45, 4)), 2.0**-4)
+    with pytest.raises(TypeError):
+        find_approximation(net, complete_graph(2), 0.6, 2.0**-4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.floats(0.25, 0.5),
+    st.integers(0, 8),
+    st.integers(1, 7),
+    st.floats(0.01, 1.8),
+    st.sampled_from(["K2", "P3", "C4", "C6"]),
+)
+def test_find_approximation_witness_holds_at_the_nets_scale(d, contraction, depth, j, t, name):
+    # The search reads epsilon from the net, so any witness it returns
+    # passes the validator at that epsilon, whatever the scale and t.
+    cloud = cantor_product(FractalSpec(d, contraction, min(depth, 8 // d)))
+    net = greedy_net(cloud, 2.0**-j)
+    pattern = graph_from_name(name)
+    try:
+        w = find_approximation(net, pattern, t, budget=20_000)
+    except BudgetExceeded:
+        return
+    if w is not None:
+        assert w.epsilon == net.epsilon
+        assert verify_approximation(w.points, pattern, t, net.epsilon)
 
 
 def test_cloud_csv_export(tmp_path):

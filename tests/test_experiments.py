@@ -7,6 +7,7 @@ import os
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from distgraphs.experiments import (
     resolve_size,
     run,
 )
+from oracles import annulus_counts_oracle
 
 
 def test_resolve_size():
@@ -163,9 +165,22 @@ def test_adreg_scan_runner():
     assert all(r["net_valid"] for r in nets)
 
 
+ADREG_SCALES_EPS = [2.0**-4, 2.0**-5, 2.0**-6]
+ADREG_SCALES = {"specs": [{"d": 2, "contraction": 0.45, "depth": 8}], "eps": ADREG_SCALES_EPS,
+                "approx_eps": ADREG_SCALES_EPS, "t_grid": [0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80],
+                "graph": "C6"}
+
+
+def _adreg_scales_rows() -> list[dict]:
+    sweep = SWEEPS["adreg-scan"]
+    [inst] = sweep.expand(experiments._read_params(ADREG_SCALES, sweep.params), None)
+    return sweep.worker(inst)
+
+
 def test_adreg_scan_builds_one_grid_per_annulus_scan(monkeypatch):
-    # Per scale one grid for the greedy net, one for its check and one for
-    # the edge-scaling annulus; the whole t scan shares one more.
+    # Per scale one grid for the greedy net and one for its check; every
+    # scale but the middle one gets one for its band statistics at the best
+    # t, and the whole t scan at the middle scale shares one more.
     built = []
 
     class CountingGrid(adreg._CellGrid):
@@ -174,14 +189,29 @@ def test_adreg_scan_builds_one_grid_per_annulus_scan(monkeypatch):
             super().__init__(points, h)
 
     monkeypatch.setattr(adreg, "_CellGrid", CountingGrid)
-    eps = [2.0**-4, 2.0**-5, 2.0**-6]
-    params = {"specs": [{"d": 2, "contraction": 0.45, "depth": 8}], "eps": eps, "approx_eps": eps,
-              "t_grid": [0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80], "graph": "C6"}
-    sweep = SWEEPS["adreg-scan"]
-    [inst] = sweep.expand(experiments._read_params(params, sweep.params), None)
-    rows = sweep.worker(inst)
-    assert len(built) == 2 * len(eps) + 1 + len(eps) == 10
+    rows = _adreg_scales_rows()
+    eps = ADREG_SCALES_EPS
+    assert len(built) == 2 * len(eps) + (len(eps) - 1) + 1 == 9
     assert sum(r["record"] == "annulus" for r in rows) == 9
+
+
+def test_adreg_scan_scaling_band_statistics_match_oracles():
+    # Every scaling row, the middle scale's (read off the t scan) included,
+    # against whole-cloud annulus counts and the scale's own graph degrees.
+    rows = _adreg_scales_rows()
+    cloud = adreg.cantor_product(adreg.FractalSpec(2, 0.45, 8))
+    lo, hi = adreg.DEFAULT_BAND
+    scaling = [r for r in rows if r["record"] == "scaling"]
+    assert [r["eps"] for r in scaling] == sorted(ADREG_SCALES_EPS)
+    for r in scaling:
+        eps, t = r["eps"], r["t"]
+        net = adreg.greedy_net(cloud, eps)
+        masses = annulus_counts_oracle(cloud.points, net.centers, t, eps) / cloud.mass_denominator
+        in_band = (masses >= lo * eps) & (masses <= hi * eps)
+        degrees = np.array(adreg.approx_distance_graph(net, t).degrees())
+        assert in_band.any()
+        assert r["band_fraction"] == in_band.mean()
+        assert r["min_degree_band"] == degrees[in_band].min()
 
 
 def test_adreg_scan_pattern_larger_than_every_net():
@@ -402,6 +432,9 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
             "field": [3, 1], "d": 2, "graph_text": "10000000 0", "sizes": [4], "trials": 1}},
          ["threshold"]),
         ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "graph_text": "10000000 0\n"}}, ["adreg-scan"]),
+        # a sample space of q^d >= 2^63 points, past the int64 point indices
+        ({"kind": "ir-sweep", "seed": 1, "params": {"fields": [[3, 1]], "dims": [41], "sizes": [5]}}, ["ir-sweep"]),
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "d": 41}}, ["threshold"]),
     ],
     ids=[
         "list", "seed-negative", "seed-float", "seed-string", "seed-bool", "seed-flag-negative",
@@ -419,7 +452,7 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         "budget-flag-negative", "param-unknown", "top-level-unknown", "spec-unknown",
         "field-degree-1e5", "field-degree-3e8", "field-prime-1e11", "field-flag-prime-1e11",
         "cloud-depth-20", "cloud-depth-1e9", "graph-k1000", "graphs-q30", "graph-flag-k1000",
-        "graph-text-1e7-vertices", "adreg-graph-text-1e7-vertices",
+        "graph-text-1e7-vertices", "adreg-graph-text-1e7-vertices", "ir-space-3^41", "threshold-space-3^41",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):

@@ -1,5 +1,6 @@
+import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_arc_plans, brute_contains, ex_labeled_oracle, random_graph
+from distgraphs import extremal
 from distgraphs.errors import BudgetExceeded, EmptyPattern, NotBipartite, BadDimension, TooLarge
 from distgraphs.extremal import (
     _arc_orbit_plans,
@@ -127,6 +129,27 @@ def test_exhaustive_matches_labeled_scan_on_disconnected_patterns(name):
     for n in range(7):
         a, b = ex_exhaustive(n, pattern), ex_labeled_oracle(n, pattern)
         assert (a.value, a.witness) == (b.value, b.witness), n
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [path_graph(9), hypercube_graph(3), cycle_graph(8), shattering_graph(3)],
+    ids=["P9", "Q3", "C8", "S3"],
+)
+def test_fewer_vertices_than_the_pattern_give_k_n(pattern):
+    for n in range(min(pattern.n, 9)):
+        a = ex_exhaustive(n, pattern)
+        assert (a.value, a.witness) == (n * (n - 1) // 2, Graph(n, combinations(range(n), 2))), n
+        for b in (ex_labeled_oracle(n, pattern), ex_branch_bound(n, pattern)):
+            assert (a.value, a.witness) == (b.value, b.witness), n
+
+
+def test_fewer_vertices_than_the_pattern_build_no_class(monkeypatch):
+    t0 = time.perf_counter()
+    assert ex_exhaustive(8, path_graph(9)).value == 28
+    assert time.perf_counter() - t0 < 0.1
+    monkeypatch.setattr(extremal, "_free_classes", None)  # any class build would now fail
+    assert ex_exhaustive(8, path_graph(9)).value == 28
 
 
 def _relabeled(g: Graph, perm) -> Graph:

@@ -106,6 +106,14 @@ def test_random_subset_contract(f3):
         random_subset(f3, 2, 10, seed=0)
 
 
+def test_random_subset_rejects_spaces_past_int64(f3):
+    # Point indices are int64: 3^39 < 2^63 samples, 3^40 > 2^63 does not.
+    assert len(random_subset(f3, 39, 5, seed=1)) == 5
+    for d in (40, 41):
+        with pytest.raises(TooLarge):
+            random_subset(f3, d, 5, seed=1)
+
+
 @pytest.mark.parametrize(
     "pk, d, size, seed",
     [
