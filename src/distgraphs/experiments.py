@@ -150,14 +150,19 @@ def _field(entry) -> ff.FieldSpec:
     return ff.make_field(*entry)
 
 
+def _check_sample_space(q: int, d: int) -> None:
+    """Reject F_q^d with q^d >= 2^63 points, past the int64 range of
+    sampled point indices, without forming q^d."""
+    # q >= 3 gives q^64 > 2^63, so capping the exponent keeps the test exact
+    if q ** min(d, 64) >= ffgeom.MAX_SAMPLE_SPACE:
+        raise ConfigError(f"q^{d} with q = {q} is not below 2^63, the int64 range of sampled point indices")
+
+
 def resolve_size(size_spec, q: int, d: int) -> int:
     """Size schedule entry: an int, a named expression, or
     {"coef": c, "exp": s} with finite c and s, meaning ceil(c * q^s)."""
     size_spec = read_param("size", _size_spec, size_spec)
-    # q >= 3 gives q^64 > 2^63, so capping the exponent keeps the test exact
-    # and never forms a huge power
-    if q ** min(d, 64) >= ffgeom.MAX_SAMPLE_SPACE:
-        raise ConfigError(f"q^{d} with q = {q} is not below 2^63, the int64 range of sampled point indices")
+    _check_sample_space(q, d)
     try:
         if isinstance(size_spec, dict):
             n = math.ceil(float(size_spec["coef"]) * q ** float(size_spec["exp"]))
@@ -291,6 +296,7 @@ def _ir_expand(p: dict, seed: int) -> list[dict]:
     instances = []
     for spec in p["fields"]:
         for d in p["dims"]:
+            _check_sample_space(spec.q, d)
             for size_spec in p["sizes"]:
                 size = resolve_size(size_spec, spec.q, d)
                 for trial in range(p["trials"]):
@@ -342,7 +348,9 @@ THRESHOLD_COLUMNS = [
 
 
 def _threshold_sizes(p: dict) -> list[int]:
-    return sorted({resolve_size(s, p["field"].q, p["d"]) for s in p["sizes"]})
+    q, d = p["field"].q, p["d"]
+    _check_sample_space(q, d)
+    return sorted({resolve_size(s, q, d) for s in p["sizes"]})
 
 
 def _threshold_expand(p: dict, seed: int) -> list[dict]:
@@ -387,8 +395,9 @@ def _threshold_summarize(p: dict, records: list, meta: dict):
     monotone_ok = len(inversions) <= p["max_inversions"] and all(
         v <= p["noise_tolerance"] for v in inversions
     )
-    full = p["field"].q ** p["d"]
-    anchor_ok = all(c["rate"] == 1.0 for c in curve if c["size"] == full and c["rate"] is not None)
+    anchor_ok = all(
+        c["rate"] == 1.0 for c in curve if c["rate"] is not None and c["size"] == p["field"].q ** p["d"]
+    )
     perfect = [c["size"] for c in curve if c["rate"] == 1.0]
     summary = {
         "curve": curve,

@@ -3,11 +3,19 @@ square-root-cancellation bound check, and G-distance sets.
 
 Points are stored as an (n, d) array of packed element codes so the
 pairwise-norm kernel runs through the field's cached numpy operation
-tables.  The kernel builds one q x q squared-difference table
-sqdiff[a, b] = (a - b)^2 per pass; a block's norm codes are
-sqdiff[x_0, y_0] plus, through the addition table, sqdiff[x_j, y_j]
-for each further coordinate j, with no (rows, n, d) temporary.  All
-theorem-level comparisons are exact integer arithmetic.
+tables.  Per pass over E, the kernel tabulates for each coordinate j
+the (q, n) codes of (a - y_j)^2, for every a in F_q and every point y
+of E, from one q x q squared-difference table.  The norm codes of a
+block of points, or of one point, against all of E are then one row
+gather per coordinate summed through the addition table, with no
+(rows, n, d) temporary.  All theorem-level comparisons are exact
+integer arithmetic.
+
+The G-distance set never holds an n x n array.  Its (n, q) degree
+table deg[i, t] = #{j != i : ||x_i - x_j|| = t} takes one bincount per
+block of pairwise norms, and each t's search reads the t-distance graph
+through a host whose bitset row i is packed from the codes the first
+time the search reads it.
 
 The distance histogram takes one of two paths, chosen from |E| alone.
 When |E|^2 >= 4 q^d it is the Fourier picture of the count: F_q^d is
@@ -27,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import sqrt
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -187,20 +196,40 @@ def random_subset(spec: FieldSpec, d: int, size: int, seed) -> PointSet:
 # -- pairwise norms and histograms ---------------------------------------
 
 
+def _norm_kernel(E: PointSet) -> Callable:
+    """norms(xs): the norm codes ||x - y|| for every y of E, in E's order,
+    from the d coordinate codes xs[j] of x.  Each xs[j] is an int, or an
+    array of some shape s, all alike, for an s + (n,) block.
+
+    For each coordinate j it keeps the (q, n) table of (a - y_j)^2 for
+    every a in F_q and every y of E, so x's norms are d row gathers
+    summed through the addition table, read flat at acc * q + b.
+    q^2 < 2^31 for any q whose tables fit in memory."""
+    spec, q = E.spec, E.spec.q
+    sqdiff = spec.square_table[spec.sub_table]
+    add = spec.add_table.ravel()
+    tables = [sqdiff[:, col] for col in E.codes.T]
+
+    def norms(xs) -> np.ndarray:
+        acc = tables[0][xs[0]]
+        for table, xj in zip(tables[1:], xs[1:]):
+            acc = acc * q
+            acc += table[xj]
+            acc = add[acc]
+        return acc
+
+    return norms
+
+
 def _norm_blocks(E: PointSet) -> Iterator[tuple[slice, np.ndarray]]:
     """(rows, norm codes ||x_i - x_j|| for i in `rows` and every j), over
     blocks of about _CHUNK / d cells."""
-    spec, n = E.spec, len(E)
-    sqdiff = spec.square_table[spec.sub_table]
-    add = spec.add_table
+    n = len(E)
+    norms = _norm_kernel(E)
     step = max(1, _CHUNK // (max(n, 1) * max(E.d, 1)))
     for lo in range(0, n, step):
         rows = slice(lo, min(lo + step, n))
-        a, b = E.codes[rows, None, :], E.codes[None, :, :]
-        acc = sqdiff[a[..., 0], b[..., 0]]
-        for j in range(1, E.d):
-            acc = add[acc, sqdiff[a[..., j], b[..., j]]]
-        yield rows, acc
+        yield rows, norms(E.codes[rows].T)
 
 
 def pairwise_norms(E: PointSet) -> np.ndarray:
@@ -292,18 +321,14 @@ def distance_histogram(E: PointSet) -> DistanceHistogram:
     return DistanceHistogram(spec, counts, n)
 
 
-def distance_graph(E: PointSet, t, norms: Optional[np.ndarray] = None) -> Graph:
+def distance_graph(E: PointSet, t) -> Graph:
     """Simple graph on E's index set: {i, j} is an edge iff
     ||x_i - x_j|| = t (i != j).
 
     t = 0 is permitted; the resulting graph records isotropic differences
     only, since loops are excluded.
     """
-    code = _t_code(E.spec, t)
-    if norms is None:
-        norms = pairwise_norms(E)
-    adj = norms == code
-    return Graph.from_bool_matrix(adj)
+    return Graph.from_bool_matrix(pairwise_norms(E) == _t_code(E.spec, t))
 
 
 # -- exact remainder-term bound check -------------------------------------
@@ -390,23 +415,75 @@ class GraphDistanceSet:
         return {self.spec.from_code(t) for t in self.contained}
 
 
+def _degree_table(E: PointSet) -> np.ndarray:
+    """(n, q) int64 table deg[i, t] = #{j != i : ||x_i - x_j|| = t}, from
+    one bincount per norm block over (row - block start) * q + norm."""
+    n, q = len(E), E.spec.q
+    deg = np.empty((n, q), dtype=np.int64)
+    for rows, block in _norm_blocks(E):
+        offsets = np.arange(rows.stop - rows.start, dtype=np.int64)[:, None] * q
+        deg[rows] = np.bincount((offsets + block).ravel(), minlength=offsets.size * q).reshape(-1, q)
+    deg[:, 0] -= 1  # the diagonal, ||x_i - x_i|| = 0
+    return deg
+
+
+class _PackedRows(dict):
+    """Bitset rows keyed by vertex: row i is `pack(i)`, packed the first
+    time it is read.  A later read is a plain dict lookup."""
+
+    __slots__ = ("pack",)
+
+    def __init__(self, pack: Callable[[int], int]):
+        super().__init__()
+        self.pack = pack
+
+    def __missing__(self, i: int) -> int:
+        row = self[i] = self.pack(i)
+        return row
+
+
+class _DistanceHost:
+    """A t-distance graph as the embedding search reads it: `n`, `rows`
+    and `degrees()`."""
+
+    __slots__ = ("n", "rows", "_degrees")
+
+    def __init__(self, n: int, rows: _PackedRows, degrees: list[int]):
+        self.n = n
+        self.rows = rows
+        self._degrees = degrees
+
+    def degrees(self) -> list[int]:
+        return self._degrees
+
+
 def graph_distance_set(E: PointSet, pattern: Graph, budget: Optional[int] = None) -> GraphDistanceSet:
     """Test every t in F_q for pattern containment in the t-distance
-    graph.  The pairwise norm matrix is computed once and shared.
+    graph.  No n x n array is built: every degree comes from one (n, q)
+    degree table, and each t's search packs row i of its graph, the
+    points at norm t from x_i, from the codes the first time it reads
+    that row.  The search visits the candidates it would visit in the
+    whole graph, in the same order.
 
     A t no pair of E realizes gives an edgeless graph, in which a
     pattern with edges has no candidate vertex, so its search ends
     before spending budget: absent, never indeterminate."""
     if pattern.n > len(E):
         return GraphDistanceSet(E.spec, frozenset(), frozenset())
-    norms = pairwise_norms(E)
+    degrees = _degree_table(E).T.tolist()
+    norms, codes = _norm_kernel(E), E.codes.tolist()
+
+    def pack(t: int, i: int) -> int:
+        adj = norms(codes[i]) == t
+        return int.from_bytes(np.packbits(adj, bitorder="little").tobytes(), "little") & ~(1 << i)
+
     contained = set()
     indeterminate = set()
     witnesses = {}
     for t in range(E.spec.q):
-        g = distance_graph(E, t, norms=norms)
+        host = _DistanceHost(len(E), _PackedRows(partial(pack, t)), degrees[t])
         try:
-            w = contains_subgraph(g, pattern, budget=budget)
+            w = contains_subgraph(host, pattern, budget=budget)
         except BudgetExceeded:
             indeterminate.add(t)
             continue

@@ -459,6 +459,10 @@ def contains_subgraph(
     Returns a witness or None (a proof of absence).  A node-expansion
     budget may be set; exhausting it raises BudgetExceeded rather than
     returning None.
+
+    The search reads three members of host: `n`, `rows[v]` (the bitset
+    of v's neighbours) and `degrees()`, so a host may pack its rows on
+    first read instead of being a whole Graph.
     """
     return _contains(host, pattern, False, budget)
 

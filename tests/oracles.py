@@ -9,7 +9,9 @@ same distance predicates as the library's grid-filtered kernels.
 `all_arc_plans` is the extremal branch-and-bound's former plan set, one
 anchored plan per directed pattern edge with no symmetry reduction, and
 `ex_labeled_oracle` is the former exhaustive ex(n, G) oracle, a scan of
-every labeled graph on n vertices.
+every labeled graph on n vertices, and `graph_distance_set_oracle` is the
+former G-distance set, which builds every t-distance graph whole from one
+n x n norm matrix.
 """
 
 from itertools import combinations, permutations
@@ -17,9 +19,10 @@ from itertools import combinations, permutations
 import numpy as np
 
 from distgraphs.adreg import GUARD
+from distgraphs.errors import BudgetExceeded
 from distgraphs.extremal import ExtremalResult
-from distgraphs.ffgeom import PointSet
-from distgraphs.graphs import Graph, _Budget, _Plan, _get_plan, _search_rows
+from distgraphs.ffgeom import GraphDistanceSet, PointSet, pairwise_norms
+from distgraphs.graphs import Graph, _Budget, _Plan, _get_plan, _search_rows, contains_subgraph
 
 
 def brute_contains(host: Graph, pattern: Graph, induced: bool = False):
@@ -92,6 +95,27 @@ def pairwise_norms_oracle(E: PointSet) -> np.ndarray:
     pts = E.points()
     norms = [[(x - y).norm().code for y in pts] for x in pts]
     return np.array(norms, dtype=np.int64).reshape(len(pts), len(pts))
+
+
+def graph_distance_set_oracle(E: PointSet, pattern: Graph, budget=None) -> GraphDistanceSet:
+    """Delta_G(E) from whole graphs: one pairwise norm matrix, then one
+    contains_subgraph call on the t-distance graph for every t."""
+    if pattern.n > len(E):
+        return GraphDistanceSet(E.spec, frozenset(), frozenset())
+    norms = pairwise_norms(E)
+    contained = set()
+    indeterminate = set()
+    witnesses = {}
+    for t in range(E.spec.q):
+        try:
+            w = contains_subgraph(Graph.from_bool_matrix(norms == t), pattern, budget=budget)
+        except BudgetExceeded:
+            indeterminate.add(t)
+            continue
+        if w is not None:
+            contained.add(t)
+            witnesses[t] = w
+    return GraphDistanceSet(E.spec, frozenset(contained), frozenset(indeterminate), witnesses)
 
 
 def partial_fisher_yates_oracle(n: int, size: int, rng: np.random.Generator) -> list[int]:

@@ -435,6 +435,11 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         # a sample space of q^d >= 2^63 points, past the int64 point indices
         ({"kind": "ir-sweep", "seed": 1, "params": {"fields": [[3, 1]], "dims": [41], "sizes": [5]}}, ["ir-sweep"]),
         ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "d": 41}}, ["threshold"]),
+        # the same with no sizes, for a d whose q^d would take seconds to form
+        ({"kind": "threshold", "seed": 1, "params": {"field": [3, 1], "d": 10000000, "graph": "C4", "sizes": []}},
+         ["threshold"]),
+        ({"kind": "ir-sweep", "seed": 1, "params": {"fields": [[3, 1]], "dims": [3000000], "sizes": []}},
+         ["ir-sweep"]),
     ],
     ids=[
         "list", "seed-negative", "seed-float", "seed-string", "seed-bool", "seed-flag-negative",
@@ -453,6 +458,7 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         "field-degree-1e5", "field-degree-3e8", "field-prime-1e11", "field-flag-prime-1e11",
         "cloud-depth-20", "cloud-depth-1e9", "graph-k1000", "graphs-q30", "graph-flag-k1000",
         "graph-text-1e7-vertices", "adreg-graph-text-1e7-vertices", "ir-space-3^41", "threshold-space-3^41",
+        "threshold-space-3^1e7-no-sizes", "ir-space-3^3e6-no-sizes",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):
@@ -461,7 +467,9 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         argv[1:1] = ["--config", str(path)]
+    t0 = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1 and "Traceback" not in err
 

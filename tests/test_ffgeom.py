@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import histogram_oracle, pairwise_norms_oracle, partial_fisher_yates_oracle
+from oracles import (
+    graph_distance_set_oracle,
+    histogram_oracle,
+    pairwise_norms_oracle,
+    partial_fisher_yates_oracle,
+)
 import distgraphs
 from distgraphs import ffgeom
 from distgraphs.errors import (
@@ -35,7 +40,7 @@ from distgraphs.ffgeom import (
     read_points_file,
     write_points_file,
 )
-from distgraphs.graphs import complete_graph, cycle_graph, path_graph
+from distgraphs.graphs import Graph, complete_graph, cycle_graph, hypercube_graph, path_graph
 
 
 @pytest.fixture(scope="module")
@@ -500,3 +505,97 @@ def test_graph_distance_set_isotropic_line(f5):
     tight = graph_distance_set(E, complete_graph(2), budget=1)
     for t in range(1, 5):
         assert t not in tight.contained and t not in tight.indeterminate
+
+
+# -- the G-distance set against whole graphs ---------------------------------
+
+
+def _distance_set_key(ds):
+    return ds.contained, ds.indeterminate, {t: w.mapping for t, w in ds.witnesses.items()}
+
+
+_DS_PATTERNS = {
+    "K2": complete_graph(2),
+    "P3": path_graph(3),
+    "K3": complete_graph(3),
+    "C4": cycle_graph(4),
+    "Q3": hypercube_graph(3),
+    "empty": Graph(3),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]),
+    st.sampled_from([2, 3]),
+    st.one_of(st.just("full"), st.integers(0, 300)),
+    st.sampled_from(sorted(_DS_PATTERNS)),
+    st.sampled_from([None, 1, 5, 50]),
+    st.integers(0, 2**32),
+)
+def test_graph_distance_set_matches_whole_graph_oracle(pk, d, size, name, budget, seed):
+    spec = make_field(*pk)
+    total = spec.q**d
+    # the full space up to 9^3 = 729 points; F_25^3 is sampled
+    size = min(total, 729) if size == "full" else min(size, total)
+    E = random_subset(spec, d, size, seed)
+    pattern = _DS_PATTERNS[name]
+    expected = graph_distance_set_oracle(E, pattern, budget=budget)
+    assert _distance_set_key(graph_distance_set(E, pattern, budget=budget)) == _distance_set_key(expected)
+
+
+@pytest.mark.parametrize(
+    "pk, d, size, rows_per_block",
+    [((3, 1), 2, 9, 1), ((5, 1), 3, 60, 7), ((3, 2), 2, 40, 3), ((7, 2), 2, 300, 64), ((13, 1), 3, 200, 1000)],
+)
+def test_degree_table_matches_whole_graphs(monkeypatch, pk, d, size, rows_per_block):
+    spec = make_field(*pk)
+    E = random_subset(spec, d, size, seed=size)
+    # blocks of `rows_per_block` rows, so most cases run several blocks
+    monkeypatch.setattr(ffgeom, "_CHUNK", rows_per_block * size * d)
+    deg = ffgeom._degree_table(E)
+    assert deg.shape == (size, spec.q)
+    for t in range(spec.q):
+        assert deg[:, t].tolist() == distance_graph(E, t).degrees()
+
+
+def test_graph_distance_set_builds_no_whole_graph(monkeypatch):
+    E = random_subset(make_field(5, 1), 3, 60, seed=5)
+    expected = {name: graph_distance_set_oracle(E, g, budget=50) for name, g in _DS_PATTERNS.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph_distance_set built an n x n array")
+
+    monkeypatch.setattr(ffgeom, "pairwise_norms", refuse)
+    monkeypatch.setattr(ffgeom, "distance_graph", refuse)
+    monkeypatch.setattr(Graph, "from_bool_matrix", refuse)
+    for name, g in _DS_PATTERNS.items():
+        assert _distance_set_key(graph_distance_set(E, g, budget=50)) == _distance_set_key(expected[name])
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+@pytest.mark.parametrize(
+    "pattern", [Graph(0), Graph(1), Graph(2), complete_graph(2)], ids=["empty-0", "empty-1", "empty-2", "K2"]
+)
+def test_graph_distance_set_tiny_sets(f5, size, pattern):
+    E = random_subset(f5, 2, size, seed=size)
+    assert _distance_set_key(graph_distance_set(E, pattern)) == _distance_set_key(
+        graph_distance_set_oracle(E, pattern)
+    )
+
+
+def test_graph_distance_set_memory_is_blocks_and_degrees(monkeypatch):
+    # All of F_49^2: the norm matrix alone would take 4 n^2 bytes (22 MiB).
+    spec = make_field(7, 2)
+    E = all_points(spec, 2)
+    n = len(E)
+    spec.add_table, spec.sub_table, spec.square_table  # built before tracing
+    monkeypatch.setattr(ffgeom, "_CHUNK", 64 * n * 2)
+    tracemalloc.start()
+    try:
+        ds = graph_distance_set(E, cycle_graph(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.covers_all_nonzero
+    assert peak < n * n
