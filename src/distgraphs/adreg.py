@@ -10,20 +10,28 @@ requested).  Threshold comparisons against epsilon-scaled radii carry a
 2^-40 relative guard band so re-verification with independently computed
 distances cannot flap across the boundary.
 
-Nets, net checks and annulus counts query a cell grid over the points
-(cells of side the query's scale, each with the exact bounding box of its
-points) rather than scanning the whole cloud per center.  The grid only
-filters: it returns a superset of the points whose distance could fall in
-the query's range, and the same distance predicate as a whole-cloud scan
-then decides every candidate, so results are identical to that scan's,
-ties at the boundaries included.
+The cloud is a product A^d of one sorted axis A, listed in lexicographic
+order, so a row (the |A| points sharing their first d - 1 coordinates; a
+1-D cloud is one row) is a run of consecutive indices whose last
+coordinates are A in order.  A ball of radius r around c meets a row
+whose first d - 1 coordinates lie at distance g from c's in the a with
+|a - c_last| <= sqrt(r^2 - g^2), one interval of A that binary search
+finds, and rows with g > r not at all.  No query is decided on these
+intervals alone.  They are taken for radii moved by a rounding slack of
+2^-30 times the radius plus the coordinate scale, which dwarfs the
+rounding of any distance computed from these coordinates, and every
+point they leave in doubt gets the same distance predicate as a
+whole-cloud scan, so results are identical to that scan's, ties at the
+boundaries included.  Nets and net checks take each center's candidates
+from the intervals for r + slack.
 
 `annulus_stats` takes a whole grid of t values at one epsilon in one
-pass: one cell grid, and one shell query per center over
-[min t, max t + epsilon], a superset of every annulus in the grid.  Each
-t's count is then read off that center's sorted candidate distances as
+pass over the centers, and reads each t's count as
 #{d <= t + epsilon} - #{d <= t}, which is exactly the number with
-t < d <= t + epsilon; a single t is a one-element grid.
+t < d <= t + epsilon; a single t is a one-element grid.  Each
+#{d <= r} is summed over the rows: a row's points within its interval
+for r - slack are counted unseen, those outside its interval for
+r + slack are not, and only the few in between are evaluated.
 
 A net carries its scale epsilon, and the approximate distance graph,
 the approximation search and the edge-count fit read epsilon from the
@@ -33,7 +41,7 @@ of the net's own scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, log
 from typing import Optional, Sequence
@@ -90,18 +98,45 @@ class FractalSpec:
 @dataclass(frozen=True)
 class PointCloud:
     """Finite surrogate for an s-regular probability measure: uniform
-    mass on distinct cell centers inside [0,1]^d."""
+    mass on the |A|^d points of the product A^d of a sorted axis A.
 
-    points: np.ndarray  # (n, d) float64, fixed construction order
-    mass_denominator: int  # each point carries mass 1/mass_denominator
+    `points` lists them in lexicographic order (first coordinate
+    slowest), read-only; `axis` is a read-only copy of A, which must be
+    1-D, nonempty, finite and strictly increasing, and d must be >= 1."""
+
+    axis: np.ndarray  # (m,) float64
+    d: int
+    points: np.ndarray = field(init=False, repr=False)  # (m^d, d) float64
+
+    def __post_init__(self):
+        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 1:
+            raise ConfigError(f"cloud dimension must be an integer >= 1, got {self.d!r}")
+        try:
+            axis = np.array(self.axis, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"cloud axis must be an array of numbers: {exc}") from None
+        if axis.ndim != 1 or not axis.size:
+            raise ConfigError(f"cloud axis must be a nonempty 1-D array, got shape {axis.shape}")
+        if not np.isfinite(axis).all():
+            raise ConfigError("cloud axis must be finite")
+        if np.any(axis[1:] <= axis[:-1]):
+            raise ConfigError("cloud axis must be strictly increasing")
+        axis.setflags(write=False)
+        grids = np.meshgrid(*([axis] * self.d), indexing="ij")
+        pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+        pts.setflags(write=False)
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "points", pts)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
     @property
-    def d(self) -> int:
-        return self.points.shape[1]
+    def mass_denominator(self) -> int:
+        """Each point carries mass 1/mass_denominator = 1/|A|^d."""
+        return len(self.axis) ** self.d
 
     @property
     def unit_mass(self) -> Fraction:
@@ -146,50 +181,79 @@ def cantor_product(spec: FractalSpec) -> PointCloud:
     """Centers of all depth-n cells of the d-fold Cantor product, in
     lexicographic order (first axis slowest), uniform weights."""
     check_cloud(spec)
-    axis = _cantor_centers(spec.contraction, spec.depth)
-    grids = np.meshgrid(*([axis] * spec.d), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    pts.setflags(write=False)
-    return PointCloud(pts, 1 << (spec.depth * spec.d))
+    return PointCloud(_cantor_centers(spec.contraction, spec.depth), spec.d)
 
 
-# -- candidate filter ------------------------------------------------------
+# -- ball queries on the product structure ---------------------------------
 
 
-class _CellGrid:
-    """Candidate filter for distance queries: the points sorted into
-    cubes of side `h` by floored coordinates, each cell keeping the exact
-    bounding box of its points.  The grid never decides a predicate; it
-    only rules out cells that lie wholly outside a query's radii."""
+def _check_centers(cloud: PointCloud, centers) -> np.ndarray:
+    """The centers as a finite (k, d) float array, or a config error."""
+    try:
+        c = np.asarray(centers, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"centers must be a finite (k, {cloud.d}) array: {exc}") from None
+    if c.ndim != 2 or c.shape[1] != cloud.d:
+        raise ConfigError(f"centers must be a finite (k, {cloud.d}) array, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ConfigError("centers must be finite")
+    return c
 
-    def __init__(self, points: np.ndarray, h: float):
-        n = len(points)
-        keys = np.floor(points / h)
-        self.order = np.lexsort(keys.T[::-1])
-        keys = keys[self.order]
-        self.starts = np.flatnonzero(np.concatenate(([n > 0], np.any(keys[1:] != keys[:-1], axis=1))))
-        self.counts = np.diff(np.append(self.starts, n))
-        ordered = points[self.order]
-        self.lo = np.minimum.reduceat(ordered, self.starts, axis=0)
-        self.hi = np.maximum.reduceat(ordered, self.starts, axis=0)
-        self.scale = float(np.abs(points).max(initial=0.0))
 
-    def shell(self, c: np.ndarray, r_lo: float, r_hi: float) -> np.ndarray:
-        """Indices (into the grid's points) of every point whose distance
-        to `c` could lie in [r_lo, r_hi].  The slack of 2^-30 times the
-        radius plus the coordinate scale dwarfs the rounding of any
-        distance computed from these coordinates, so the result is a
-        superset of the points any exact predicate on that range keeps."""
-        slack = 2.0**-30 * (r_hi + self.scale + float(np.abs(c).max()))
-        gap = np.maximum(self.lo - c, 0.0) + np.maximum(c - self.hi, 0.0)
-        keep = np.sqrt(np.einsum("ij,ij->i", gap, gap)) <= r_hi + slack
-        if r_lo > slack:
-            span = np.maximum(np.abs(c - self.lo), np.abs(self.hi - c))
-            keep &= np.sqrt(np.einsum("ij,ij->i", span, span)) >= r_lo - slack
-        cells = np.flatnonzero(keep)
-        counts = self.counts[cells]
-        first = np.repeat(self.starts[cells] - (np.cumsum(counts) - counts), counts)
-        return self.order[np.arange(len(first)) + first]
+def _slack(cloud: PointCloud, c: np.ndarray, r: float) -> float:
+    """Rounding slack for radii up to r around c (see the module docstring)."""
+    return 2.0**-30 * (r + float(np.abs(cloud.axis[[0, -1]]).max()) + float(np.abs(c).max()))
+
+
+def _row_gaps(cloud: PointCloud, c: np.ndarray) -> np.ndarray:
+    """Squared distance from c's first d - 1 coordinates to each row's."""
+    delta = cloud.points[:: len(cloud.axis), :-1] - c[:-1]
+    return np.einsum("ij,ij->i", delta, delta)
+
+
+def _reach(room: np.ndarray) -> np.ndarray:
+    """sqrt(room), the half-width of a row's interval, or -1 (no point)
+    where room < 0."""
+    return np.where(room >= 0.0, np.sqrt(np.maximum(room, 0.0)), -1.0)
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [s, s + k) for each start s and length k, concatenated."""
+    first = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return np.arange(len(first)) + first
+
+
+def _ball(cloud: PointCloud, c: np.ndarray, r: float) -> np.ndarray:
+    """Indices of a superset of the points whose distance to c, however
+    rounded, is at most r: each row's interval for radius r + slack,
+    widened by the slack again for the rounding of its ends."""
+    slack = _slack(cloud, c, r)
+    reach = _reach((r + slack) ** 2 - _row_gaps(cloud, c))
+    rows = np.flatnonzero(reach >= 0.0)
+    lo = np.searchsorted(cloud.axis, c[-1] - reach[rows] - slack, side="left")
+    hi = np.searchsorted(cloud.axis, c[-1] + reach[rows] + slack, side="right")
+    return _runs(rows * len(cloud.axis) + lo, hi - lo)
+
+
+def _within(cloud: PointCloud, c: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """#{p : np.linalg.norm(p - c) <= r} for each r of radii.  Per row and
+    radius, a point whose last coordinate lies within the half-width for
+    r - slack of c_last is counted unseen, and one outside that for
+    r + slack is not; only the points in between are evaluated.  The
+    offsets |a - c_last| and the half-widths carry only relative rounding,
+    which the slack dwarfs."""
+    slack = _slack(cloud, c, float(radii.max()))
+    gaps = _row_gaps(cloud, c)[:, None]
+    offsets = np.abs(cloud.axis - c[-1])
+    order = np.argsort(offsets)
+    offsets = offsets[order]
+    lo = np.searchsorted(offsets, _reach(np.maximum(radii - slack, 0.0) ** 2 - gaps), side="left")  # (rows, radii)
+    hi = np.searchsorted(offsets, _reach((radii + slack) ** 2 - gaps), side="right")
+    band = (hi - lo).ravel()
+    row, k = np.divmod(np.repeat(np.arange(band.size), band), len(radii))
+    idx = row * len(cloud.axis) + order[_runs(lo.ravel(), band)]
+    dist = np.linalg.norm(cloud.points[idx] - c, axis=1)
+    return lo.sum(axis=0) + np.bincount(k[dist <= radii[k]], minlength=len(radii))
 
 
 # -- greedy separated nets -------------------------------------------------
@@ -223,28 +287,27 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> Net:
     uncovered point (in cloud order) as a center and cover everything
     within 3 epsilon of it."""
     r_cov = _cover_radius(epsilon)
-    pts, n = cloud.points, cloud.n
+    pts = cloud.points
     r2 = r_cov * r_cov
-    grid = _CellGrid(pts, r_cov)
-    covered = np.zeros(n, dtype=bool)
+    uncovered = np.ones(cloud.n, dtype=bool)
     chosen = []
     i = 0
-    while i < n:
+    while uncovered[i]:
         chosen.append(i)
-        covered[i] = True
-        near = grid.shell(pts[i], 0.0, r_cov)
+        uncovered[i] = False
+        near = _ball(cloud, pts[i], r_cov)
         delta = pts[near] - pts[i]
-        covered[near[np.einsum("ij,ij->i", delta, delta) <= r2]] = True
-        while i < n and covered[i]:
-            i += 1
+        uncovered[near[np.einsum("ij,ij->i", delta, delta) <= r2]] = False
+        i += int(np.argmax(uncovered[i:]))  # the first uncovered point, or i itself if none is left
     idx = np.array(chosen, dtype=np.int64)
     return Net(idx, pts[idx].copy(), epsilon)
 
 
 def verify_net(cloud: PointCloud, net: Net) -> bool:
     """Independent validity check: pairwise separation > 3 epsilon and
-    3 epsilon coverage, under the documented guard band."""
-    c = net.centers
+    3 epsilon coverage, under the documented guard band.  Centers that
+    are not a finite (k, d) array are a config error."""
+    c = _check_centers(cloud, net.centers)
     sep2 = (3.0 * net.epsilon * (1.0 - GUARD)) ** 2
     for i in range(net.size):
         delta = c[i + 1 :] - c[i]
@@ -252,10 +315,9 @@ def verify_net(cloud: PointCloud, net: Net) -> bool:
             return False
     r_cov = _cover_radius(net.epsilon)
     cov2 = r_cov**2
-    grid = _CellGrid(cloud.points, r_cov)
     covered = np.zeros(cloud.n, dtype=bool)
     for center in c:
-        near = grid.shell(center, 0.0, r_cov)
+        near = _ball(cloud, center, r_cov)
         covered[near[((cloud.points[near] - center) ** 2).sum(axis=1) <= cov2]] = True
     return bool(covered.all())
 
@@ -286,19 +348,18 @@ def annulus_stats(
     epsilon: float,
     band: tuple[float, float] = DEFAULT_BAND,
 ) -> list[AnnulusStats]:
-    """One AnnulusStats per t of `ts`, in order, from one pass over the centers."""
+    """One AnnulusStats per t of `ts`, in order, from one pass over the
+    centers, which must be a finite (k, d) array."""
     for t in ts:
         if not (t > 0.0 and epsilon > 0.0 and isfinite(t + epsilon)):
             raise ConfigError(f"t and epsilon must be positive and finite, got {t}, {epsilon}")
+    centers = _check_centers(cloud, centers)
     if not len(ts):
         return []
-    centers = np.asarray(centers, dtype=float)
     radii = np.ravel([(t, t + epsilon) for t in ts])  # t_0, t_0 + epsilon, t_1, t_1 + epsilon, ...
     counts = np.empty((len(ts), len(centers)), dtype=np.int64)
-    grid = _CellGrid(cloud.points, epsilon)
     for i, c in enumerate(centers):
-        dist = np.linalg.norm(cloud.points[grid.shell(c, min(ts), max(ts) + epsilon)] - c, axis=1)
-        within = np.searchsorted(np.sort(dist), radii, side="right")  # #{dist <= r} per radius r
+        within = _within(cloud, c, radii)  # #{dist <= r} per radius r
         counts[:, i] = within[1::2] - within[::2]
     masses = counts / float(cloud.mass_denominator)
     in_band = (masses >= band[0] * epsilon) & (masses <= band[1] * epsilon)

@@ -76,6 +76,43 @@ def test_cloud_points_distinct_and_inside_unit_cube():
     assert cloud.points.min() >= 0.0 and cloud.points.max() <= 1.0
 
 
+def test_point_cloud_is_a_read_only_product():
+    given_axis = np.array([0.0, 0.25, 1.0])
+    cloud = PointCloud(given_axis, 2)
+    given_axis[0] = -1.0  # the cloud keeps its own copy
+    assert np.array_equal(cloud.axis, [0.0, 0.25, 1.0])
+    assert cloud.d == 2 and cloud.n == 9 and cloud.mass_denominator == 9
+    assert np.array_equal(cloud.points[:4], [[0.0, 0.0], [0.0, 0.25], [0.0, 1.0], [0.25, 0.0]])
+    assert not cloud.axis.flags.writeable and not cloud.points.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "axis, d",
+    [([[0.0, 0.5], [0.25, 1.0]], 2), (0.5, 1), ([], 2), ([0.0, float("nan")], 2), ([0.0, float("inf")], 1),
+     ([0.0, 0.5, 0.5], 2), ([1.0, 0.0], 2), ([0.0, 1.0], 0), ([0.0, 1.0], -1), ([0.0, 1.0], 1.5),
+     (["a", "b"], 1)],
+    ids=["2-D", "scalar", "empty", "nan", "inf", "repeated", "decreasing", "d0", "d-1", "d-float", "strings"],
+)
+def test_point_cloud_rejects_a_bad_axis_or_dimension(axis, d):
+    with pytest.raises(ConfigError):
+        PointCloud(axis, d)
+
+
+@pytest.mark.parametrize(
+    "centers",
+    [[[0.5]], [0.5, 0.5], [[0.5, float("nan")]], [[0.5, float("inf")]], [[0.5, 0.5, 0.5]], [["a", "b"]]],
+    ids=["narrow", "1-D", "nan", "inf", "wide", "strings"],
+)
+def test_kernels_reject_malformed_centers(centers):
+    # Each of these used to be broadcast against the 2-D cloud into a count.
+    cloud = cantor_product(FractalSpec(2, 0.45, 4))
+    with pytest.raises(ConfigError):
+        annulus_stats(cloud, centers, [0.3], 0.1)
+    net = greedy_net(cloud, 0.1)
+    with pytest.raises(ConfigError):
+        verify_net(cloud, dataclasses.replace(net, centers=centers))
+
+
 def test_greedy_net_extremes():
     cloud = cantor_product(FractalSpec(1, 1 / 3, 5))
     one = greedy_net(cloud, cloud.diameter())
@@ -254,7 +291,7 @@ def test_cloud_csv_export(tmp_path):
     assert len(lines) == cloud.n + 1
 
 
-# -- grid-filtered kernels against the whole-cloud oracles -----------------
+# -- product kernels against the whole-cloud oracles ----------------------
 
 
 def _min_gap(points: np.ndarray) -> float:
@@ -262,7 +299,7 @@ def _min_gap(points: np.ndarray) -> float:
     return float(np.sqrt(d2[d2 > 0].min()))
 
 
-def _assert_matches_oracles(cloud: PointCloud, epsilon: float, ts) -> None:
+def _assert_matches_oracles(cloud: PointCloud, epsilon: float, ts, off_cloud=None) -> None:
     net = greedy_net(cloud, epsilon)
     assert np.array_equal(net.center_indices, greedy_net_oracle(cloud.points, epsilon))
     assert verify_net(cloud, net) == verify_net_oracle(cloud.points, net.centers, epsilon) is True
@@ -272,6 +309,9 @@ def _assert_matches_oracles(cloud: PointCloud, epsilon: float, ts) -> None:
     for t, stats, every in zip(ts, on_net, on_every_point):
         assert np.array_equal(stats.counts, annulus_counts_oracle(cloud.points, net.centers, t, epsilon))
         assert np.array_equal(every.counts, annulus_counts_oracle(cloud.points, cloud.points, t, epsilon))
+    if off_cloud is not None:
+        for t, stats in zip(ts, annulus_stats(cloud, off_cloud, ts, epsilon)):
+            assert np.array_equal(stats.counts, annulus_counts_oracle(cloud.points, off_cloud, t, epsilon))
 
 
 @pytest.mark.parametrize(
@@ -284,11 +324,22 @@ def test_grid_kernels_match_oracles_on_cantor_clouds(spec):
     # Scales from below the smallest gap (every point its own center) to
     # above the diameter (one center); t = 1 - lambda is the distance of
     # the two first-level cells, so each center has points at exactly t.
-    # The t grid is unsorted and repeats 0.3.
+    # The t grid is unsorted and repeats 0.3.  The off-cloud centers are
+    # every fifth cloud point moved half the smallest gap along each axis,
+    # and the center of the unit cube.
     cloud = cantor_product(spec)
     gap, diam = _min_gap(cloud.points), cloud.diameter()
+    off_cloud = np.vstack([cloud.points[::5] + gap / 2, np.full((1, spec.d), 0.5)])
     for eps in (gap / 7, gap / 3, 2.0**-5, 2.0**-3, diam / 3, diam * 1.5):
-        _assert_matches_oracles(cloud, eps, (1.0 - spec.contraction, gap, 0.3, eps, abs(diam - eps), 0.3))
+        _assert_matches_oracles(cloud, eps, (1.0 - spec.contraction, gap, 0.3, eps, abs(diam - eps), 0.3), off_cloud)
+
+
+def _random_axis(rng: np.random.Generator, m: int, lattice, offset: float) -> np.ndarray:
+    """A strictly increasing axis of at most m values in [offset, offset + 1):
+    distinct multiples of 1/lattice, or uniform draws."""
+    if lattice:
+        return np.sort(rng.choice(lattice, size=min(m, lattice), replace=False)) / lattice + offset
+    return np.unique(rng.random(m) + offset)
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,24 +352,27 @@ def test_grid_kernels_match_oracles_on_cantor_clouds(spec):
     st.floats(0.001, 2.0),
     st.floats(0.01, 1.5),
 )
-def test_grid_kernels_match_oracles_on_random_clouds(seed, d, n, lattice, offset, epsilon, t):
-    # Lattice clouds repeat points and put many pairs at exactly equal
-    # distances, with t and t + epsilon among them (all dyadic); the
-    # offsets move the coordinate scale.  The t grid repeats t.
+def test_grid_kernels_match_oracles_on_random_clouds(seed, d, m, lattice, offset, epsilon, t):
+    # Random product clouds of up to about 120 points.  Lattice axes put many
+    # pairs at exactly equal distances, with t and t + epsilon among them
+    # (all dyadic), and lattice centers off the cloud tie with cloud
+    # points too; the offsets move the coordinate scale.  The t grid
+    # repeats t.
     rng = np.random.default_rng(seed)
-    pts = rng.random((n, d))
+    axis = _random_axis(rng, 1 + (m - 1) % round(120 ** (1 / d)), lattice, offset)
+    off_cloud = rng.random((6, d)) * 1.25 - 0.125
     if lattice:
-        pts = np.floor(pts * lattice) / lattice
+        off_cloud = np.floor(off_cloud * lattice) / lattice
         epsilon, t = (max(1, round(v * lattice)) / lattice for v in (epsilon, t))
-    cloud = PointCloud(pts + offset, n)
-    _assert_matches_oracles(cloud, epsilon, (t, 3.0 * epsilon, 1.0 / (lattice or 8), t))
+    cloud = PointCloud(axis, d)
+    _assert_matches_oracles(cloud, epsilon, (t, 3.0 * epsilon, 1.0 / (lattice or 8), t), off_cloud + offset)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 3), st.floats(0.02, 0.2), st.floats(0.0, 0.999))
 def test_verify_net_matches_oracle_on_corrupted_nets(seed, d, epsilon, shrink):
     rng = np.random.default_rng(seed)
-    cloud = PointCloud(rng.random((150, d)), 150)
+    cloud = PointCloud(_random_axis(rng, {1: 150, 2: 12, 3: 5}[d], None, 0.0), d)
     net = greedy_net(cloud, epsilon)
     assert verify_net(cloud, net)
     # One center dropped: coverage may or may not survive.
@@ -343,3 +397,13 @@ def test_verify_net_matches_oracle_on_corrupted_nets(seed, d, epsilon, shrink):
         net, center_indices=np.append(net.center_indices, i), centers=np.vstack([net.centers, cloud.points[i]])
     )
     assert verify_net(cloud, extra) is verify_net_oracle(cloud.points, extra.centers, epsilon) is False
+
+
+@pytest.mark.parametrize("offset", [0.0, -1.7])
+def test_product_kernels_match_oracles_at_rounded_ties(offset):
+    # On multiples of 1/13, pairs such as (3/13, 4/13) apart lie at 5/13
+    # in exact arithmetic, and their float distance rounds to either side
+    # of the float radius: only the evaluated slack bands get these right.
+    cloud = PointCloud(np.arange(7) / 13 + offset, 2)
+    for k in (1, 2, 5):
+        _assert_matches_oracles(cloud, k / 13, [j / 13 for j in range(1, 9)], cloud.points[::3] + 0.5 / 13)

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,22 +178,39 @@ def _adreg_scales_rows() -> list[dict]:
     return sweep.worker(inst)
 
 
-def test_adreg_scan_builds_one_grid_per_annulus_scan(monkeypatch):
-    # Per scale one grid for the greedy net and one for its check; every
-    # scale but the middle one gets one for its band statistics at the best
-    # t, and the whole t scan at the middle scale shares one more.
-    built = []
+def test_adreg_scan_runs_one_annulus_pass_per_scale(monkeypatch):
+    # The whole t scan at the middle scale is one call, which also serves
+    # that scale's band statistics; every other scale gets one call at the
+    # best t.  461 center queries in all: one per net center of the two
+    # outer scales and of the middle one.
+    calls = []
+    annulus_stats = adreg.annulus_stats
 
-    class CountingGrid(adreg._CellGrid):
-        def __init__(self, points, h):
-            built.append(h)
-            super().__init__(points, h)
+    def counting(cloud, centers, ts, epsilon, band=adreg.DEFAULT_BAND):
+        calls.append((len(ts), len(centers)))
+        return annulus_stats(cloud, centers, ts, epsilon, band)
 
-    monkeypatch.setattr(adreg, "_CellGrid", CountingGrid)
+    monkeypatch.setattr(adreg, "annulus_stats", counting)
     rows = _adreg_scales_rows()
-    eps = ADREG_SCALES_EPS
-    assert len(built) == 2 * len(eps) + (len(eps) - 1) + 1 == 9
+    assert sorted(n_ts for n_ts, _ in calls) == [1, 1, len(ADREG_SCALES["t_grid"])]
+    assert sum(n_centers for _, n_centers in calls) == 461
     assert sum(r["record"] == "annulus" for r in rows) == 9
+
+
+def test_adreg_scan_t_scan_memory_is_per_center():
+    # The middle scale's t scan keeps only per-center (rows x radii)
+    # temporaries and nothing sized by the 65,536-point cloud, so its
+    # tracemalloc peak stays under 2 MiB.
+    cloud = adreg.cantor_product(adreg.FractalSpec(2, 0.45, 8))
+    centers = adreg.greedy_net(cloud, 2.0**-5).centers
+    adreg.annulus_stats(cloud, centers[:1], ADREG_SCALES["t_grid"], 2.0**-5)  # lazy imports on a first call
+    tracemalloc.start()
+    try:
+        adreg.annulus_stats(cloud, centers, ADREG_SCALES["t_grid"], 2.0**-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_adreg_scan_scaling_band_statistics_match_oracles():
