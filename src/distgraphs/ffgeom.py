@@ -12,10 +12,16 @@ gather per coordinate summed through the addition table, with no
 integer arithmetic.
 
 The G-distance set never holds an n x n array.  Its (n, q) degree
-table deg[i, t] = #{j != i : ||x_i - x_j|| = t} takes one bincount per
-block of pairwise norms, and each t's search reads the t-distance graph
-through a host whose bitset row i is packed from the codes the first
-time the search reads it.
+table deg[i, t] = #{j != i : ||x_i - x_j|| = t} takes one of two paths,
+chosen from n, d and q by comparing cell counts.  A dense set, with
+n^2 d >= 8 q^(d+1) + 2^16, takes the Fourier picture again: column t is
+the convolution 1_E * 1_{S_t} with the sphere S_t = {v : ||v|| = t},
+read at the points of E, from the q sphere indicators' transforms over
+Z_p^{dk} times that of 1_E.  Every entry is an integer in [0, n), so it
+rounds under the same guard as the histogram below, and each row must
+sum to n - 1.  Other sets take one bincount per block of pairwise norms.
+Each t's search reads the t-distance graph through a host whose bitset
+row i is packed from the codes the first time the search reads it.
 
 The distance histogram takes one of two paths, chosen from |E| alone.
 When |E|^2 >= 4 q^d it is the Fourier picture of the count: F_q^d is
@@ -24,11 +30,12 @@ x - y = v} is one real FFT pair of the indicator 1_E, and nu(t) sums
 r over the sphere ||v|| = t.  Every r(v) is an integer in [0, |E|], so
 rounding the transform's output recovers it exactly as long as the
 floating-point error stays below 1/2; the rounding guard raises
-InexactTransform if any residual exceeds 1/4, if r(0) != |E|, or if the
-mass is not |E|^2, and the counts are then summed in int64.  Smaller
-sets, such as sparse samples of a large space, take the O(|E|^2 d)
-pairwise-norm kernel instead of a transform over all q^d vectors.
-Floats appear elsewhere only in report slack columns.
+InexactTransform if any residual exceeds 1/4, if any count is negative,
+if r(0) != |E|, or if the mass is not |E|^2, and the counts are then
+summed in int64.  Smaller sets, such as sparse samples of a large
+space, take the O(|E|^2 d) pairwise-norm kernel instead of a transform
+over all q^d vectors.  Floats appear elsewhere only in report slack
+columns.
 """
 
 from __future__ import annotations
@@ -59,7 +66,15 @@ ENV_MAX_POINTS = "DISTGRAPHS_MAX_POINTS"
 # Sampled point indices are drawn and kept as int64, so q^d stays below 2^63.
 MAX_SAMPLE_SPACE = 1 << 63
 
-_CHUNK = 1 << 22  # target cells per pairwise block
+_CHUNK = 1 << 22  # target cells per pairwise block or batch of sphere transforms
+# Float cells per grid cell that a batch of sphere transforms holds at
+# once: the indicators, the spectra, their products and the inverse's
+# output and work arrays (measured 6 to 8).
+_SPHERE_CELLS = 8
+# The sphere transforms' fixed cost, about a dozen small numpy FFT calls
+# (0.15 to 0.3 ms), in norm-block cells: below it the blocks are cheaper
+# whatever q and d are.
+_TRANSFORM_SETUP_CELLS = 1 << 16
 
 
 def max_point_count() -> int:
@@ -281,26 +296,41 @@ def _all_norms(spec: FieldSpec, d: int) -> np.ndarray:
     return acc.ravel()
 
 
-def _autocorrelation(E: PointSet) -> np.ndarray:
-    """r(v) = #{(x, y) in E^2 : x - y = v} for every v of F_q^d, in
-    lexicographic order, from one real FFT pair of 1_E over Z_p^{dk}.
+def _exact_counts(approx: np.ndarray, what: str) -> np.ndarray:
+    """The int64 counts a transform's float output approximates.  Counts
+    are integers, so rounding recovers them exactly as long as the
+    floating-point error stays below 1/2: InexactTransform if any
+    residual exceeds 1/4 or any rounded count is negative."""
+    counts = np.rint(approx)
+    residual = float(np.abs(approx - counts).max())
+    if residual > 0.25:
+        raise InexactTransform(f"{what} residual {residual:.3g} exceeds 1/4")
+    if counts.min() < 0:
+        raise InexactTransform(f"{what} has a negative count")
+    return counts.astype(np.int64)
 
-    Each axis of size p is one base-p coefficient digit of one
-    coordinate, and addition in F_q^d is digit-wise mod p, so the
-    autocorrelation is the cyclic one of the (p,) * dk array."""
-    spec, n = E.spec, len(E)
+
+def _digit_grid(E: PointSet) -> tuple[tuple[int, ...], np.ndarray]:
+    """The (p,) * dk shape of F_q^d as Z_p^{dk}, and the indicator 1_E
+    over it.  Each axis of size p is one base-p coefficient digit of one
+    coordinate, and addition in F_q^d is digit-wise mod p, so sums and
+    differences of vectors are cyclic ones on this grid."""
+    spec = E.spec
     shape = (spec.p,) * (E.d * spec.k)
-    axes = tuple(range(len(shape)))
     indicator = np.zeros(spec.q**E.d)
     indicator[_flat_index(E)] = 1.0
-    spectrum = np.fft.rfftn(indicator.reshape(shape), axes=axes)
+    return shape, indicator.reshape(shape)
+
+
+def _autocorrelation(E: PointSet) -> np.ndarray:
+    """r(v) = #{(x, y) in E^2 : x - y = v} for every v of F_q^d, in
+    lexicographic order, from one real FFT pair of 1_E over Z_p^{dk}."""
+    n = len(E)
+    shape, indicator = _digit_grid(E)
+    axes = tuple(range(len(shape)))
+    spectrum = np.fft.rfftn(indicator, axes=axes)
     power = spectrum.real**2 + spectrum.imag**2
-    approx = np.fft.irfftn(power, s=shape, axes=axes).ravel()
-    r = np.rint(approx)
-    residual = float(np.abs(approx - r).max())
-    if residual > 0.25:
-        raise InexactTransform(f"autocorrelation residual {residual:.3g} exceeds 1/4")
-    r = r.astype(np.int64)
+    r = _exact_counts(np.fft.irfftn(power, s=shape, axes=axes).ravel(), "autocorrelation")
     if r[0] != n:
         raise InexactTransform(f"autocorrelation has r(0) = {r[0]} for |E| = {n}")
     if int(r.sum()) != n * n:
@@ -416,14 +446,60 @@ class GraphDistanceSet:
 
 
 def _degree_table(E: PointSet) -> np.ndarray:
-    """(n, q) int64 table deg[i, t] = #{j != i : ||x_i - x_j|| = t}, from
-    one bincount per norm block over (row - block start) * q + norm."""
+    """(n, q) int64 table deg[i, t] = #{j != i : ||x_i - x_j|| = t}.
+
+    The path is chosen from n, d and q alone, by comparing cell counts:
+    the norm blocks touch n^2 d cells, the sphere convolutions about
+    8 q^(d+1) plus a fixed _TRANSFORM_SETUP_CELLS.  A set with
+    n^2 d >= 8 q^(d+1) + _TRANSFORM_SETUP_CELLS takes the transforms
+    when one sphere's intermediates, _SPHERE_CELLS q^d float cells, fit
+    in a _CHUNK; every other set, such as a sparse sample of a large
+    space, takes the blocks."""
+    n, q, d = len(E), E.spec.q, E.d
+    if _SPHERE_CELLS * q**d <= _CHUNK and n * n * d >= 8 * q ** (d + 1) + _TRANSFORM_SETUP_CELLS:
+        return _sphere_degree_table(E)
+    return _block_degree_table(E)
+
+
+def _block_degree_table(E: PointSet) -> np.ndarray:
+    """The degree table from one bincount per norm block over
+    (row - block start) * q + norm."""
     n, q = len(E), E.spec.q
     deg = np.empty((n, q), dtype=np.int64)
     for rows, block in _norm_blocks(E):
         offsets = np.arange(rows.stop - rows.start, dtype=np.int64)[:, None] * q
         deg[rows] = np.bincount((offsets + block).ravel(), minlength=offsets.size * q).reshape(-1, q)
     deg[:, 0] -= 1  # the diagonal, ||x_i - x_i|| = 0
+    return deg
+
+
+def _sphere_degree_table(E: PointSet) -> np.ndarray:
+    """The degree table from sphere convolutions over Z_p^{dk}.
+
+    Column t is 1_E * 1_{S_t}, S_t = {v : ||v|| = t}, read at the points
+    of E: one rfftn of 1_E, then per batch of t the rfftn of the sphere
+    indicators, their products with it, and one batched irfftn.  A batch
+    of b spheres holds about _SPHERE_CELLS * b * q^d float cells, at most
+    a _CHUNK.  Every entry read rounds under the transforms' guard, and
+    each row must sum to n - 1, an exact check for every point."""
+    spec, n, q = E.spec, len(E), E.spec.q
+    shape, indicator = _digit_grid(E)
+    axes = tuple(range(1, len(shape) + 1))
+    spectrum = np.fft.rfftn(indicator)
+    norms = _all_norms(spec, E.d)
+    at = _flat_index(E)
+    deg = np.empty((n, q), dtype=np.int64)
+    step = max(1, _CHUNK // (_SPHERE_CELLS * norms.size))
+    for lo in range(0, q, step):
+        ts = np.arange(lo, min(lo + step, q), dtype=norms.dtype)
+        spheres = (norms == ts[:, None]).reshape((len(ts),) + shape)
+        conv = np.fft.irfftn(np.fft.rfftn(spheres, axes=axes) * spectrum, s=shape, axes=axes)
+        deg[:, lo : lo + len(ts)] = _exact_counts(conv.reshape(len(ts), -1)[:, at], "sphere convolution").T
+    deg[:, 0] -= 1  # the diagonal, ||x_i - x_i|| = 0
+    wrong = np.flatnonzero(deg.sum(axis=1) != n - 1)
+    if wrong.size:
+        i = int(wrong[0])
+        raise InexactTransform(f"sphere convolution gives point {i} {int(deg[i].sum())} neighbours, not n - 1 = {n - 1}")
     return deg
 
 
@@ -460,10 +536,11 @@ class _DistanceHost:
 def graph_distance_set(E: PointSet, pattern: Graph, budget: Optional[int] = None) -> GraphDistanceSet:
     """Test every t in F_q for pattern containment in the t-distance
     graph.  No n x n array is built: every degree comes from one (n, q)
-    degree table, and each t's search packs row i of its graph, the
-    points at norm t from x_i, from the codes the first time it reads
-    that row.  The search visits the candidates it would visit in the
-    whole graph, in the same order.
+    degree table, taken from sphere convolutions for a dense set and
+    from norm blocks otherwise (see _degree_table), and each t's search
+    packs row i of its graph, the points at norm t from x_i, from the
+    codes the first time it reads that row.  The search visits the
+    candidates it would visit in the whole graph, in the same order.
 
     A t no pair of E realizes gives an edgeless graph, in which a
     pattern with edges has no candidate vertex, so its search ends

@@ -4,15 +4,19 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distgraphs
 from distgraphs import adreg, experiments
 from distgraphs.cli import main
 from distgraphs.errors import ConfigError
@@ -278,6 +282,17 @@ def test_cli_graph_distance_set(tmp_path, capsys):
         "--graph", "C8", "--require-coverage",
     ])
     assert code == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    # The child imports the same package as this process, installed or not.
+    root = str(Path(distgraphs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    argv = ["graph-distance-set", "--p", "5", "--d", "2", "--graph", "C4", "--budget", "-1"]
+    proc = subprocess.run([sys.executable, "-m", "distgraphs", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_cli_graph_file_and_points_file(tmp_path, capsys):

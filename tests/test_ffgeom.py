@@ -546,17 +546,28 @@ def test_graph_distance_set_matches_whole_graph_oracle(pk, d, size, name, budget
 
 @pytest.mark.parametrize(
     "pk, d, size, rows_per_block",
-    [((3, 1), 2, 9, 1), ((5, 1), 3, 60, 7), ((3, 2), 2, 40, 3), ((7, 2), 2, 300, 64), ((13, 1), 3, 200, 1000)],
+    [
+        ((3, 1), 2, 9, 1),
+        ((5, 1), 3, 60, 7),
+        ((3, 2), 2, 40, 3),
+        ((7, 2), 2, 300, 64),
+        ((13, 1), 3, 200, 1000),
+        # all of F_7^3 and F_5^4, which _degree_table sends to the transforms
+        ((7, 1), 3, 343, 5),
+        ((5, 1), 4, 625, 100),
+    ],
 )
 def test_degree_table_matches_whole_graphs(monkeypatch, pk, d, size, rows_per_block):
     spec = make_field(*pk)
     E = random_subset(spec, d, size, seed=size)
-    # blocks of `rows_per_block` rows, so most cases run several blocks
+    # blocks of `rows_per_block` rows, so most cases run several blocks; the
+    # same _CHUNK splits the sphere transforms into batches of fewer t
     monkeypatch.setattr(ffgeom, "_CHUNK", rows_per_block * size * d)
-    deg = ffgeom._degree_table(E)
-    assert deg.shape == (size, spec.q)
-    for t in range(spec.q):
-        assert deg[:, t].tolist() == distance_graph(E, t).degrees()
+    degrees = [distance_graph(E, t).degrees() for t in range(spec.q)]
+    for path in (ffgeom._block_degree_table, ffgeom._sphere_degree_table, ffgeom._degree_table):
+        deg = path(E)
+        assert deg.shape == (size, spec.q)
+        assert deg.T.tolist() == degrees
 
 
 def test_graph_distance_set_builds_no_whole_graph(monkeypatch):
@@ -584,18 +595,181 @@ def test_graph_distance_set_tiny_sets(f5, size, pattern):
     )
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the degree table took the other path")
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_graph_distance_set_memory_is_blocks_and_degrees(monkeypatch):
-    # All of F_49^2: the norm matrix alone would take 4 n^2 bytes (22 MiB).
+    # 1031 points of F_25^3, the largest set there below the transforms'
+    # rule: the norm matrix alone would take 4 n^2 bytes (4.3 MiB).  In
+    # F_49^2 no set below the rule has n^2 above the 16 n q bytes of the
+    # degree table and its per-t lists, so that plane cannot show it.
+    spec = make_field(5, 2)
+    E = random_subset(spec, 3, 1031, seed=4)
+    n = len(E)
+    spec.add_table, spec.sub_table, spec.square_table  # built before tracing
+    monkeypatch.setattr(ffgeom, "_sphere_degree_table", _refuse)
+    monkeypatch.setattr(ffgeom, "_CHUNK", 8 * n * 3)  # blocks of 8 rows
+    peak = _traced_peak(lambda: graph_distance_set(E, cycle_graph(4)))
+    assert peak < n * n
+
+
+def test_graph_distance_set_memory_is_batched_transforms(monkeypatch):
+    # All of F_49^2 takes the sphere transforms, in batches of 16 spheres
+    # under this _CHUNK: the norm matrix alone would take 4 n^2 bytes.
     spec = make_field(7, 2)
     E = all_points(spec, 2)
     n = len(E)
     spec.add_table, spec.sub_table, spec.square_table  # built before tracing
+    monkeypatch.setattr(ffgeom, "_block_degree_table", _refuse)
     monkeypatch.setattr(ffgeom, "_CHUNK", 64 * n * 2)
-    tracemalloc.start()
-    try:
-        ds = graph_distance_set(E, cycle_graph(4))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ds.covers_all_nonzero
+    result = []
+    peak = _traced_peak(lambda: result.append(graph_distance_set(E, cycle_graph(4))))
+    assert result[0].covers_all_nonzero
     assert peak < n * n
+
+
+# -- the degree table: sphere convolutions against norm blocks ---------------
+
+
+def _sphere_min(q: int, d: int) -> int:
+    """The least n with n^2 d >= 8 q^(d+1) + _TRANSFORM_SETUP_CELLS, where
+    the sphere transforms start."""
+    need = 8 * q ** (d + 1) + ffgeom._TRANSFORM_SETUP_CELLS
+    n = isqrt(-(-need // d))
+    return n if n * n * d >= need else n + 1
+
+
+# Extension degrees 1, 2 and 3 and dimensions 2, 3 and 4, up to 27^3 points.
+_TABLE_SPACES = [
+    (p, k, d)
+    for p, k in [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
+    for d in (2, 3, 4)
+    if (p**k) ** d <= 27**3
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_TABLE_SPACES),
+    st.sampled_from(["one", "below", "at", "full", "any"]),
+    st.integers(1, 7),
+    st.integers(0, 2**32),
+)
+def test_sphere_degree_table_matches_norm_blocks(space, kind, spheres_per_batch, seed):
+    p, k, d = space
+    spec = make_field(p, k)
+    total = spec.q**d
+    first = _sphere_min(spec.q, d)
+    size = {
+        "one": 1,
+        "below": first - 1,
+        "at": first,
+        "full": total if total <= 2401 else first,
+        "any": 1 + seed % 1200,
+    }[kind]
+    E = random_subset(spec, d, min(size, total), seed)
+    expected = ffgeom._block_degree_table(E)
+    rng = np.random.default_rng(seed)
+    shift = Point(spec.from_code(int(c)) for c in rng.integers(spec.q, size=d))
+    with pytest.MonkeyPatch.context() as mp:
+        # batches of `spheres_per_batch` t values, so several batches run
+        mp.setattr(ffgeom, "_CHUNK", spheres_per_batch * ffgeom._SPHERE_CELLS * total)
+        assert np.array_equal(ffgeom._sphere_degree_table(E), expected)
+        assert np.array_equal(ffgeom._sphere_degree_table(E.translate(shift)), expected)
+
+
+@pytest.mark.parametrize(
+    "pk, d, size, seed",
+    [
+        ((7, 2), 2, 2401, 1),  # the threshold sweeps' full spaces
+        ((13, 1), 3, 2197, 2),
+        ((7, 2), 2, 709, 3),  # each side of the rule
+        ((7, 2), 2, 710, 3),
+        ((13, 1), 3, 313, instance_seed(5, 1)),
+        ((13, 1), 3, 314, instance_seed(5, 1)),
+        ((3, 3), 3, 1200, 6),
+        ((3, 2), 4, 1500, 7),
+        ((3, 1), 4, 81, 8),
+    ],
+)
+def test_sphere_degree_table_matches_norm_blocks_on_seeded_sets(pk, d, size, seed):
+    spec = make_field(*pk)
+    E = random_subset(spec, d, size, seed)
+    expected = ffgeom._block_degree_table(E)
+    assert np.array_equal(ffgeom._sphere_degree_table(E), expected)
+    assert np.array_equal(expected.sum(axis=1), np.full(size, size - 1))
+    shift = Point(spec.from_code(c % spec.q) for c in range(3, 3 + d))
+    assert np.array_equal(ffgeom._sphere_degree_table(E.translate(shift)), expected)
+
+
+def test_degree_table_path_rule(monkeypatch):
+    calls = []
+    real = ffgeom._sphere_degree_table
+    monkeypatch.setattr(ffgeom, "_sphere_degree_table", lambda E: calls.append(len(E)) or real(E))
+    for pk, d, size, sphere in [
+        ((7, 2), 2, 120, False),
+        ((7, 2), 2, 400, False),
+        ((7, 2), 2, 709, False),  # 2 n^2 < 8 * 49^3 + 2^16 = 1006728
+        ((7, 2), 2, 710, True),
+        ((7, 2), 2, 2401, True),
+        ((13, 1), 3, 300, False),
+        ((13, 1), 3, 313, False),  # 3 n^2 < 8 * 13^4 + 2^16 = 294024
+        ((13, 1), 3, 314, True),
+        ((13, 1), 3, 2197, True),
+        # all of F_9^2: the transforms' fixed cost outweighs 2 * 81^2 cells
+        ((3, 2), 2, 81, False),
+    ]:
+        calls.clear()
+        E = random_subset(make_field(*pk), d, size, seed=size)
+        deg = ffgeom._degree_table(E)
+        assert calls == ([size] if sphere else [])
+        assert np.array_equal(deg, ffgeom._block_degree_table(E))
+
+
+def test_large_spaces_build_no_transform(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transform over the whole space was built")
+
+    monkeypatch.setattr(np.fft, "rfftn", refuse)
+    monkeypatch.setattr(np.fft, "irfftn", refuse)
+    # A sparse sample of F_49^6, where q^d > 2^32.
+    E = random_subset(make_field(7, 2), 6, 300, seed=3)
+    assert _distance_set_key(graph_distance_set(E, cycle_graph(4))) == _distance_set_key(
+        graph_distance_set_oracle(E, cycle_graph(4))
+    )
+    # A set of F_3^13 dense enough for the rule, in a space where one
+    # sphere's transforms would not fit a _CHUNK.
+    spec = make_field(3, 1)
+    assert ffgeom._SPHERE_CELLS * spec.q**13 > ffgeom._CHUNK and _sphere_min(3, 13) <= 1800
+    E = random_subset(spec, 13, 1800, seed=5)
+    assert np.array_equal(ffgeom._degree_table(E).sum(axis=1), np.full(1800, 1799))
+
+
+def test_sphere_degree_table_rounding_guard(monkeypatch):
+    # All of F_7^3 takes the transforms.  Flat index 3 of the first batch's
+    # inverse is t = 0 at the point (0, 0, 3).
+    E = all_points(make_field(7, 1), 3)
+    real = np.fft.irfftn
+
+    def perturbed(delta):
+        def irfftn(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.flat[3] += delta
+            return out
+
+        return irfftn
+
+    for delta, message in [(0.3, "residual"), (-1000.0, "negative"), (1.0, "not n - 1")]:
+        monkeypatch.setattr(np.fft, "irfftn", perturbed(delta))
+        with pytest.raises(InexactTransform, match=message):
+            graph_distance_set(E, complete_graph(2))
