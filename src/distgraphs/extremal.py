@@ -30,12 +30,14 @@ from typing import Optional, Sequence
 
 from .errors import BadDimension, EmptyPattern, TooLarge, env_cap
 from .graphs import (
+    _ORBIT_BUDGET,
     Graph,
     _Budget,
     _Plan,
     _components,
     _get_plan,
     _search_rows,
+    _self_embedding,
     contains_subgraph,
     iter_bits,
     min_side_max_degree,
@@ -123,8 +125,9 @@ def _extend(rows: Sequence[int], nbrs: int) -> list[int]:
 
 
 def _is_free(rows: Sequence[int], pattern: Graph) -> bool:
-    """No copy of G, by the plain (unanchored) search, which stays correct
-    for patterns with isolated vertices or several components."""
+    """No copy of G, by the unanchored (symmetry-reduced) search, which
+    stays correct for patterns with isolated vertices or several
+    components."""
     plan = _get_plan(pattern, induced=False)
     return _search_rows(rows, [r.bit_count() for r in rows], len(rows), plan, _Budget(None)) is None
 
@@ -232,20 +235,17 @@ def _arc_orbit_plans(pattern: Graph) -> list[_Plan]:
     """One anchored plan per orbit of directed pattern edges under
     Aut(G), positions 0 and 1 anchored at the orbit's first arc.
 
-    Arc (c, d) joins the orbit of a representative (a, b) when a
-    self-embedding of G maps a to c and b to d; such a map is a bijection
-    carrying the edges onto the edges, so it is an automorphism.  Any
-    copy of G through a host edge then has some representative arc on
-    it, so the representatives answer every "copy through (u, v)?"."""
-    degs = pattern.degrees()
+    Arc (c, d) joins the orbit of a representative (a, b) when
+    `_self_embedding` finds an automorphism of G that maps a to c and b
+    to d.  Any copy of G through a host edge then has some
+    representative arc on it, so the representatives answer every
+    "copy through (u, v)?".  A probe that runs out of the shared
+    `_ORBIT_BUDGET` only leaves an arc as its own representative."""
     plans: list[_Plan] = []
+    budget = _Budget(_ORBIT_BUDGET)
     for a, b in pattern.edges():
         for arc in ((a, b), (b, a)):
-            pre = ((0, arc[0]), (1, arc[1]))
-            if all(
-                _search_rows(pattern.rows, degs, pattern.n, plan, _Budget(None), pre) is None
-                for plan in plans
-            ):
+            if all(_self_embedding(pattern, plan, arc, budget) is None for plan in plans):
                 plans.append(_Plan(pattern, False, arc))
     return plans
 

@@ -309,9 +309,15 @@ class _Plan:
     vertices) are ranked the same way, which pushes isolated vertices to
     the end.  For each position we record the placed neighbors and, for
     induced search, the placed non-neighbors.
+
+    An unanchored plan also records `above`: the positions after 0 whose
+    pattern vertex is in the Aut(G)-orbit of order[0], as far as
+    `_orbit` finds it.  The unanchored search maps those positions above
+    the image of position 0 (see `_search_rows`).  Anchored plans, which
+    only run with their first positions preassigned, leave it empty.
     """
 
-    __slots__ = ("n", "order", "prior_nbrs", "prior_nonnbrs", "degrees", "induced")
+    __slots__ = ("n", "order", "prior_nbrs", "prior_nonnbrs", "degrees", "induced", "above")
 
     def __init__(self, pattern: Graph, induced: bool, anchor: tuple[int, int] | None = None):
         n = pattern.n
@@ -346,6 +352,10 @@ class _Plan:
                 prior_nonnbrs.append(())
         self.prior_nbrs = tuple(prior_nbrs)
         self.prior_nonnbrs = tuple(prior_nonnbrs)
+        self.above: frozenset[int] = frozenset()
+        if anchor is None and n:
+            orbit = _orbit(pattern, self)
+            self.above = frozenset(pos for pos in range(1, n) if placed[pos] in orbit)
 
 
 def _get_plan(pattern: Graph, induced: bool) -> _Plan:
@@ -380,10 +390,22 @@ def _search_rows(
 ) -> Optional[tuple[int, ...]]:
     """Backtracking engine over bitset rows.  Returns the mapping in plan
     order, or None.  `preassigned` fixes images for the first positions.
+
+    With nothing preassigned, every position in `plan.above` is mapped
+    above the image of position 0.  This cuts no embedding that the
+    plain search would find first.  Let v* be the least image of
+    order[0] over all embeddings, and s an automorphism of the pattern
+    with s(order[0]) = w.  An embedding f with f(w) < v* would make f
+    composed with s an embedding that maps order[0] below v*.  So every
+    embedding that maps order[0] to v* maps the orbit above v*: the
+    first embedding found is the same, and absence is still a proof.  A
+    fixed image at position 0 voids the argument, so preassigned
+    searches run unconstrained.
     """
     if plan.n > n_host:
         return None
     full = (1 << n_host) - 1
+    above = () if preassigned else plan.above
     images = [-1] * plan.n
     used = 0
     start = 0
@@ -414,6 +436,8 @@ def _search_rows(
         else:
             cand = full
         cand &= ~used
+        if pos in above:
+            cand &= -(2 << images[0])
         if plan.induced:
             for i in plan.prior_nonnbrs[pos]:
                 cand &= ~host_rows[images[i]]
@@ -442,6 +466,70 @@ def _witness_from_plan(plan: _Plan, images: tuple[int, ...]) -> EmbeddingWitness
     return EmbeddingWitness(tuple(mapping))
 
 
+# Search nodes for all the self-embedding probes of one pattern's orbit
+# (or arc orbits).  Once it is spent, later probes find nothing.
+_ORBIT_BUDGET = 1 << 13
+
+
+def _self_embedding(
+    pattern: Graph, plan: _Plan, images: Sequence[int], budget: _Budget
+) -> Optional[tuple[int, ...]]:
+    """A self-embedding of pattern that maps plan.order[i] to images[i]
+    for each i < len(images), as mapping[u] per pattern vertex u, or
+    None if the search finds none before `budget` runs out.
+
+    A self-embedding is a bijection that carries the edges onto the
+    edges, so it is an automorphism.  None is a proof of absence only
+    while budget.remaining >= 0.  A probe deeper than the interpreter's
+    recursion limit also finds nothing."""
+    pre = tuple(enumerate(images))
+    try:
+        found = _search_rows(pattern.rows, pattern.degrees(), pattern.n, plan, budget, pre)
+    except (BudgetExceeded, RecursionError):
+        return None
+    return None if found is None else _witness_from_plan(plan, found).mapping
+
+
+def _orbit(pattern: Graph, plan: _Plan) -> set[int]:
+    """The orbit of plan.order[0] under the automorphisms the probes
+    find, a subset of its Aut(G)-orbit.
+
+    An automorphism keeps a vertex's sorted neighbour degrees.  Each
+    vertex with the same ones as order[0] that the orbit has not yet
+    reached is probed for an automorphism mapping order[0] to it, and
+    the orbit is closed under every automorphism found so far.  The
+    probes share one budget of _ORBIT_BUDGET nodes, so a vertex whose
+    probe runs out is left out, which `_search_rows` allows."""
+    degs = pattern.degrees()
+
+    def profile(v: int) -> list[int]:
+        return sorted(degs[u] for u in iter_bits(pattern.rows[v]))
+
+    v0 = plan.order[0]
+    target = profile(v0)
+    budget = _Budget(_ORBIT_BUDGET)
+    orbit = {v0}
+    found: list[tuple[int, ...]] = []
+    for w in range(pattern.n):
+        if budget.remaining < 0:
+            break
+        if w in orbit or profile(w) != target:
+            continue
+        aut = _self_embedding(pattern, plan, (w,), budget)
+        if aut is None:
+            continue
+        found.append(aut)
+        stack = list(orbit)
+        while stack:
+            x = stack.pop()
+            for g in found:
+                y = g[x]
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+    return orbit
+
+
 def _contains(host: Graph, pattern: Graph, induced: bool, budget: Optional[int]) -> Optional[EmbeddingWitness]:
     if pattern.n > host.n:
         return None  # before any plan is built: ordering a large pattern is itself costly
@@ -458,7 +546,11 @@ def contains_subgraph(
     Not-necessarily-induced containment: extra host edges are permitted.
     Returns a witness or None (a proof of absence).  A node-expansion
     budget may be set; exhausting it raises BudgetExceeded rather than
-    returning None.
+    returning None.  The budget counts nodes of the symmetry-reduced
+    search (see `_search_rows`): pattern vertices in the Aut(G)-orbit
+    of the first placed vertex map above its image.  The witness is the
+    one the plain search finds first, and an absence proof no longer
+    visits each copy of G once per orbit member.
 
     The search reads three members of host: `n`, `rows[v]` (the bitset
     of v's neighbours) and `degrees()`, so a host may pack its rows on

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's search and table machinery: the
-embedding oracle enumerates every injective map, the histogram and
+embedding oracle enumerates every injective map, `automorphisms` tries
+every permutation, the histogram and
 pairwise-norm oracles run scalar field arithmetic point by point, the
 sampler oracle draws its swap indices one call at a time, and the net
 and annulus oracles scan the whole cloud for every center, with the
 same distance predicates as the library's row-interval kernels.
+`search_rows_oracle` is the library's former embedding search, with no
+orbit constraint, and `contains_oracle` runs it on a whole host.
 `all_arc_plans` is the extremal branch-and-bound's former plan set, one
 anchored plan per directed pattern edge with no symmetry reduction, and
 `ex_labeled_oracle` is the former exhaustive ex(n, G) oracle, a scan of
@@ -22,7 +25,15 @@ from distgraphs.adreg import GUARD
 from distgraphs.errors import BudgetExceeded
 from distgraphs.extremal import ExtremalResult
 from distgraphs.ffgeom import GraphDistanceSet, PointSet, pairwise_norms
-from distgraphs.graphs import Graph, _Budget, _Plan, _get_plan, _search_rows, contains_subgraph
+from distgraphs.graphs import (
+    Graph,
+    _Budget,
+    _Plan,
+    _get_plan,
+    _witness_from_plan,
+    contains_subgraph,
+    iter_bits,
+)
 
 
 def brute_contains(host: Graph, pattern: Graph, induced: bool = False):
@@ -45,6 +56,77 @@ def brute_contains(host: Graph, pattern: Graph, induced: bool = False):
         if ok:
             return mapping
     return None
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every permutation of the vertices that maps the edges onto the
+    edges; keep n <= 8."""
+    edges = list(g.edges())
+    return [
+        perm
+        for perm in permutations(range(g.n))
+        if all(g.has_edge(perm[u], perm[v]) for u, v in edges)
+    ]
+
+
+def search_rows_oracle(host_rows, host_degs, n_host, plan, budget, preassigned=()):
+    """The embedding search with no symmetry breaking: backtracking in
+    plan order over bitset rows, candidates ascending, one budget node
+    per candidate that passes the degree test.  The mapping in plan
+    order, or None."""
+    if plan.n > n_host:
+        return None
+    full = (1 << n_host) - 1
+    images = [-1] * plan.n
+    used = 0
+    start = 0
+    for pos, img in preassigned:
+        assert pos == start
+        if host_degs[img] < plan.degrees[pos] or used >> img & 1:
+            return None
+        for i in plan.prior_nbrs[pos]:
+            if not host_rows[images[i]] >> img & 1:
+                return None
+        if plan.induced:
+            for i in plan.prior_nonnbrs[pos]:
+                if host_rows[images[i]] >> img & 1:
+                    return None
+        images[pos] = img
+        used |= 1 << img
+        start += 1
+
+    def extend(pos):
+        nonlocal used
+        if pos == plan.n:
+            return True
+        cand = full & ~used
+        for i in plan.prior_nbrs[pos]:
+            cand &= host_rows[images[i]]
+        for i in plan.prior_nonnbrs[pos] if plan.induced else ():
+            cand &= ~host_rows[images[i]]
+        for v in iter_bits(cand):
+            if host_degs[v] < plan.degrees[pos]:
+                continue
+            budget.spend()
+            images[pos] = v
+            used |= 1 << v
+            if extend(pos + 1):
+                return True
+            used ^= 1 << v
+        images[pos] = -1
+        return False
+
+    return tuple(images) if extend(start) else None
+
+
+def contains_oracle(host: Graph, pattern: Graph, induced: bool = False, budget=None):
+    """contains_subgraph (or the induced search) by `search_rows_oracle`
+    over the library's plan order: a witness or None."""
+    if pattern.n > host.n:
+        return None
+    plan = _get_plan(pattern, induced)
+    images = search_rows_oracle(host.rows, host.degrees(), host.n, plan, _Budget(budget))
+    return None if images is None else _witness_from_plan(plan, images)
 
 
 def all_arc_plans(pattern: Graph) -> list[_Plan]:
@@ -73,7 +155,7 @@ def ex_labeled_oracle(n: int, pattern: Graph) -> ExtremalResult:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
             degs = [r.bit_count() for r in rows]
-            if _search_rows(rows, degs, n, plan, budget) is None:
+            if search_rows_oracle(rows, degs, n, plan, budget) is None:
                 return ExtremalResult(n, pattern, m, Graph(n, combo))
     raise AssertionError("unreachable: the empty graph is always pattern-free")
 

@@ -5,12 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_contains, random_graph
+from oracles import (
+    all_arc_plans,
+    automorphisms,
+    brute_contains,
+    contains_oracle,
+    random_graph,
+    search_rows_oracle,
+)
 from distgraphs.errors import BudgetExceeded, NoEdges, NotBipartite, TooLarge, TooSmall
+from distgraphs.extremal import _arc_orbit_plans
+from distgraphs.ffgeom import distance_graph, graph_distance_set, random_subset
+from distgraphs.field import make_field
 from distgraphs.graphs import (
+    _ORBIT_BUDGET,
     MAX_CATALOG_EDGES,
     Graph,
+    _Budget,
     _Plan,
+    _orbit,
+    _search_rows,
+    _self_embedding,
+    _witness_from_plan,
     bipartition,
     complete_graph,
     contains_induced_subgraph,
@@ -272,6 +288,168 @@ def test_monotonicity_in_pattern(seed):
     edges = list(pattern.edges())
     sub = Graph(4, edges[:-1]) if edges else pattern
     assert contains_subgraph(host, sub) is not None
+
+
+# -- symmetry-broken search -----------------------------------------------------
+
+ORBIT_CATALOG = ["C4", "C6", "P4", "K3", "S2", "Q3"]
+SPENT_CAP = 10**9  # a budget no test search reaches; nodes spent = cap - remaining
+
+
+def _run(search, host, plan, pre=()):
+    """The search's mapping in plan order and the budget nodes it spent."""
+    budget = _Budget(SPENT_CAP)
+    images = search(host.rows, host.degrees(), host.n, plan, budget, pre)
+    return images, SPENT_CAP - budget.remaining
+
+
+def _symmetric_pattern(rng) -> Graph:
+    """Copies of one small random graph, a few isolated vertices and maybe
+    one more random component, so that orbits are large and patterns have
+    several components."""
+    part = random_graph(int(rng.integers(1, 4)), 0.7, rng)
+    extra = random_graph(int(rng.integers(0, 3)), 0.7, rng)
+    blocks = [part] * int(rng.integers(1, 3)) + [extra, Graph(int(rng.integers(0, 3)))]
+    edges, n = [], 0
+    for b in blocks:
+        edges += [(u + n, v + n) for u, v in b.edges()]
+        n += b.n
+    # shuffle the labels so order[0] is not always vertex 0
+    perm = rng.permutation(n)
+    return Graph(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+
+
+def _brute_orbit(g: Graph, v: int) -> set[int]:
+    return {perm[v] for perm in automorphisms(g)}
+
+
+@pytest.mark.parametrize("name", ORBIT_CATALOG)
+def test_orbits_match_brute_force_automorphisms_catalog(name):
+    g = graph_from_name(name)
+    for induced in (False, True):
+        plan = _Plan(g, induced)
+        orbit = _brute_orbit(g, plan.order[0])
+        assert _orbit(g, plan) == orbit
+        assert plan.above == {pos for pos in range(1, g.n) if plan.order[pos] in orbit}
+    # C4, C6, K3 and Q3 are vertex-transitive; in P4 and S2 order[0] has
+    # one other vertex in its orbit.
+    transitive = name in ("C4", "C6", "K3", "Q3")
+    assert len(plan.above) == (g.n - 1 if transitive else 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_orbits_match_brute_force_automorphisms_random(seed, symmetric):
+    rng = np.random.default_rng(seed)
+    g = _symmetric_pattern(rng) if symmetric else random_graph(int(rng.integers(1, 8)), 0.5, rng)
+    if not 1 <= g.n <= 7:
+        return
+    plan = _Plan(g, False)
+    assert _orbit(g, plan) == _brute_orbit(g, plan.order[0])
+
+
+def test_arc_orbit_representatives_match_brute_force():
+    # One representative per arc orbit, each the first arc of its orbit in
+    # the order edges() lists them, (a, b) before (b, a): what the
+    # unbudgeted probes of the first branch-and-bound gave.
+    rng = np.random.default_rng(7)
+    graphs = [graph_from_name(name) for name in ORBIT_CATALOG]
+    graphs += [random_graph(int(rng.integers(2, 8)), 0.5, rng) for _ in range(30)]
+    for g in graphs:
+        auts = automorphisms(g)
+        arcs = [arc for a, b in g.edges() for arc in ((a, b), (b, a))]
+        firsts = []
+        for a, b in arcs:
+            if not any((perm[c], perm[d]) == (a, b) for c, d in firsts for perm in auts):
+                firsts.append((a, b))
+        assert [plan.order[:2] for plan in _arc_orbit_plans(g)] == firsts
+
+
+@pytest.mark.parametrize("name", ORBIT_CATALOG)
+def test_probes_return_the_unbudgeted_search(name):
+    # Below the probe budget a probe is the plain preassigned search.
+    g = graph_from_name(name)
+    plans = [_Plan(g, False), _Plan(g, True), *all_arc_plans(g)]
+    for plan in plans:
+        k = 1 if len(plan.order) < 2 or not g.has_edge(*plan.order[:2]) else 2
+        for images in itertools.permutations(range(g.n), k):
+            expected, _ = _run(search_rows_oracle, g, plan, tuple(enumerate(images)))
+            found = _self_embedding(g, plan, images, _Budget(_ORBIT_BUDGET))
+            assert found == (None if expected is None else _witness_from_plan(plan, expected).mapping)
+
+
+def test_spent_probe_budget_finds_nothing():
+    g = graph_from_name("C6")
+    plan = _Plan(g, False)
+    assert _self_embedding(g, plan, (3,), _Budget(0)) is None
+    assert _self_embedding(g, plan, (3,), _Budget(6)) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 100_000), st.sampled_from([0.2, 0.5, 0.8]), st.booleans())
+def test_symmetry_broken_search_matches_the_oracle(seed, density, induced):
+    rng = np.random.default_rng(seed)
+    pattern = _symmetric_pattern(rng)
+    host = random_graph(int(rng.integers(0, 12)), density, rng)
+    plan = _Plan(pattern, induced)
+    images, spent = _run(_search_rows, host, plan)
+    expected, oracle_spent = _run(search_rows_oracle, host, plan)
+    assert images == expected
+    assert spent <= oracle_spent
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 100_000), st.booleans())
+def test_preassigned_search_is_unchanged(seed, induced):
+    # Searches with fixed first images keep the plain search, node for node.
+    rng = np.random.default_rng(seed)
+    pattern = _symmetric_pattern(rng)
+    host = random_graph(int(rng.integers(1, 10)), 0.6, rng)
+    plans = [_Plan(pattern, induced)] + (all_arc_plans(pattern) if not induced else [])
+    for plan in plans:
+        k = 2 if plan.prior_nbrs[1:2] == ((0,),) else 1
+        for images in itertools.permutations(range(host.n), min(k, host.n)):
+            pre = tuple(enumerate(images))
+            assert _run(_search_rows, host, plan, pre) == _run(search_rows_oracle, host, plan, pre)
+
+
+def test_orbit_probes_deeper_than_the_recursion_limit_find_nothing():
+    # A search this deep overflows the interpreter's stack, but this one
+    # fails at position 1, so the plan must build without the orbit.
+    pattern = Graph(1200, [(0, 1)])
+    assert contains_subgraph(Graph(1200), pattern) is None
+    assert pattern._plans[False].above == frozenset()
+
+
+def test_q3_distance_set_witnesses_match_the_oracle_search():
+    # GraphDistanceSet compares without its witnesses, so compare them here.
+    q3 = hypercube_graph(3)
+    E = random_subset(make_field(13, 1), 3, 80, seed=1)
+    ds = graph_distance_set(E, q3)
+    assert 0 < len(ds.contained) < 13
+    for t in range(13):
+        expected = contains_oracle(distance_graph(E, t), q3)
+        assert (t in ds.contained) == (expected is not None)
+        if expected is not None:
+            assert ds.witnesses[t].mapping == expected.mapping
+
+
+def test_budget_counts_nodes_of_the_symmetry_reduced_search():
+    # Q3 is vertex-transitive, and this absence proof takes about a
+    # quarter of the plain search's nodes; a budget between the two
+    # counts decides what the plain search could not.
+    q3 = hypercube_graph(3)
+    E = random_subset(make_field(13, 1), 3, 80, seed=1)
+    host = distance_graph(E, 2)
+    plan = _Plan(q3, False)
+    (images, spent), (expected, oracle_spent) = _run(_search_rows, host, plan), _run(search_rows_oracle, host, plan)
+    assert images is None and expected is None
+    assert 0 < spent < oracle_spent
+    assert contains_subgraph(host, q3, budget=spent) is None
+    with pytest.raises(BudgetExceeded):
+        contains_subgraph(host, q3, budget=spent - 1)
+    with pytest.raises(BudgetExceeded):
+        contains_oracle(host, q3, budget=spent)
 
 
 # -- text format -------------------------------------------------------------
