@@ -71,6 +71,12 @@ _CHUNK = 1 << 22  # target cells per pairwise block or batch of sphere transform
 # once: the indicators, the spectra, their products and the inverse's
 # output and work arrays (measured 6 to 8).
 _SPHERE_CELLS = 8
+# Norm-block cells that the sphere transforms cost per sphere, per grid
+# cell and per axis of the (p,) * dk grid, forward and inverse together.
+# Each axis is one pass over the grid, so many short axes cost more than
+# few long ones: the blocks and the transforms cross near n = 1050 on
+# F_49^2 (4 axes), 420 on F_13^3 (3 axes) and 3000 on F_27^3 (9 axes).
+_TRANSFORM_PASS_CELLS = 5
 # The sphere transforms' fixed cost, about a dozen small numpy FFT calls
 # (0.15 to 0.3 ms), in norm-block cells: below it the blocks are cheaper
 # whatever q and d are.
@@ -448,15 +454,17 @@ class GraphDistanceSet:
 def _degree_table(E: PointSet) -> np.ndarray:
     """(n, q) int64 table deg[i, t] = #{j != i : ||x_i - x_j|| = t}.
 
-    The path is chosen from n, d and q alone, by comparing cell counts:
-    the norm blocks touch n^2 d cells, the sphere convolutions about
-    8 q^(d+1) plus a fixed _TRANSFORM_SETUP_CELLS.  A set with
-    n^2 d >= 8 q^(d+1) + _TRANSFORM_SETUP_CELLS takes the transforms
-    when one sphere's intermediates, _SPHERE_CELLS q^d float cells, fit
-    in a _CHUNK; every other set, such as a sparse sample of a large
-    space, takes the blocks."""
+    The path is chosen from n, d and q = p^k alone, by comparing cell
+    counts: the norm blocks touch n^2 d cells, the sphere convolutions
+    cost about c dk q^(d+1) of them, with c = _TRANSFORM_PASS_CELLS and
+    dk the axis count of the grid, plus a fixed _TRANSFORM_SETUP_CELLS.
+    A set with n^2 d >= c dk q^(d+1) + _TRANSFORM_SETUP_CELLS takes the
+    transforms when one sphere's intermediates, _SPHERE_CELLS q^d float
+    cells, fit in a _CHUNK; every other set, such as a sparse sample of
+    a large space, takes the blocks."""
     n, q, d = len(E), E.spec.q, E.d
-    if _SPHERE_CELLS * q**d <= _CHUNK and n * n * d >= 8 * q ** (d + 1) + _TRANSFORM_SETUP_CELLS:
+    transform_cells = _TRANSFORM_PASS_CELLS * d * E.spec.k * q ** (d + 1) + _TRANSFORM_SETUP_CELLS
+    if _SPHERE_CELLS * q**d <= _CHUNK and n * n * d >= transform_cells:
         return _sphere_degree_table(E)
     return _block_degree_table(E)
 

@@ -9,6 +9,7 @@ over shared graphs are safe.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -310,52 +311,58 @@ class _Plan:
     the end.  For each position we record the placed neighbors and, for
     induced search, the placed non-neighbors.
 
-    An unanchored plan also records `above`: the positions after 0 whose
-    pattern vertex is in the Aut(G)-orbit of order[0], as far as
-    `_orbit` finds it.  The unanchored search maps those positions above
-    the image of position 0 (see `_search_rows`).  Anchored plans, which
-    only run with their first positions preassigned, leave it empty.
+    An unanchored plan also records `floors`, a stabilizer chain of the
+    pattern's automorphisms read along the order: floors[j] lists each
+    earlier position i such that order[j] is in the orbit of order[i]
+    under the automorphisms that fix order[0..i-1], as far as
+    `_chain_floors` finds them.  The unanchored search maps position j
+    above the image of every position in floors[j] (see `_search_rows`).
+    Anchored plans, which only run with their first positions
+    preassigned, have no floors.
     """
 
-    __slots__ = ("n", "order", "prior_nbrs", "prior_nonnbrs", "degrees", "induced", "above")
+    __slots__ = ("n", "order", "prior_nbrs", "prior_nonnbrs", "degrees", "induced", "floors")
 
     def __init__(self, pattern: Graph, induced: bool, anchor: tuple[int, int] | None = None):
-        n = pattern.n
+        n, rows = pattern.n, pattern.rows
         degs = pattern.degrees()
         placed: list[int] = list(anchor) if anchor else []
         placed_mask = sum(1 << v for v in placed)
-        remaining = [v for v in range(n) if v not in placed]
-
-        def rank(v: int) -> tuple[int, int, int]:
-            return ((pattern.rows[v] & placed_mask).bit_count(), degs[v], -v)
-
-        while remaining:
-            best = max(remaining, key=rank)
+        # Max-rank selection by a heap of (-placed neighbours, -degree,
+        # index).  Counts only grow, so an entry whose count is stale is
+        # skipped when popped.
+        count = [(rows[v] & placed_mask).bit_count() for v in range(n)]
+        heap = [(-count[v], -degs[v], v) for v in range(n) if not placed_mask >> v & 1]
+        heapq.heapify(heap)
+        while heap:
+            c, _, best = heapq.heappop(heap)
+            if placed_mask >> best & 1 or -c != count[best]:
+                continue
             placed.append(best)
             placed_mask |= 1 << best
-            remaining.remove(best)
+            for u in iter_bits(rows[best] & ~placed_mask):
+                count[u] += 1
+                heapq.heappush(heap, (-count[u], -degs[u], u))
 
         self.n = n
         self.order = tuple(placed)
         self.degrees = tuple(degs[v] for v in placed)
         self.induced = induced
+        position = {v: pos for pos, v in enumerate(placed)}
         prior_nbrs = []
         prior_nonnbrs = []
         for pos, v in enumerate(placed):
-            nbrs = tuple(i for i in range(pos) if pattern.has_edge(v, placed[i]))
+            nbrs = tuple(sorted(i for i in map(position.__getitem__, iter_bits(rows[v])) if i < pos))
             prior_nbrs.append(nbrs)
             if induced:
-                prior_nonnbrs.append(
-                    tuple(i for i in range(pos) if not pattern.has_edge(v, placed[i]))
-                )
+                prior_nonnbrs.append(tuple(sorted(set(range(pos)).difference(nbrs))))
             else:
                 prior_nonnbrs.append(())
         self.prior_nbrs = tuple(prior_nbrs)
         self.prior_nonnbrs = tuple(prior_nonnbrs)
-        self.above: frozenset[int] = frozenset()
-        if anchor is None and n:
-            orbit = _orbit(pattern, self)
-            self.above = frozenset(pos for pos in range(1, n) if placed[pos] in orbit)
+        self.floors: tuple[tuple[int, ...], ...] = ((),) * n
+        if anchor is None:
+            self.floors = _chain_floors(pattern, self, _Budget(_ORBIT_BUDGET))
 
 
 def _get_plan(pattern: Graph, induced: bool) -> _Plan:
@@ -391,72 +398,91 @@ def _search_rows(
     """Backtracking engine over bitset rows.  Returns the mapping in plan
     order, or None.  `preassigned` fixes images for the first positions.
 
-    With nothing preassigned, every position in `plan.above` is mapped
-    above the image of position 0.  This cuts no embedding that the
-    plain search would find first.  Let v* be the least image of
-    order[0] over all embeddings, and s an automorphism of the pattern
-    with s(order[0]) = w.  An embedding f with f(w) < v* would make f
-    composed with s an embedding that maps order[0] below v*.  So every
-    embedding that maps order[0] to v* maps the orbit above v*: the
-    first embedding found is the same, and absence is still a proof.  A
-    fixed image at position 0 voids the argument, so preassigned
+    The search is a loop over an explicit stack, cands[pos] holding the
+    candidates position pos has yet to try, so its depth is bounded by
+    the pattern's size, not by the interpreter's recursion limit.  It
+    visits the images in lexicographic order, position by position.
+
+    With nothing preassigned, every position j is mapped above the image
+    of each position in plan.floors[j].  This cuts no embedding that the
+    plain search would find first.  That embedding f is the
+    lexicographically least image tuple.  Take an automorphism s of the
+    pattern that fixes order[0..i-1] and maps order[i] to order[j].  Then
+    f composed with s is an embedding that agrees with f before position
+    i, so f(order[i]) < f(order[j]): f meets every floor.  So the first
+    embedding found is the same, and absence is still a proof.  Fixed
+    images at the first positions void the argument, so preassigned
     searches run unconstrained.
     """
-    if plan.n > n_host:
+    n = plan.n
+    if n > n_host:
         return None
     full = (1 << n_host) - 1
-    above = () if preassigned else plan.above
-    images = [-1] * plan.n
+    floors = ((),) * n if preassigned else plan.floors
+    nbrs_at, nonnbrs_at, need_at = plan.prior_nbrs, plan.prior_nonnbrs, plan.degrees
+    induced = plan.induced
+    images = [-1] * n
     used = 0
     start = 0
     for pos, img in preassigned:
         assert pos == start
-        if host_degs[img] < plan.degrees[pos] or used >> img & 1:
+        if host_degs[img] < need_at[pos] or used >> img & 1:
             return None
-        for i in plan.prior_nbrs[pos]:
+        for i in nbrs_at[pos]:
             if not host_rows[images[i]] >> img & 1:
                 return None
-        if plan.induced:
-            for i in plan.prior_nonnbrs[pos]:
+        if induced:
+            for i in nonnbrs_at[pos]:
                 if host_rows[images[i]] >> img & 1:
                     return None
         images[pos] = img
         used |= 1 << img
         start += 1
-
-    def extend(pos: int) -> bool:
-        nonlocal used
-        if pos == plan.n:
-            return True
-        nbrs = plan.prior_nbrs[pos]
-        if nbrs:
-            cand = host_rows[images[nbrs[0]]]
-            for i in nbrs[1:]:
-                cand &= host_rows[images[i]]
-        else:
-            cand = full
-        cand &= ~used
-        if pos in above:
-            cand &= -(2 << images[0])
-        if plan.induced:
-            for i in plan.prior_nonnbrs[pos]:
-                cand &= ~host_rows[images[i]]
-        need = plan.degrees[pos]
-        for v in iter_bits(cand):
-            if host_degs[v] < need:
-                continue
-            budget.spend()
-            images[pos] = v
-            used |= 1 << v
-            if extend(pos + 1):
-                return True
-            used ^= 1 << v
-        images[pos] = -1
-        return False
-
-    if extend(start):
+    if start == n:
         return tuple(images)
-    return None
+
+    cands = [0] * n
+    pos = start
+    fresh = True  # cands[pos] is still to be built from the placed images
+    while True:
+        if fresh:
+            nbrs = nbrs_at[pos]
+            if nbrs:
+                cand = host_rows[images[nbrs[0]]]
+                for i in nbrs[1:]:
+                    cand &= host_rows[images[i]]
+            else:
+                cand = full
+            cand &= ~used
+            for i in floors[pos]:
+                cand &= -(2 << images[i])
+            if induced:
+                for i in nonnbrs_at[pos]:
+                    cand &= ~host_rows[images[i]]
+        else:
+            cand = cands[pos]
+        need = need_at[pos]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            if host_degs[v] >= need:
+                break
+        else:
+            pos -= 1
+            if pos < start:
+                return None
+            used ^= 1 << images[pos]
+            fresh = False
+            continue
+        budget.spend()
+        cands[pos] = cand
+        images[pos] = v
+        used |= low
+        pos += 1
+        if pos == n:
+            return tuple(images)
+        fresh = True
 
 
 def _witness_from_plan(plan: _Plan, images: tuple[int, ...]) -> EmbeddingWitness:
@@ -466,8 +492,9 @@ def _witness_from_plan(plan: _Plan, images: tuple[int, ...]) -> EmbeddingWitness
     return EmbeddingWitness(tuple(mapping))
 
 
-# Search nodes for all the self-embedding probes of one pattern's orbit
-# (or arc orbits).  Once it is spent, later probes find nothing.
+# Search nodes for all the self-embedding probes of one pattern's chain
+# (plus one node per probe) or of its arc orbits.  Once it is spent,
+# later probes find nothing.
 _ORBIT_BUDGET = 1 << 13
 
 
@@ -480,54 +507,69 @@ def _self_embedding(
 
     A self-embedding is a bijection that carries the edges onto the
     edges, so it is an automorphism.  None is a proof of absence only
-    while budget.remaining >= 0.  A probe deeper than the interpreter's
-    recursion limit also finds nothing."""
+    while budget.remaining >= 0."""
     pre = tuple(enumerate(images))
     try:
         found = _search_rows(pattern.rows, pattern.degrees(), pattern.n, plan, budget, pre)
-    except (BudgetExceeded, RecursionError):
+    except BudgetExceeded:
         return None
     return None if found is None else _witness_from_plan(plan, found).mapping
 
 
-def _orbit(pattern: Graph, plan: _Plan) -> set[int]:
-    """The orbit of plan.order[0] under the automorphisms the probes
-    find, a subset of its Aut(G)-orbit.
+def _chain_floors(pattern: Graph, plan: _Plan, budget: _Budget) -> tuple[tuple[int, ...], ...]:
+    """The floors of an unanchored plan: per position j, the earlier
+    positions i whose orbit at level i holds order[j].
 
-    An automorphism keeps a vertex's sorted neighbour degrees.  Each
-    vertex with the same ones as order[0] that the orbit has not yet
-    reached is probed for an automorphism mapping order[0] to it, and
-    the orbit is closed under every automorphism found so far.  The
-    probes share one budget of _ORBIT_BUDGET nodes, so a vertex whose
-    probe runs out is left out, which `_search_rows` allows."""
+    Level i's orbit is that of order[i] under the automorphisms that fix
+    order[0..i-1] and that the probes find, a subset of its orbit under
+    that pointwise stabilizer, so `_search_rows` may use it.  An
+    automorphism there keeps a vertex's sorted neighbour degrees and its
+    neighbours among the fixed prefix.  Each vertex that matches order[i]
+    in both and that the orbit has not yet reached is probed for one
+    mapping order[i] to it, with order[0..i-1] preassigned to
+    themselves, and the orbit is closed under every automorphism this
+    level found.  All probes share `budget`, one node each plus their
+    search nodes; once it runs out, later levels keep no floors."""
+    rows, order, n = pattern.rows, plan.order, plan.n
     degs = pattern.degrees()
-
-    def profile(v: int) -> list[int]:
-        return sorted(degs[u] for u in iter_bits(pattern.rows[v]))
-
-    v0 = plan.order[0]
-    target = profile(v0)
-    budget = _Budget(_ORBIT_BUDGET)
-    orbit = {v0}
-    found: list[tuple[int, ...]] = []
-    for w in range(pattern.n):
-        if budget.remaining < 0:
+    profiles = [tuple(sorted(degs[u] for u in iter_bits(r))) for r in rows]
+    classes: dict[tuple[int, ...], int] = {}
+    for v, key in enumerate(profiles):
+        classes[key] = classes.get(key, 0) | 1 << v
+    position = {v: pos for pos, v in enumerate(order)}
+    floors: list[tuple[int, ...]] = [()] * n
+    prefix = 0
+    for i, v in enumerate(order):
+        cand = classes[profiles[v]] & ~prefix
+        for k in plan.prior_nbrs[i]:
+            cand &= rows[order[k]]
+        inside = rows[v] & prefix
+        orbit = {v}
+        found: list[tuple[int, ...]] = []
+        for w in iter_bits(cand):
+            if budget.remaining < 1:
+                break
+            if w in orbit or rows[w] & prefix != inside:
+                continue
+            budget.spend()
+            aut = _self_embedding(pattern, plan, order[:i] + (w,), budget)
+            if aut is None:
+                continue
+            found.append(aut)
+            stack = list(orbit)
+            while stack:
+                x = stack.pop()
+                for g in found:
+                    y = g[x]
+                    if y not in orbit:
+                        orbit.add(y)
+                        stack.append(y)
+        for w in orbit - {v}:
+            floors[position[w]] += (i,)
+        if budget.remaining < 1:
             break
-        if w in orbit or profile(w) != target:
-            continue
-        aut = _self_embedding(pattern, plan, (w,), budget)
-        if aut is None:
-            continue
-        found.append(aut)
-        stack = list(orbit)
-        while stack:
-            x = stack.pop()
-            for g in found:
-                y = g[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-    return orbit
+        prefix |= 1 << v
+    return tuple(floors)
 
 
 def _contains(host: Graph, pattern: Graph, induced: bool, budget: Optional[int]) -> Optional[EmbeddingWitness]:
@@ -547,10 +589,12 @@ def contains_subgraph(
     Returns a witness or None (a proof of absence).  A node-expansion
     budget may be set; exhausting it raises BudgetExceeded rather than
     returning None.  The budget counts nodes of the symmetry-reduced
-    search (see `_search_rows`): pattern vertices in the Aut(G)-orbit
-    of the first placed vertex map above its image.  The witness is the
-    one the plain search finds first, and an absence proof no longer
-    visits each copy of G once per orbit member.
+    search (see `_search_rows`): along a stabilizer chain of Aut(G),
+    each pattern vertex in the orbit of a placed vertex under the
+    automorphisms fixing the vertices placed before it maps above that
+    vertex's image.  The witness is the one the plain search finds
+    first, and an absence proof no longer visits each copy of G once
+    per automorphism the chain finds.
 
     The search reads three members of host: `n`, `rows[v]` (the bitset
     of v's neighbours) and `degrees()`, so a host may pack its rows on

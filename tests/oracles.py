@@ -7,8 +7,8 @@ pairwise-norm oracles run scalar field arithmetic point by point, the
 sampler oracle draws its swap indices one call at a time, and the net
 and annulus oracles scan the whole cloud for every center, with the
 same distance predicates as the library's row-interval kernels.
-`search_rows_oracle` is the library's former embedding search, with no
-orbit constraint, and `contains_oracle` runs it on a whole host.
+`search_rows_oracle` is the library's former embedding search, recursive
+and with no stabilizer-chain floors, and `contains_oracle` runs it on a whole host.
 `all_arc_plans` is the extremal branch-and-bound's former plan set, one
 anchored plan per directed pattern edge with no symmetry reduction, and
 `ex_labeled_oracle` is the former exhaustive ex(n, G) oracle, a scan of

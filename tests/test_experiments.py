@@ -313,6 +313,20 @@ def test_cli_graph_file_and_points_file(tmp_path, capsys):
     assert manifest["summary"]["covers_all_nonzero"] is True
 
 
+def test_cli_threshold_pattern_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # 1200 vertices, one edge: the search places every one of them, and
+    # all 2187 points of F_3^7 leave room for a copy at every t.
+    assert sys.getrecursionlimit() < 1200
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps({"kind": "threshold", "seed": 3, "jobs": 1, "params": {
+        "field": [3, 1], "d": 7, "graph_text": "1200 1\n0 1\n", "sizes": ["q^d"], "trials": 1}}))
+    assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    header, row = (tmp_path / "out" / "records.csv").read_text().splitlines()
+    assert header == "q,d,graph,size,trial,seed,success,indeterminate,n_contained,n_indeterminate"
+    # found at all three t, none indeterminate
+    assert row.startswith("3,7,custom(1200,1),2187,0,") and row.endswith(",true,false,3,0")
+
+
 def _extremal_cache_run(tmp_path, cache_text):
     cache = tmp_path / "cache.json"
     cache.write_text(cache_text)

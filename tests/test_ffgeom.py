@@ -609,10 +609,8 @@ def _traced_peak(run) -> int:
 
 
 def test_graph_distance_set_memory_is_blocks_and_degrees(monkeypatch):
-    # 1031 points of F_25^3, the largest set there below the transforms'
-    # rule: the norm matrix alone would take 4 n^2 bytes (4.3 MiB).  In
-    # F_49^2 no set below the rule has n^2 above the 16 n q bytes of the
-    # degree table and its per-t lists, so that plane cannot show it.
+    # 1031 points of F_25^3, below the transforms' rule: the norm matrix
+    # alone would take 4 n^2 bytes (4.3 MiB).
     spec = make_field(5, 2)
     E = random_subset(spec, 3, 1031, seed=4)
     n = len(E)
@@ -641,10 +639,11 @@ def test_graph_distance_set_memory_is_batched_transforms(monkeypatch):
 # -- the degree table: sphere convolutions against norm blocks ---------------
 
 
-def _sphere_min(q: int, d: int) -> int:
-    """The least n with n^2 d >= 8 q^(d+1) + _TRANSFORM_SETUP_CELLS, where
-    the sphere transforms start."""
-    need = 8 * q ** (d + 1) + ffgeom._TRANSFORM_SETUP_CELLS
+def _sphere_min(p: int, k: int, d: int) -> int:
+    """The least n with n^2 d >= c dk q^(d+1) + _TRANSFORM_SETUP_CELLS,
+    c = _TRANSFORM_PASS_CELLS and q = p^k, where the sphere transforms
+    start."""
+    need = ffgeom._TRANSFORM_PASS_CELLS * d * k * (p**k) ** (d + 1) + ffgeom._TRANSFORM_SETUP_CELLS
     n = isqrt(-(-need // d))
     return n if n * n * d >= need else n + 1
 
@@ -669,7 +668,7 @@ def test_sphere_degree_table_matches_norm_blocks(space, kind, spheres_per_batch,
     p, k, d = space
     spec = make_field(p, k)
     total = spec.q**d
-    first = _sphere_min(spec.q, d)
+    first = _sphere_min(p, k, d)
     size = {
         "one": 1,
         "below": first - 1,
@@ -693,13 +692,17 @@ def test_sphere_degree_table_matches_norm_blocks(space, kind, spheres_per_batch,
     [
         ((7, 2), 2, 2401, 1),  # the threshold sweeps' full spaces
         ((13, 1), 3, 2197, 2),
-        ((7, 2), 2, 709, 3),  # each side of the rule
+        ((7, 2), 2, 709, 3),  # each side of the rule before it counted axes
         ((7, 2), 2, 710, 3),
         ((13, 1), 3, 313, instance_seed(5, 1)),
         ((13, 1), 3, 314, instance_seed(5, 1)),
         ((3, 3), 3, 1200, 6),
         ((3, 2), 4, 1500, 7),
         ((3, 1), 4, 81, 8),
+        ((7, 2), 2, 1099, 3),  # each side of the rule
+        ((7, 2), 2, 1100, 3),
+        ((13, 1), 3, 405, instance_seed(5, 1)),
+        ((13, 1), 3, 406, instance_seed(5, 1)),
     ],
 )
 def test_sphere_degree_table_matches_norm_blocks_on_seeded_sets(pk, d, size, seed):
@@ -719,13 +722,16 @@ def test_degree_table_path_rule(monkeypatch):
     for pk, d, size, sphere in [
         ((7, 2), 2, 120, False),
         ((7, 2), 2, 400, False),
-        ((7, 2), 2, 709, False),  # 2 n^2 < 8 * 49^3 + 2^16 = 1006728
-        ((7, 2), 2, 710, True),
+        ((7, 2), 2, 1099, False),  # 2 n^2 < 5 * 4 * 49^3 + 2^16 = 2418516
+        ((7, 2), 2, 1100, True),
         ((7, 2), 2, 2401, True),
         ((13, 1), 3, 300, False),
-        ((13, 1), 3, 313, False),  # 3 n^2 < 8 * 13^4 + 2^16 = 294024
-        ((13, 1), 3, 314, True),
+        ((13, 1), 3, 405, False),  # 3 n^2 < 5 * 3 * 13^4 + 2^16 = 493951
+        ((13, 1), 3, 406, True),
         ((13, 1), 3, 2197, True),
+        # nine axes of 3: the blocks stay cheaper well past 8 q^(d+1)
+        ((3, 3), 3, 1200, False),
+        ((3, 3), 3, 2400, False),
         # all of F_9^2: the transforms' fixed cost outweighs 2 * 81^2 cells
         ((3, 2), 2, 81, False),
     ]:
@@ -747,12 +753,13 @@ def test_large_spaces_build_no_transform(monkeypatch):
     assert _distance_set_key(graph_distance_set(E, cycle_graph(4))) == _distance_set_key(
         graph_distance_set_oracle(E, cycle_graph(4))
     )
-    # A set of F_3^13 dense enough for the rule, in a space where one
+    # A set of F_3^12 dense enough for the rule, in a space where one
     # sphere's transforms would not fit a _CHUNK.
     spec = make_field(3, 1)
-    assert ffgeom._SPHERE_CELLS * spec.q**13 > ffgeom._CHUNK and _sphere_min(3, 13) <= 1800
-    E = random_subset(spec, 13, 1800, seed=5)
-    assert np.array_equal(ffgeom._degree_table(E).sum(axis=1), np.full(1800, 1799))
+    n = _sphere_min(3, 1, 12)
+    assert ffgeom._SPHERE_CELLS * spec.q**12 > ffgeom._CHUNK and n <= 2900
+    E = random_subset(spec, 12, n, seed=5)
+    assert np.array_equal(ffgeom._degree_table(E).sum(axis=1), np.full(n, n - 1))
 
 
 def test_sphere_degree_table_rounding_guard(monkeypatch):

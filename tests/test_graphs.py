@@ -1,4 +1,6 @@
 import itertools
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from distgraphs.graphs import (
     Graph,
     _Budget,
     _Plan,
-    _orbit,
+    _chain_floors,
     _search_rows,
     _self_embedding,
     _witness_from_plan,
@@ -319,8 +321,28 @@ def _symmetric_pattern(rng) -> Graph:
     return Graph(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
 
 
-def _brute_orbit(g: Graph, v: int) -> set[int]:
-    return {perm[v] for perm in automorphisms(g)}
+def _brute_floors(g: Graph, plan: _Plan) -> tuple[tuple[int, ...], ...]:
+    """The stabilizer chain's floors from every automorphism: position j
+    gets floor i when order[j] is in the orbit of order[i] under the
+    automorphisms that fix order[0..i-1]."""
+    order, floors = plan.order, [()] * g.n
+    stabilizer = automorphisms(g)
+    for i, v in enumerate(order):
+        orbit = {perm[v] for perm in stabilizer}
+        for j in range(i + 1, g.n):
+            if order[j] in orbit:
+                floors[j] += (i,)
+        stabilizer = [perm for perm in stabilizer if perm[v] == v]
+    return tuple(floors)
+
+
+def _floor_counts(plan: _Plan) -> list[int]:
+    """The number of positions with a floor at each level."""
+    counts = [0] * plan.n
+    for floors in plan.floors:
+        for i in floors:
+            counts[i] += 1
+    return counts
 
 
 @pytest.mark.parametrize("name", ORBIT_CATALOG)
@@ -328,13 +350,18 @@ def test_orbits_match_brute_force_automorphisms_catalog(name):
     g = graph_from_name(name)
     for induced in (False, True):
         plan = _Plan(g, induced)
-        orbit = _brute_orbit(g, plan.order[0])
-        assert _orbit(g, plan) == orbit
-        assert plan.above == {pos for pos in range(1, g.n) if plan.order[pos] in orbit}
+        assert plan.floors == _brute_floors(g, plan)
     # C4, C6, K3 and Q3 are vertex-transitive; in P4 and S2 order[0] has
-    # one other vertex in its orbit.
-    transitive = name in ("C4", "C6", "K3", "Q3")
-    assert len(plan.above) == (g.n - 1 if transitive else 1)
+    # one other vertex in its orbit and the rest of the chain is trivial.
+    expected = {
+        "C4": [3, 1],
+        "C6": [5, 1],
+        "K3": [2, 1],
+        "P4": [1],
+        "S2": [1],
+        "Q3": [7, 2, 1],
+    }[name]
+    assert _floor_counts(plan) == expected + [0] * (g.n - len(expected))
 
 
 @settings(max_examples=80, deadline=None)
@@ -344,8 +371,40 @@ def test_orbits_match_brute_force_automorphisms_random(seed, symmetric):
     g = _symmetric_pattern(rng) if symmetric else random_graph(int(rng.integers(1, 8)), 0.5, rng)
     if not 1 <= g.n <= 7:
         return
-    plan = _Plan(g, False)
-    assert _orbit(g, plan) == _brute_orbit(g, plan.order[0])
+    for induced in (False, True):
+        plan = _Plan(g, induced)
+        assert plan.floors == _brute_floors(g, plan)
+
+
+class _CountingBudget(_Budget):
+    """A budget that also counts every spend, refused ones included."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, budget):
+        super().__init__(budget)
+        self.calls = 0
+
+    def spend(self):
+        self.calls += 1
+        super().spend()
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [hypercube_graph(7), cycle_graph(200), path_graph(300), Graph(1200, [(0, 1)]), Graph(1200)],
+    ids=["Q7", "C200", "P300", "1200 with one edge", "1200 edgeless"],
+)
+def test_plan_builds_are_bounded(pattern):
+    # The ordering takes a heap and the chain's probes share one budget,
+    # so even a pattern whose probes exhaust it plans in milliseconds.
+    start = time.perf_counter()
+    plan = _Plan(pattern, False)
+    assert time.perf_counter() - start < 0.1
+    budget = _CountingBudget(_ORBIT_BUDGET)
+    assert _chain_floors(pattern, plan, budget) == plan.floors
+    # at most one refused spend: no probe starts once the budget is out
+    assert budget.calls <= _ORBIT_BUDGET + 1
 
 
 def test_arc_orbit_representatives_match_brute_force():
@@ -385,11 +444,28 @@ def test_spent_probe_budget_finds_nothing():
     assert _self_embedding(g, plan, (3,), _Budget(6)) is not None
 
 
+# Patterns whose chains go past level 0: C6 and Q3 are vertex-transitive
+# with nontrivial stabilizers, and K_{2,3} has two orbits.
+DEEP_CHAIN_PATTERNS = {
+    "C6": cycle_graph(6),
+    "Q3": hypercube_graph(3),
+    "K23": Graph(5, [(a, b) for a in range(2) for b in range(2, 5)]),
+}
+
+
+def _test_pattern(kind: str, rng) -> Graph:
+    return _symmetric_pattern(rng) if kind == "symmetric" else DEEP_CHAIN_PATTERNS[kind]
+
+
+# Half the examples keep the random symmetric patterns.
+PATTERN_KINDS = st.sampled_from(["symmetric", "symmetric", *DEEP_CHAIN_PATTERNS])
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 100_000), st.sampled_from([0.2, 0.5, 0.8]), st.booleans())
-def test_symmetry_broken_search_matches_the_oracle(seed, density, induced):
+@given(st.integers(0, 100_000), st.sampled_from([0.2, 0.5, 0.8]), st.booleans(), PATTERN_KINDS)
+def test_symmetry_broken_search_matches_the_oracle(seed, density, induced, kind):
     rng = np.random.default_rng(seed)
-    pattern = _symmetric_pattern(rng)
+    pattern = _test_pattern(kind, rng)
     host = random_graph(int(rng.integers(0, 12)), density, rng)
     plan = _Plan(pattern, induced)
     images, spent = _run(_search_rows, host, plan)
@@ -399,11 +475,11 @@ def test_symmetry_broken_search_matches_the_oracle(seed, density, induced):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 100_000), st.booleans())
-def test_preassigned_search_is_unchanged(seed, induced):
+@given(st.integers(0, 100_000), st.booleans(), PATTERN_KINDS)
+def test_preassigned_search_is_unchanged(seed, induced, kind):
     # Searches with fixed first images keep the plain search, node for node.
     rng = np.random.default_rng(seed)
-    pattern = _symmetric_pattern(rng)
+    pattern = _test_pattern(kind, rng)
     host = random_graph(int(rng.integers(1, 10)), 0.6, rng)
     plans = [_Plan(pattern, induced)] + (all_arc_plans(pattern) if not induced else [])
     for plan in plans:
@@ -413,12 +489,18 @@ def test_preassigned_search_is_unchanged(seed, induced):
             assert _run(_search_rows, host, plan, pre) == _run(search_rows_oracle, host, plan, pre)
 
 
-def test_orbit_probes_deeper_than_the_recursion_limit_find_nothing():
-    # A search this deep overflows the interpreter's stack, but this one
-    # fails at position 1, so the plan must build without the orbit.
+def test_searches_deeper_than_the_recursion_limit_answer():
+    # The search is a loop, so a pattern deeper than the interpreter's
+    # recursion limit gets an answer, and so does the plan's probe that
+    # finds the swap of vertices 0 and 1.
+    assert sys.getrecursionlimit() < 1200
     pattern = Graph(1200, [(0, 1)])
     assert contains_subgraph(Graph(1200), pattern) is None
-    assert pattern._plans[False].above == frozenset()
+    plan = pattern._plans[False]
+    assert plan.order[:2] == (0, 1) and plan.floors[1] == (0,)
+    host, edgeless = Graph(1500), Graph(1200)
+    w = contains_subgraph(host, edgeless)
+    assert w is not None and verify_embedding(host, edgeless, w.mapping)
 
 
 def test_q3_distance_set_witnesses_match_the_oracle_search():
@@ -435,9 +517,9 @@ def test_q3_distance_set_witnesses_match_the_oracle_search():
 
 
 def test_budget_counts_nodes_of_the_symmetry_reduced_search():
-    # Q3 is vertex-transitive, and this absence proof takes about a
-    # quarter of the plain search's nodes; a budget between the two
-    # counts decides what the plain search could not.
+    # Q3 is vertex-transitive with a three-level chain, and this absence
+    # proof takes about an eighth of the plain search's nodes; a budget
+    # between the two counts decides what the plain search could not.
     q3 = hypercube_graph(3)
     E = random_subset(make_field(13, 1), 3, 80, seed=1)
     host = distance_graph(E, 2)
