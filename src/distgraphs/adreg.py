@@ -44,11 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, log
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateFit, TooLarge, env_cap
+from .ffgeom import _CHUNK
 from .graphs import Graph, contains_subgraph
 
 DEFAULT_MAX_CLOUD = 1 << 18
@@ -374,17 +375,21 @@ def annulus_stats(
 # -- approximate distance graphs -------------------------------------------
 
 
-def _pairwise_dist(centers: np.ndarray) -> np.ndarray:
-    diff = centers[:, None, :] - centers[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
-
-
 def approx_distance_graph(net: Net, t: float) -> Graph:
     """Graph on net centers with x ~ y iff | |x - y| - t | < 10 epsilon,
-    where epsilon is the net's scale."""
-    dist = _pairwise_dist(net.centers)
-    adj = np.abs(dist - t) < 10.0 * net.epsilon
-    return Graph.from_bool_matrix(adj)
+    where epsilon is the net's scale.  It is built in blocks of rows,
+    each block's (rows, k, d) difference array at most about a _CHUNK
+    of cells, so no (k, k, d) array exists; each distance is the same
+    float expression as from the whole array."""
+    centers, tol = net.centers, 10.0 * net.epsilon
+    step = max(1, _CHUNK // max(centers.size, 1))
+
+    def blocks() -> Iterator[np.ndarray]:
+        for lo in range(0, len(centers), step):
+            block = centers[lo : lo + step, None, :]
+            yield np.abs(np.sqrt(((block - centers[None, :, :]) ** 2).sum(axis=2)) - t) < tol
+
+    return Graph.from_bool_blocks(blocks())
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,14 @@ class ExperimentConfig:
         return asdict(self)
 
 
+def _csv_cell(text: str) -> str:
+    """`text` as one CSV cell: in double quotes, with its quotes doubled,
+    when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 @dataclass
 class ExperimentReport:
     config: dict
@@ -240,7 +248,9 @@ class ExperimentReport:
 
     def records_csv(self) -> str:
         """The deterministic record section: stable column order, repr
-        floats, lowercase booleans, empty string for missing cells."""
+        floats, lowercase booleans, empty string for missing cells.  A
+        cell holding a comma, a quote or a line break is quoted (RFC
+        4180), and every other cell is written as it is."""
         lines = [",".join(self.columns)]
         for rec in self.records:
             cells = []
@@ -253,7 +263,7 @@ class ExperimentReport:
                 elif isinstance(val, float):
                     cells.append(repr(val))
                 else:
-                    cells.append(str(val))
+                    cells.append(_csv_cell(str(val)))
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 

@@ -21,7 +21,9 @@ Z_p^{dk} times that of 1_E.  Every entry is an integer in [0, n), so it
 rounds under the same guard as the histogram below, and each row must
 sum to n - 1.  Other sets take one bincount per block of pairwise norms.
 Each t's search reads the t-distance graph through a host whose bitset
-row i is packed from the codes the first time the search reads it.
+row i is packed the first time the search reads it, from x_i's norm
+row.  That row is computed once per point set and kept, up to a
+_CHUNK of cells, so every later t that reads row i only compares it.
 
 The distance histogram takes one of two paths, chosen from |E| alone.
 When |E|^2 >= 4 q^d it is the Fourier picture of the count: F_q^d is
@@ -546,21 +548,35 @@ def graph_distance_set(E: PointSet, pattern: Graph, budget: Optional[int] = None
     graph.  No n x n array is built: every degree comes from one (n, q)
     degree table, taken from sphere convolutions for a dense set and
     from norm blocks otherwise (see _degree_table), and each t's search
-    packs row i of its graph, the points at norm t from x_i, from the
-    codes the first time it reads that row.  The search visits the
-    candidates it would visit in the whole graph, in the same order.
+    packs row i of its graph, the points at norm t from x_i, the first
+    time it reads that row.  The search visits the candidates it would
+    visit in the whole graph, in the same order.
+
+    x_i's norm row ||x_i - x_j|| is computed once per call, the first
+    time any t reads row i, and kept in the smallest unsigned dtype that
+    holds q - 1, so a later t's row i is one comparison and one packbits.
+    At most a _CHUNK of cells is kept (rows kept * n <= _CHUNK); past
+    that, a row not kept is computed again for each t that reads it.
 
     A t no pair of E realizes gives an edgeless graph, in which a
     pattern with edges has no candidate vertex, so its search ends
     before spending budget: absent, never indeterminate."""
-    if pattern.n > len(E):
+    n = len(E)
+    if pattern.n > n:
         return GraphDistanceSet(E.spec, frozenset(), frozenset())
     degrees = _degree_table(E).T.tolist()
     norms, codes = _norm_kernel(E), E.codes.tolist()
+    dtype = np.min_scalar_type(E.spec.q - 1)
+    kept: dict[int, np.ndarray] = {}
+    room = _CHUNK // max(n, 1)
 
     def pack(t: int, i: int) -> int:
-        adj = norms(codes[i]) == t
-        return int.from_bytes(np.packbits(adj, bitorder="little").tobytes(), "little") & ~(1 << i)
+        row = kept.get(i)
+        if row is None:
+            row = norms(codes[i])
+            if len(kept) < room:
+                row = kept[i] = row.astype(dtype)
+        return int.from_bytes(np.packbits(row == t, bitorder="little").tobytes(), "little") & ~(1 << i)
 
     contained = set()
     indeterminate = set()

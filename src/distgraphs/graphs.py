@@ -53,8 +53,18 @@ class Graph:
     @classmethod
     def from_bool_matrix(cls, adj: np.ndarray) -> "Graph":
         """Graph from a symmetric boolean adjacency matrix (diagonal ignored)."""
-        packed = np.packbits(np.asarray(adj, dtype=bool), axis=1, bitorder="little")
-        rows = [int.from_bytes(row.tobytes(), "little") & ~(1 << i) for i, row in enumerate(packed)]
+        return cls.from_bool_blocks([adj])
+
+    @classmethod
+    def from_bool_blocks(cls, blocks: Iterable[np.ndarray]) -> "Graph":
+        """Graph from a symmetric boolean adjacency matrix given as
+        consecutive blocks of its rows (diagonal ignored), so only one
+        block need exist at a time."""
+        rows: list[int] = []
+        for block in blocks:
+            packed = np.packbits(np.asarray(block, dtype=bool), axis=1, bitorder="little")
+            first = len(rows)
+            rows.extend(int.from_bytes(row.tobytes(), "little") & ~(1 << i) for i, row in enumerate(packed, first))
         return cls._from_rows(len(rows), rows)
 
     @property

@@ -14,14 +14,16 @@ anchored plan per directed pattern edge with no symmetry reduction, and
 `ex_labeled_oracle` is the former exhaustive ex(n, G) oracle, a scan of
 every labeled graph on n vertices, and `graph_distance_set_oracle` is the
 former G-distance set, which builds every t-distance graph whole from one
-n x n norm matrix.
+n x n norm matrix.  `approx_distance_graph_oracle` is the former
+approximate distance graph, built from the whole (k, k, d) difference
+array of the net's centers.
 """
 
 from itertools import combinations, permutations
 
 import numpy as np
 
-from distgraphs.adreg import GUARD
+from distgraphs.adreg import GUARD, Net
 from distgraphs.errors import BudgetExceeded
 from distgraphs.extremal import ExtremalResult
 from distgraphs.ffgeom import GraphDistanceSet, PointSet, pairwise_norms
@@ -222,6 +224,14 @@ def random_graph(n: int, density: float, rng) -> Graph:
         if rng.random() < density
     ]
     return Graph(n, edges)
+
+
+def approx_distance_graph_oracle(net: Net, t: float) -> Graph:
+    """The graph on net centers with x ~ y iff | |x - y| - t | < 10
+    epsilon, from one (k, k, d) difference array."""
+    diff = net.centers[:, None, :] - net.centers[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    return Graph.from_bool_matrix(np.abs(dist - t) < 10.0 * net.epsilon)
 
 
 def greedy_net_oracle(points: np.ndarray, epsilon: float) -> np.ndarray:

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distgraphs import adreg
 from distgraphs.adreg import (
     DEFAULT_BAND,
     FractalSpec,
@@ -22,7 +24,7 @@ from distgraphs.adreg import (
 )
 from distgraphs.errors import BudgetExceeded, ConfigError, DegenerateFit, TooLarge
 from distgraphs.graphs import complete_graph, cycle_graph, graph_from_name
-from oracles import annulus_counts_oracle, greedy_net_oracle, verify_net_oracle
+from oracles import annulus_counts_oracle, approx_distance_graph_oracle, greedy_net_oracle, verify_net_oracle
 
 
 def test_spec_validation():
@@ -195,6 +197,44 @@ def test_approx_graph_trivia():
     d01 = float(np.linalg.norm(net.centers[0] - net.centers[1]))
     g = approx_distance_graph(net, d01)
     assert g.has_edge(0, 1)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7, None])
+@pytest.mark.parametrize(
+    "spec, epsilon",
+    [(FractalSpec(1, 0.5, 9), 2.0**-6), (FractalSpec(2, 0.5, 6), 2.0**-4), (FractalSpec(2, 0.45, 6), 0.03),
+     (FractalSpec(3, 0.5, 4), 2.0**-3)],
+)
+def test_approx_distance_graph_matches_whole_matrix(monkeypatch, spec, epsilon, rows_per_block):
+    net = greedy_net(cantor_product(spec), epsilon)
+    if rows_per_block:
+        monkeypatch.setattr(adreg, "_CHUNK", rows_per_block * net.centers.size)
+    # A grid of t, and t = |x_0 - x_j| -+ 10 epsilon, which puts the pair
+    # (0, j) on the boundary of the 10 epsilon band.
+    dist0 = np.sqrt(((net.centers - net.centers[0]) ** 2).sum(axis=1))
+    ts = [0.1, 0.4, 0.55, 0.8]
+    ts += [float(dist0[j]) + sign * 10.0 * epsilon for j in (1, len(dist0) // 2, -1) for sign in (-1, 1)]
+    on_boundary = 0
+    for t in ts:
+        on_boundary += int(np.count_nonzero(np.abs(dist0 - t) == 10.0 * epsilon))
+        assert approx_distance_graph(net, t).rows == approx_distance_graph_oracle(net, t).rows
+    assert on_boundary > 0  # some pair sits exactly on the band's edge
+
+
+def test_approx_distance_graph_memory_is_row_blocks(monkeypatch):
+    # 1591 centers in the plane: the (k, k, d) difference array alone
+    # would take 8 k^2 d bytes (38.6 MiB).
+    net = greedy_net(cantor_product(FractalSpec(2, 0.5, 8)), 2.0**-7)
+    k, d = net.centers.shape
+    monkeypatch.setattr(adreg, "_CHUNK", 64 * k * d)  # blocks of 64 rows
+    tracemalloc.start()
+    try:
+        graph = approx_distance_graph(net, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1400 <= k <= 1600 and graph.edge_count > 0
+    assert peak < 8 * k * k * d // 4
 
 
 def test_edge_scaling_monotone_and_fit():

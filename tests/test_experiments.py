@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distgraphs
-from distgraphs import adreg, experiments
+from distgraphs import adreg, experiments, ffgeom
 from distgraphs.cli import main
 from distgraphs.errors import ConfigError
 from distgraphs.experiments import (
@@ -27,7 +28,7 @@ from distgraphs.experiments import (
     resolve_size,
     run,
 )
-from oracles import annulus_counts_oracle
+from oracles import annulus_counts_oracle, graph_distance_set_oracle
 
 
 def test_resolve_size():
@@ -116,6 +117,38 @@ def test_threshold_runner():
     assert [c["size"] for c in curve] == [4, 6, 9]
     assert curve[-1]["rate"] == 1.0  # the full plane realizes C_4 everywhere
     assert report.summary["full_space_ok"]
+
+
+def test_threshold_records_match_whole_graph_oracle(monkeypatch):
+    # Reduced copies of the benchmark's two threshold sweeps at seed 1:
+    # the records are the same byte for byte when every G-distance set
+    # comes from whole t-distance graphs.
+    configs = [
+        ExperimentConfig(kind="threshold", seed=1, jobs=1, params={
+            "field": [7, 2], "d": 2, "graph": "C4", "sizes": [30, 40, 50, 60, 80, 120], "trials": 1}),
+        ExperimentConfig(kind="threshold", seed=2, jobs=1, params={
+            "field": [13, 1], "d": 3, "graph": "Q3", "sizes": [60, 80, 100, 120, 160], "trials": 1}),
+    ]
+    records = [run(cfg).records_csv() for cfg in configs]
+    monkeypatch.setattr(ffgeom, "graph_distance_set", graph_distance_set_oracle)
+    assert [run(cfg).records_csv() for cfg in configs] == records
+
+
+def test_records_csv_quotes_cells_with_commas():
+    # A graph_text pattern is named custom(n,m): its cell is quoted, so
+    # the record reads back whole.
+    report = run(ExperimentConfig(kind="threshold", seed=2, params={
+        "field": [3, 1], "d": 2, "graph_text": "4 4\n0 1\n1 2\n2 3\n0 3\n", "sizes": [6, "q^d"], "trials": 2}))
+    text = report.records_csv()
+    assert '"custom(4,4)"' in text
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == len(report.records) == 4
+    for row, rec in zip(rows, report.records):
+        assert None not in row  # no cell spilled past the header
+        assert row["graph"] == rec["graph"] == "custom(4,4)"
+        for col in ("q", "d", "size", "trial", "seed", "n_contained", "n_indeterminate"):
+            assert int(row[col]) == rec[col]
+        assert row["success"] == {True: "true", False: "false", None: ""}[rec["success"]]
 
 
 def test_threshold_trials_zero():
@@ -323,8 +356,9 @@ def test_cli_threshold_pattern_deeper_than_the_recursion_limit(tmp_path, capsys)
     assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     header, row = (tmp_path / "out" / "records.csv").read_text().splitlines()
     assert header == "q,d,graph,size,trial,seed,success,indeterminate,n_contained,n_indeterminate"
-    # found at all three t, none indeterminate
-    assert row.startswith("3,7,custom(1200,1),2187,0,") and row.endswith(",true,false,3,0")
+    # found at all three t, none indeterminate; the pattern's name holds a
+    # comma, so its cell is quoted
+    assert row.startswith('3,7,"custom(1200,1)",2187,0,') and row.endswith(",true,false,3,0")
 
 
 def _extremal_cache_run(tmp_path, cache_text):

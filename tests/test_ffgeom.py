@@ -636,6 +636,92 @@ def test_graph_distance_set_memory_is_batched_transforms(monkeypatch):
     assert peak < n * n
 
 
+# -- norm rows: computed once per point, kept up to a _CHUNK -----------------
+
+
+def _count_norm_rows(monkeypatch) -> tuple[list[int], list[int]]:
+    """(single-point norm computations, the vertex of every (t, i) row
+    packed), each filled in by later graph_distance_set calls."""
+    computed, packed = [], []
+    real_kernel = ffgeom._norm_kernel
+    real_missing = ffgeom._PackedRows.__missing__
+
+    def kernel(E):
+        norms = real_kernel(E)
+
+        def counted(xs):
+            if np.ndim(xs[0]) == 0:  # one point, not a block
+                computed.append(1)
+            return norms(xs)
+
+        return counted
+
+    def missing(rows, i):
+        packed.append(i)
+        return real_missing(rows, i)
+
+    monkeypatch.setattr(ffgeom, "_norm_kernel", kernel)
+    monkeypatch.setattr(ffgeom._PackedRows, "__missing__", missing)
+    return computed, packed
+
+
+_K23 = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+
+
+@pytest.mark.parametrize(
+    "pk, d, size, pattern",
+    [
+        ((7, 1), 2, 49, cycle_graph(4)),
+        ((13, 1), 3, 160, hypercube_graph(3)),
+        ((5, 2), 2, 300, cycle_graph(6)),
+        ((3, 2), 3, 200, _K23),
+    ],
+    ids=["C4-F7^2", "Q3-F13^3", "C6-F25^2", "K23-F9^3"],
+)
+def test_graph_distance_set_computes_each_norm_row_once(monkeypatch, pk, d, size, pattern):
+    E = random_subset(make_field(*pk), d, size, seed=size)
+    expected = graph_distance_set_oracle(E, pattern)
+    computed, packed = _count_norm_rows(monkeypatch)
+    assert _distance_set_key(graph_distance_set(E, pattern)) == _distance_set_key(expected)
+    assert len(computed) == len(set(packed)) < len(packed)
+
+
+@pytest.mark.parametrize(
+    "pk, d, size, pattern",
+    [
+        ((13, 1), 3, 120, hypercube_graph(3)),
+        ((13, 1), 3, 200, _K23),
+        ((7, 2), 2, 150, hypercube_graph(3)),
+        ((5, 1), 4, 90, _K23),
+    ],
+    ids=["Q3-F13^3", "K23-F13^3", "Q3-F49^2", "K23-F5^4"],
+)
+def test_graph_distance_set_with_a_full_row_cache(monkeypatch, pk, d, size, pattern):
+    # Absence-heavy sparse sets, with room for 5 norm rows: every row past
+    # those is computed again for each t that reads it.
+    E = random_subset(make_field(*pk), d, size, seed=size)
+    expected = graph_distance_set_oracle(E, pattern, budget=20000)
+    computed, packed = _count_norm_rows(monkeypatch)
+    monkeypatch.setattr(ffgeom, "_CHUNK", 5 * size)
+    assert _distance_set_key(graph_distance_set(E, pattern, budget=20000)) == _distance_set_key(expected)
+    read = list(dict.fromkeys(packed))
+    kept = read[:5]  # the first five rows read
+    assert len(read) > 5
+    assert len(computed) == len(kept) + sum(1 for i in packed if i not in kept)
+
+
+def test_graph_distance_set_rows_past_uint8(monkeypatch):
+    # Norm codes of F_257 run to 256, past uint8: the kept rows are uint16.
+    monkeypatch.setenv("DISTGRAPHS_MAX_Q", "300")
+    spec = make_field(257, 1)
+    E = random_subset(spec, 2, 300, seed=257)
+    for pattern in (path_graph(3), cycle_graph(4)):
+        expected = graph_distance_set_oracle(E, pattern, budget=5000)
+        assert _distance_set_key(graph_distance_set(E, pattern, budget=5000)) == _distance_set_key(expected)
+        if pattern.n == 3:  # found at t = 256, the code a uint8 row would wrap to 0
+            assert 256 in expected.contained
+
+
 # -- the degree table: sphere convolutions against norm blocks ---------------
 
 
