@@ -12,6 +12,7 @@ import numpy as np
 from distgraphs import (
     FractalSpec,
     annulus_stats,
+    approx_distance_graph,
     cantor_product,
     cycle_graph,
     edge_scaling,
@@ -52,7 +53,7 @@ for stats in annulus_stats(cloud, net.centers, [0.45, 0.60, 0.75], eps):
 # Edge scaling: fitted slope of log(edges) against log(1/eps) should sit
 # near 2s - 1.
 nets = [greedy_net(cloud, 2.0**-j) for j in (3, 4, 5, 6)]
-result = edge_scaling(spec, nets, t=0.6)
+result = edge_scaling(spec, [(n, approx_distance_graph(n, 0.6)) for n in nets], t=0.6)
 print(f"\nedge scaling at t=0.6: slope {result.slope:.3f}, prediction {result.predicted_slope:.3f}")
 for rec in result.records:
     print(f"  eps={rec.epsilon:.5f}: {rec.net_size:4d} centers, {rec.edges:6d} edges")
@@ -60,7 +61,7 @@ for rec in result.records:
 # ---------------------------------------------------------------------------
 # A 6-cycle approximation: six net points, adjacent ones within 10 eps of
 # t, all pairs more than 3 eps apart.
-witness = find_approximation(net, cycle_graph(6), t=0.6)
+witness = find_approximation(net, approx_distance_graph(net, 0.6), cycle_graph(6), t=0.6)
 print(f"\n6-cycle approximation at t=0.6, eps=2^-5: found = {witness is not None}")
 if witness:
     for i, p in enumerate(witness.points):

@@ -22,16 +22,27 @@ intervals alone.  They are taken for radii moved by a rounding slack of
 rounding of any distance computed from these coordinates, and every
 point they leave in doubt gets the same distance predicate as a
 whole-cloud scan, so results are identical to that scan's, ties at the
-boundaries included.  Nets and net checks take each center's candidates
-from the intervals for r + slack.
+boundaries included.  A radius whose square with slack would overflow
+is a config error.
+
+Nets and net checks split each row a ball reaches into a sure run, the
+row's interval for r - slack, whose points all lie within r however
+their distances round, and two doubt bands out to its interval for
+r + slack.  A greedy net marks a new center's sure runs covered as
+whole index ranges and evaluates only its doubt bands.  A net check
+takes the centers in blocks and, in one difference array over the
+cloud, adds +1 at the start and -1 past the end of every sure run and
+of every doubt point that its predicate puts within 3 epsilon; one
+running sum then reads off the coverage of every point.
 
 `annulus_stats` takes a whole grid of t values at one epsilon in one
 pass over the centers, and reads each t's count as
 #{d <= t + epsilon} - #{d <= t}, which is exactly the number with
 t < d <= t + epsilon; a single t is a one-element grid.  Each
-#{d <= r} is summed over the rows: a row's points within its interval
-for r - slack are counted unseen, those outside its interval for
-r + slack are not, and only the few in between are evaluated.
+#{d <= r} is summed over the rows that reach the largest radius: a
+row's points whose squared offset (a - c_last)^2 is below
+max(r - slack, 0)^2 - g^2 are counted unseen, those above
+(r + slack)^2 - g^2 are not, and only the few in between are evaluated.
 
 A net carries its scale epsilon, and the approximate distance graph,
 the approximation search and the edge-count fit read epsilon from the
@@ -201,15 +212,24 @@ def _check_centers(cloud: PointCloud, centers) -> np.ndarray:
     return c
 
 
+def _squarable(r: float) -> bool:
+    """Whether (2 r)^2 is finite.  Then so is (r + slack)^2, the largest
+    square a ball query at radius r forms, on any cloud and centers whose
+    coordinates have finite squares."""
+    return isfinite(4.0 * r * r)
+
+
 def _slack(cloud: PointCloud, c: np.ndarray, r: float) -> float:
-    """Rounding slack for radii up to r around c (see the module docstring)."""
+    """Rounding slack for radii up to r around the centers c (see the
+    module docstring)."""
     return 2.0**-30 * (r + float(np.abs(cloud.axis[[0, -1]]).max()) + float(np.abs(c).max()))
 
 
-def _row_gaps(cloud: PointCloud, c: np.ndarray) -> np.ndarray:
-    """Squared distance from c's first d - 1 coordinates to each row's."""
-    delta = cloud.points[:: len(cloud.axis), :-1] - c[:-1]
-    return np.einsum("ij,ij->i", delta, delta)
+def _row_gaps(cloud: PointCloud, centers: np.ndarray) -> np.ndarray:
+    """Squared distance from each center's first d - 1 coordinates to each
+    row's, (centers, rows)."""
+    delta = cloud.points[:: len(cloud.axis), :-1] - centers[:, None, :-1]
+    return np.einsum("bij,bij->bi", delta, delta)
 
 
 def _reach(room: np.ndarray) -> np.ndarray:
@@ -224,35 +244,61 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(len(first)) + first
 
 
-def _ball(cloud: PointCloud, c: np.ndarray, r: float) -> np.ndarray:
-    """Indices of a superset of the points whose distance to c, however
-    rounded, is at most r: each row's interval for radius r + slack,
-    widened by the slack again for the rounding of its ends."""
-    slack = _slack(cloud, c, r)
-    reach = _reach((r + slack) ** 2 - _row_gaps(cloud, c))
-    rows = np.flatnonzero(reach >= 0.0)
-    lo = np.searchsorted(cloud.axis, c[-1] - reach[rows] - slack, side="left")
-    hi = np.searchsorted(cloud.axis, c[-1] + reach[rows] + slack, side="right")
-    return _runs(rows * len(cloud.axis) + lo, hi - lo)
+def _intervals(cloud: PointCloud, centers: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
+    """The balls of radius r around a (b, d) block of centers, row by row.
+
+    For each (center, row) pair whose row can reach the ball, the cloud
+    indices [sure_lo, sure_hi) are the row's interval for r - slack:
+    every point in it lies within r of the center however its distance
+    is rounded.  The interval for r + slack, widened by the slack again
+    for the rounding of its ends, holds every point that may lie within
+    r; the two bands it adds to the sure run are its doubt points.
+    Returns sure_lo and sure_hi, one per pair, then the doubt points'
+    cloud indices and the row of `centers` each is in doubt for."""
+    m = len(cloud.axis)
+    slack = _slack(cloud, centers, r)
+    gaps = _row_gaps(cloud, centers)
+    which, row = np.nonzero(gaps <= (r + slack) ** 2)
+    gaps = gaps[which, row]
+    last = centers[which, -1]
+    reach = np.sqrt((r + slack) ** 2 - gaps) + slack
+    sure = _reach((r - slack) ** 2 - gaps) if r > slack else np.full(len(gaps), -1.0)  # no ball below radius 0
+    start = row * m
+    lo = start + np.searchsorted(cloud.axis, last - reach, side="left")
+    hi = start + np.searchsorted(cloud.axis, last + reach, side="right")
+    # an empty sure run (sure = -1) sits inside [lo, hi) as sure_lo = sure_hi
+    sure_lo = np.minimum(start + np.searchsorted(cloud.axis, last - sure, side="left"), hi)
+    sure_hi = np.maximum(start + np.searchsorted(cloud.axis, last + sure, side="right"), sure_lo)
+    lengths = np.concatenate([sure_lo - lo, hi - sure_hi])
+    doubt = _runs(np.concatenate([lo, sure_hi]), lengths)
+    return sure_lo, sure_hi, doubt, np.repeat(np.concatenate([which, which]), lengths)
 
 
 def _within(cloud: PointCloud, c: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """#{p : np.linalg.norm(p - c) <= r} for each r of radii.  Per row and
-    radius, a point whose last coordinate lies within the half-width for
-    r - slack of c_last is counted unseen, and one outside that for
-    r + slack is not; only the points in between are evaluated.  The
-    offsets |a - c_last| and the half-widths carry only relative rounding,
-    which the slack dwarfs."""
+    """#{p : np.linalg.norm(p - c) <= r} for each r of radii.  Rows that
+    lie beyond the largest radius plus slack are dropped.  Per remaining
+    row (at squared gap g) and radius, a point whose squared offset
+    (a - c_last)^2 lies below max(r - slack, 0)^2 - g is counted unseen,
+    and one above (r + slack)^2 - g is not; only the points in between
+    are evaluated.  Near a bound, the squared offset, g and the bound lie
+    below (r + slack)^2 and round by a few units in its last place, while
+    each bound lies at least 2^-30 r^2 from r^2 (the slack is at least
+    2^-30 r), so no rounded distance crosses r unseen."""
     slack = _slack(cloud, c, float(radii.max()))
-    gaps = _row_gaps(cloud, c)[:, None]
-    offsets = np.abs(cloud.axis - c[-1])
+    gaps = _row_gaps(cloud, c[None])[0]
+    rows = np.flatnonzero(gaps <= (radii.max() + slack) ** 2)
+    gaps = gaps[rows, None]
+    offsets = (cloud.axis - c[-1]) ** 2
     order = np.argsort(offsets)
     offsets = offsets[order]
-    lo = np.searchsorted(offsets, _reach(np.maximum(radii - slack, 0.0) ** 2 - gaps), side="left")  # (rows, radii)
-    hi = np.searchsorted(offsets, _reach((radii + slack) ** 2 - gaps), side="right")
+    lo = np.searchsorted(offsets, np.maximum(radii - slack, 0.0) ** 2 - gaps, side="left")  # (rows, radii)
+    room = (radii + slack) ** 2 - gaps
+    hi = lo.copy()
+    more = (lo < len(offsets)) & (offsets.take(lo, mode="clip") <= room)  # most doubt bands are empty
+    hi[more] = np.searchsorted(offsets, room[more], side="right")
     band = (hi - lo).ravel()
     row, k = np.divmod(np.repeat(np.arange(band.size), band), len(radii))
-    idx = row * len(cloud.axis) + order[_runs(lo.ravel(), band)]
+    idx = rows[row] * len(cloud.axis) + order[_runs(lo.ravel(), band)]
     dist = np.linalg.norm(cloud.points[idx] - c, axis=1)
     return lo.sum(axis=0) + np.bincount(k[dist <= radii[k]], minlength=len(radii))
 
@@ -276,10 +322,11 @@ class Net:
 
 def _cover_radius(epsilon: float) -> float:
     """3 epsilon widened by the guard band; a scale that is not positive,
-    or whose radius is not finite (NaN, or overflow), is a config error."""
+    or whose radius squared with slack is not finite (NaN, or overflow),
+    is a config error."""
     r_cov = 3.0 * epsilon * (1.0 + GUARD)
-    if not (epsilon > 0.0 and isfinite(r_cov)):
-        raise ConfigError(f"epsilon must be positive with 3 epsilon finite, got {epsilon}")
+    if not (epsilon > 0.0 and _squarable(r_cov)):
+        raise ConfigError(f"epsilon must be positive with (6 epsilon)^2 finite, got {epsilon}")
     return r_cov
 
 
@@ -296,31 +343,51 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> Net:
     while uncovered[i]:
         chosen.append(i)
         uncovered[i] = False
-        near = _ball(cloud, pts[i], r_cov)
-        delta = pts[near] - pts[i]
-        uncovered[near[np.einsum("ij,ij->i", delta, delta) <= r2]] = False
+        sure_lo, sure_hi, doubt, _ = _intervals(cloud, pts[i : i + 1], r_cov)
+        uncovered[_runs(sure_lo, sure_hi - sure_lo)] = False
+        delta = pts[doubt] - pts[i]
+        uncovered[doubt[np.einsum("ij,ij->i", delta, delta) <= r2]] = False
         i += int(np.argmax(uncovered[i:]))  # the first uncovered point, or i itself if none is left
     idx = np.array(chosen, dtype=np.int64)
     return Net(idx, pts[idx].copy(), epsilon)
 
 
+def _net_block(cloud: PointCloud, k: int) -> int:
+    """Centers per block in `verify_net` for k centers: each block's
+    (center, center) and (center, row) cells stay within _CHUNK / 256."""
+    return max(1, _CHUNK // (256 * max(cloud.n // len(cloud.axis), k) * cloud.d))
+
+
 def verify_net(cloud: PointCloud, net: Net) -> bool:
     """Independent validity check: pairwise separation > 3 epsilon and
     3 epsilon coverage, under the documented guard band.  Centers that
-    are not a finite (k, d) array are a config error."""
+    are not a finite (k, d) array are a config error.
+
+    Both checks take the centers in blocks of `_net_block`.  Coverage
+    counts, per cloud point, the sure runs and the evaluated doubt points
+    that hold it, as +1 at each run's start and -1 past its end of one
+    difference array, summed once at the end."""
     c = _check_centers(cloud, net.centers)
-    sep2 = (3.0 * net.epsilon * (1.0 - GUARD)) ** 2
-    for i in range(net.size):
-        delta = c[i + 1 :] - c[i]
-        if delta.size and np.min(np.einsum("ij,ij->i", delta, delta)) <= sep2:
-            return False
     r_cov = _cover_radius(net.epsilon)
+    k, d = c.shape
+    step = _net_block(cloud, k)
+    sep2 = (3.0 * net.epsilon * (1.0 - GUARD)) ** 2
+    for lo in range(0, k, step):
+        block = c[lo : lo + step]
+        delta = (c[None, lo + 1 :] - block[:, None]).reshape(-1, d)
+        d2 = np.einsum("ij,ij->i", delta, delta).reshape(len(block), -1)
+        later = np.arange(k - lo - 1) >= np.arange(len(block))[:, None]  # column j is center lo + 1 + j
+        if np.any(d2[later] <= sep2):
+            return False
     cov2 = r_cov**2
-    covered = np.zeros(cloud.n, dtype=bool)
-    for center in c:
-        near = _ball(cloud, center, r_cov)
-        covered[near[((cloud.points[near] - center) ** 2).sum(axis=1) <= cov2]] = True
-    return bool(covered.all())
+    cover = np.zeros(cloud.n + 1, dtype=np.int32)
+    for lo in range(0, k, step):
+        block = c[lo : lo + step]
+        sure_lo, sure_hi, doubt, owner = _intervals(cloud, block, r_cov)
+        near = doubt[((cloud.points[doubt] - block[owner]) ** 2).sum(axis=1) <= cov2]
+        np.add.at(cover, np.concatenate([sure_lo, near]), 1)
+        np.add.at(cover, np.concatenate([sure_hi, near + 1]), -1)
+    return bool(np.cumsum(cover[:-1], out=cover[:-1]).all())
 
 
 # -- annulus statistics ----------------------------------------------------
@@ -352,8 +419,8 @@ def annulus_stats(
     """One AnnulusStats per t of `ts`, in order, from one pass over the
     centers, which must be a finite (k, d) array."""
     for t in ts:
-        if not (t > 0.0 and epsilon > 0.0 and isfinite(t + epsilon)):
-            raise ConfigError(f"t and epsilon must be positive and finite, got {t}, {epsilon}")
+        if not (t > 0.0 and epsilon > 0.0 and _squarable(t + epsilon)):
+            raise ConfigError(f"t and epsilon must be positive with (2 (t + epsilon))^2 finite, got {t}, {epsilon}")
     centers = _check_centers(cloud, centers)
     if not len(ts):
         return []
@@ -419,28 +486,33 @@ def check_scale(spec: FractalSpec, epsilon: float) -> None:
         )
 
 
-def edge_scaling(spec: FractalSpec, nets: Sequence[Net], t: float) -> EdgeScalingResult:
+def _check_graph(net: Net, graph: Graph) -> None:
+    """A net's approximate distance graph has one vertex per center."""
+    if graph.n != net.size:
+        raise ConfigError(f"the graph has {graph.n} vertices for a net of {net.size} centers")
+
+
+def edge_scaling(spec: FractalSpec, scales: Sequence[tuple[Net, Graph]], t: float) -> EdgeScalingResult:
     """Edge counts and center degrees of the approximate distance graphs
-    on the given nets, one per scale and each graph at its net's scale
-    epsilon, in ascending epsilon, with the fitted log-log slope of edges
+    at t, given as one (net, approx_distance_graph(net, t)) pair per
+    scale, in ascending epsilon, with the fitted log-log slope of edges
     against 1/epsilon (expected around 2s - 1)."""
-    nets = sorted(nets, key=lambda net: net.epsilon)
-    if len(nets) < 3:
-        raise ConfigError(f"need at least 3 epsilon values, got {len(nets)}")
-    for net in nets:
+    scales = sorted(scales, key=lambda scale: scale[0].epsilon)
+    if len(scales) < 3:
+        raise ConfigError(f"need at least 3 epsilon values, got {len(scales)}")
+    for net, graph in scales:
         check_scale(spec, net.epsilon)
-    records = []
-    for net in nets:
-        graph = approx_distance_graph(net, t)
-        records.append(
-            EdgeScaleRecord(
-                epsilon=net.epsilon,
-                net_size=net.size,
-                edges=graph.edge_count,
-                degrees=np.array(graph.degrees(), dtype=np.int64),
-                degree_reference=net.epsilon ** (1.0 - spec.s),
-            )
+        _check_graph(net, graph)
+    records = [
+        EdgeScaleRecord(
+            epsilon=net.epsilon,
+            net_size=net.size,
+            edges=graph.edge_count,
+            degrees=np.array(graph.degrees(), dtype=np.int64),
+            degree_reference=net.epsilon ** (1.0 - spec.s),
         )
+        for net, graph in scales
+    ]
     if any(r.edges == 0 for r in records):
         raise DegenerateFit("an approximate distance graph has no edges")
     xs = np.log(1.0 / np.array([r.epsilon for r in records]))
@@ -487,12 +559,14 @@ def verify_approximation(
 
 
 def find_approximation(
-    net: Net, pattern: Graph, t: float, *, budget: Optional[int] = None
+    net: Net, graph: Graph, pattern: Graph, t: float, *, budget: Optional[int] = None
 ) -> Optional[ApproximationWitness]:
-    """Search the approximate distance graph for the pattern, at the
-    net's scale epsilon, and return the witness point tuple, re-validated
-    explicitly.  Budget exhaustion propagates as BudgetExceeded."""
-    w = contains_subgraph(approx_distance_graph(net, t), pattern, budget=budget)
+    """Search the net's approximate distance graph at t, which must be
+    `approx_distance_graph(net, t)`, for the pattern, and return the
+    witness point tuple, re-validated explicitly at the net's scale
+    epsilon.  Budget exhaustion propagates as BudgetExceeded."""
+    _check_graph(net, graph)
+    w = contains_subgraph(graph, pattern, budget=budget)
     if w is None:
         return None
     pts = net.centers[list(w.mapping)]

@@ -611,8 +611,10 @@ def _adreg_worker(inst: dict) -> list[dict]:
         "band_fraction": stats.fraction_in_band, "median_mass": stats.quantiles[2],
     } for stats in scan]
     best = max(scan, key=lambda stats: stats.fraction_in_band)  # the first t of the largest fraction
+    # one approximate distance graph per scale, shared by the fit and the searches
+    graphs = {e: adreg.approx_distance_graph(nets[e], best.t) for e in eps_list}
     try:
-        scaling = adreg.edge_scaling(spec, [nets[e] for e in eps_list], best.t)
+        scaling = adreg.edge_scaling(spec, [(nets[e], graphs[e]) for e in eps_list], best.t)
         for r in scaling.records:
             # the t scan already holds the middle scale's counts at the best t
             stats = best if r.epsilon == eps_mid else adreg.annulus_stats(
@@ -632,7 +634,7 @@ def _adreg_worker(inst: dict) -> list[dict]:
         slope, predicted, degenerate = None, 2.0 * spec.s - 1.0, True
     for e in inst["approx_eps"]:
         try:
-            witness = adreg.find_approximation(nets[e], pattern, best.t, budget=inst["budget"])
+            witness = adreg.find_approximation(nets[e], graphs[e], pattern, best.t, budget=inst["budget"])
             found = witness is not None
         except BudgetExceeded:
             witness, found = None, None

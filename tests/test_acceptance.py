@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 from oracles import brute_contains, random_graph
-from distgraphs.adreg import FractalSpec, cantor_product, find_approximation, greedy_net, verify_approximation, verify_net
+from distgraphs.adreg import (
+    FractalSpec,
+    approx_distance_graph,
+    cantor_product,
+    find_approximation,
+    greedy_net,
+    verify_approximation,
+    verify_net,
+)
 from distgraphs.experiments import (
     ExperimentConfig,
     instance_seed,
@@ -372,8 +380,9 @@ def test_criterion_10_approximation_witnesses(adreg_report):
         cloud = cantor_product(spec)
         eps = 2.0**-5
         net = greedy_net(cloud, eps)
+        graph = approx_distance_graph(net, 0.6)
         for pattern in (complete_graph(2), cycle_graph(4), cycle_graph(6)):
-            w = find_approximation(net, pattern, 0.6)
+            w = find_approximation(net, graph, pattern, 0.6)
             assert w is not None
             assert verify_approximation(w.points, pattern, 0.6, eps)
 

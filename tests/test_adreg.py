@@ -124,15 +124,18 @@ def test_greedy_net_extremes():
     assert tiny.size == cloud.n and verify_net(cloud, tiny)
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -0.1, float("nan"), float("inf"), 1e308])
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, float("nan"), float("inf"), 1e308, 1e200])
 def test_scale_without_finite_cover_radius_is_rejected(epsilon):
-    # NaN, and 3 epsilon overflowing to inf, would leave no radius to cover with
+    # NaN, and 3 epsilon overflowing to inf, would leave no radius to cover
+    # with; at 1e200 the squared radius overflows in the ball queries.
     spec = FractalSpec(1, 1 / 3, 5)
     cloud = cantor_product(spec)
     with pytest.raises(ConfigError):
         greedy_net(cloud, epsilon)
     with pytest.raises(ConfigError):
         check_scale(spec, epsilon)
+    with pytest.raises(ConfigError):
+        verify_net(cloud, dataclasses.replace(greedy_net(cloud, 0.1), epsilon=epsilon))
 
 
 def test_greedy_net_deterministic():
@@ -168,6 +171,17 @@ def test_annulus_far_and_complement():
         assert wide.counts[i] == cloud.n - ball
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_annulus_centers_far_off_the_cloud_count_nothing(d):
+    # Squared offsets and radii of centers at 1e200 overflow to inf; the
+    # points left in doubt are evaluated at distance inf and count nothing.
+    cloud = cantor_product(FractalSpec(d, 0.45, 3))
+    far = cloud.points[:3] + 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        [stats] = annulus_stats(cloud, far, ts=[0.5], epsilon=0.1)
+    assert np.array_equal(stats.counts, [0, 0, 0])
+
+
 def test_annulus_band_at_typical_scale():
     cloud = cantor_product(FractalSpec(2, 0.45, 7))
     net = greedy_net(cloud, 2.0**-5)
@@ -180,7 +194,7 @@ def test_annulus_validation():
     cloud = cantor_product(FractalSpec(1, 0.45, 3))
     with pytest.raises(ConfigError):
         annulus_stats(cloud, cloud.points[:1], ts=[-1.0], epsilon=0.1)
-    for t, epsilon in [(float("nan"), 0.1), (0.5, float("nan")), (0.5, float("inf")), (1e308, 1e308)]:
+    for t, epsilon in [(float("nan"), 0.1), (0.5, float("nan")), (0.5, float("inf")), (1e308, 1e308), (1e200, 0.1)]:
         with pytest.raises(ConfigError):
             annulus_stats(cloud, cloud.points[:1], ts=[t], epsilon=epsilon)
         with pytest.raises(ConfigError):  # one bad t fails the whole grid
@@ -237,11 +251,15 @@ def test_approx_distance_graph_memory_is_row_blocks(monkeypatch):
     assert peak < 8 * k * k * d // 4
 
 
+def _with_graphs(nets, t):
+    return [(net, approx_distance_graph(net, t)) for net in nets]
+
+
 def test_edge_scaling_monotone_and_fit():
     spec = FractalSpec(2, 0.45, 7)
     cloud = cantor_product(spec)
     nets = [greedy_net(cloud, e) for e in (2.0**-3, 2.0**-4, 2.0**-5)]
-    res = edge_scaling(spec, nets, 0.6)
+    res = edge_scaling(spec, _with_graphs(nets, 0.6), 0.6)
     edges = [r.edges for r in sorted(res.records, key=lambda r: r.epsilon)]
     assert edges == sorted(edges, reverse=True)
     assert res.slope > 0
@@ -252,7 +270,7 @@ def test_edge_scaling_errors():
     cloud = cantor_product(spec)
     with pytest.raises(ConfigError):
         # fewer than 3 scales
-        edge_scaling(spec, [greedy_net(cloud, e) for e in (0.125, 0.25)], 0.6)
+        edge_scaling(spec, _with_graphs([greedy_net(cloud, e) for e in (0.125, 0.25)], 0.6), 0.6)
     with pytest.raises(ConfigError):
         check_scale(spec, spec.cell_side)  # below the 4-cell floor
     sparse = FractalSpec(1, 0.45, 5)
@@ -260,7 +278,18 @@ def test_edge_scaling_errors():
     sparse_nets = [greedy_net(sparse_cloud, e) for e in (0.125, 0.25, 0.5)]
     with pytest.raises(DegenerateFit):
         # t far beyond the diameter: every scale yields an edgeless graph.
-        edge_scaling(sparse, sparse_nets, 50.0)
+        edge_scaling(sparse, _with_graphs(sparse_nets, 50.0), 50.0)
+
+
+def test_graph_must_belong_to_its_net():
+    spec = FractalSpec(2, 0.45, 7)
+    cloud = cantor_product(spec)
+    nets = [greedy_net(cloud, e) for e in (2.0**-3, 2.0**-4, 2.0**-5)]
+    swapped = [(nets[0], approx_distance_graph(nets[1], 0.6))] + _with_graphs(nets[1:], 0.6)
+    with pytest.raises(ConfigError):
+        edge_scaling(spec, swapped, 0.6)
+    with pytest.raises(ConfigError):
+        find_approximation(*swapped[0], complete_graph(2), 0.6)
 
 
 def test_find_approximation_k2_and_validator():
@@ -268,7 +297,7 @@ def test_find_approximation_k2_and_validator():
     cloud = cantor_product(spec)
     eps = 2.0**-4
     net = greedy_net(cloud, eps)
-    w = find_approximation(net, complete_graph(2), 0.6)
+    w = find_approximation(net, approx_distance_graph(net, 0.6), complete_graph(2), 0.6)
     assert w is not None
     assert verify_approximation(w.points, complete_graph(2), 0.6, eps)
     # Perturbing a point inside the separation radius must fail (b).
@@ -286,16 +315,17 @@ def test_find_approximation_absent_and_budget():
     cloud = cantor_product(spec)
     eps = 2.0**-4
     net = greedy_net(cloud, eps)
-    assert find_approximation(net, complete_graph(2), cloud.diameter() + 1.0) is None
+    far = cloud.diameter() + 1.0
+    assert find_approximation(net, approx_distance_graph(net, far), complete_graph(2), far) is None
     with pytest.raises(BudgetExceeded):
-        find_approximation(net, cycle_graph(6), 0.6, budget=1)
+        find_approximation(net, approx_distance_graph(net, 0.6), cycle_graph(6), 0.6, budget=1)
 
 
 def test_find_approximation_takes_budget_by_keyword_only():
-    # An old call with epsilon in fourth position must not bind it to budget.
+    # An old call with epsilon after t must not bind it to budget.
     net = greedy_net(cantor_product(FractalSpec(1, 0.45, 4)), 2.0**-4)
     with pytest.raises(TypeError):
-        find_approximation(net, complete_graph(2), 0.6, 2.0**-4)
+        find_approximation(net, approx_distance_graph(net, 0.6), complete_graph(2), 0.6, 2.0**-4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,7 +344,7 @@ def test_find_approximation_witness_holds_at_the_nets_scale(d, contraction, dept
     net = greedy_net(cloud, 2.0**-j)
     pattern = graph_from_name(name)
     try:
-        w = find_approximation(net, pattern, t, budget=20_000)
+        w = find_approximation(net, approx_distance_graph(net, t), pattern, t, budget=20_000)
     except BudgetExceeded:
         return
     if w is not None:
@@ -411,6 +441,18 @@ def test_grid_kernels_match_oracles_on_random_clouds(seed, d, m, lattice, offset
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 3), st.floats(0.02, 0.2), st.floats(0.0, 0.999))
 def test_verify_net_matches_oracle_on_corrupted_nets(seed, d, epsilon, shrink):
+    _check_corrupted_nets(seed, d, epsilon, shrink)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.floats(0.02, 0.2), st.floats(0.0, 0.999), st.sampled_from([1, 7]))
+def test_blocked_verify_net_matches_oracle_on_corrupted_nets(seed, d, epsilon, shrink, per_block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adreg, "_net_block", lambda cloud, k: per_block)
+        _check_corrupted_nets(seed, d, epsilon, shrink)
+
+
+def _check_corrupted_nets(seed, d, epsilon, shrink):
     rng = np.random.default_rng(seed)
     cloud = PointCloud(_random_axis(rng, {1: 150, 2: 12, 3: 5}[d], None, 0.0), d)
     net = greedy_net(cloud, epsilon)
@@ -447,3 +489,46 @@ def test_product_kernels_match_oracles_at_rounded_ties(offset):
     cloud = PointCloud(np.arange(7) / 13 + offset, 2)
     for k in (1, 2, 5):
         _assert_matches_oracles(cloud, k / 13, [j / 13 for j in range(1, 9)], cloud.points[::3] + 0.5 / 13)
+
+
+@pytest.mark.parametrize("per_block", [1, 7])
+@pytest.mark.parametrize(
+    "spec", [FractalSpec(1, 1 / 3, 8), FractalSpec(2, 0.45, 4), FractalSpec(3, 0.5, 2)],
+    ids=lambda s: f"d{s.d}-lam{s.contraction:.3f}-depth{s.depth}",
+)
+def test_blocked_verify_net_matches_oracle_on_cantor_clouds(monkeypatch, spec, per_block):
+    # Blocks of 1 and 7 centers, on whole nets, on nets with every fifth
+    # center dropped, and on the empty net.
+    monkeypatch.setattr(adreg, "_net_block", lambda cloud, k: per_block)
+    cloud = cantor_product(spec)
+    gap, diam = _min_gap(cloud.points), cloud.diameter()
+    for eps in (gap / 3, 2.0**-5, 2.0**-3, diam / 3):
+        net = greedy_net(cloud, eps)
+        assert verify_net(cloud, net) is verify_net_oracle(cloud.points, net.centers, eps) is True
+        keep = np.arange(net.size) % 5 != 2
+        thinned = dataclasses.replace(net, center_indices=net.center_indices[keep], centers=net.centers[keep])
+        assert verify_net(cloud, thinned) == verify_net_oracle(cloud.points, thinned.centers, eps)
+        empty = dataclasses.replace(net, center_indices=net.center_indices[:0], centers=net.centers[:0])
+        assert verify_net(cloud, empty) is verify_net_oracle(cloud.points, empty.centers, eps) is False
+
+
+@pytest.mark.parametrize(
+    "spec", [FractalSpec(1, 1 / 3, 8), FractalSpec(2, 0.45, 4), FractalSpec(3, 0.5, 2)],
+    ids=lambda s: f"d{s.d}-lam{s.contraction:.3f}-depth{s.depth}",
+)
+def test_nets_below_the_slack_evaluate_every_point(monkeypatch, spec):
+    # At epsilon = 1e-12, 3 epsilon is below the slack: every sure run is
+    # empty, and each center's doubt bands hold the center itself.
+    cloud = cantor_product(spec)
+    eps = 1e-12
+    r_cov = adreg._cover_radius(eps)
+    assert r_cov < adreg._slack(cloud, cloud.points, r_cov)
+    sure_lo, sure_hi, doubt, owner = adreg._intervals(cloud, cloud.points, r_cov)
+    assert np.array_equal(sure_lo, sure_hi)
+    assert np.array_equal(np.unique(doubt[doubt == owner]), np.arange(cloud.n))
+    net = greedy_net(cloud, eps)
+    assert np.array_equal(net.center_indices, greedy_net_oracle(cloud.points, eps))
+    assert net.size == cloud.n
+    for per_block in (1, 7):
+        monkeypatch.setattr(adreg, "_net_block", lambda cloud, k: per_block)
+        assert verify_net(cloud, net) is verify_net_oracle(cloud.points, net.centers, eps) is True

@@ -250,6 +250,40 @@ def test_adreg_scan_t_scan_memory_is_per_center():
     assert peak < 2 << 20
 
 
+def test_adreg_scan_builds_one_graph_per_scale(monkeypatch):
+    # The edge-count fit and the approximation searches share each
+    # scale's graph at the best t: 3 builds, where each used to build its own.
+    built = []
+    approx_distance_graph = adreg.approx_distance_graph
+
+    def counting(net, t):
+        built.append(net.epsilon)
+        return approx_distance_graph(net, t)
+
+    monkeypatch.setattr(adreg, "approx_distance_graph", counting)
+    rows = _adreg_scales_rows()
+    assert sorted(built) == sorted(ADREG_SCALES_EPS)
+    assert sum(r["record"] == "approx" and r["found"] for r in rows) == 3
+
+
+@pytest.mark.parametrize("eps", [2.0**-6, 2.0**-4])
+def test_verify_net_memory_is_per_block(eps):
+    # One int32 difference array over the 65,536-point cloud (256 KiB) and
+    # one block of centers' row intervals at a time: under 1 MiB, at
+    # k = 320 centers and at k = 33.
+    cloud = adreg.cantor_product(adreg.FractalSpec(2, 0.45, 8))
+    net = adreg.greedy_net(cloud, eps)
+    assert adreg.verify_net(cloud, net)  # lazy imports on a first call
+    tracemalloc.start()
+    try:
+        adreg.verify_net(cloud, net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.size == {2.0**-6: 320, 2.0**-4: 33}[eps]
+    assert peak < 1 << 20
+
+
 def test_adreg_scan_scaling_band_statistics_match_oracles():
     # Every scaling row, the middle scale's (read off the t scan) included,
     # against whole-cloud annulus counts and the scale's own graph degrees.
@@ -453,6 +487,9 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
          ["adreg-scan"]),
         ({"kind": "adreg-scan", "params": {"specs": [{**ADREG_ONE, "eps": [1e308, 0.1, 0.05]}]}},
          ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [{**ADREG_ONE, "eps": [1e200, 1e100, 0.25]}]}},
+         ["adreg-scan"]),
+        ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "t_grid": [1e200]}}, ["adreg-scan"]),
         ({"kind": "adreg-scan", "params": {"specs": [{**ADREG_ONE, "eps": ["x", 0.1, 0.05]}]}},
          ["adreg-scan"]),
         ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE], "t_grid": ["x"]}}, ["adreg-scan"]),
@@ -528,7 +565,8 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         "graph-flag-unknown", "field-4", "field-2", "degree-0", "field-short", "field-9",
         "degree-float", "field-over-cap", "dims-string", "trials-string", "d-string", "trials-float",
         "max-inversions-string", "n-values-string", "exhaustive-max-string", "adreg-no-d",
-        "adreg-no-contraction", "adreg-no-depth", "eps-nan", "eps-overflow", "eps-string",
+        "adreg-no-contraction", "adreg-no-depth", "eps-nan", "eps-overflow", "eps-squared-overflow",
+        "t-grid-squared-overflow", "eps-string",
         "t-grid-string", "approx-eps-zero", "band-string", "band-reversed", "band-negative",
         "eps-two-distinct", "eps-repeated", "approx-eps-repeated", "spec-approx-eps-repeated",
         "table-repeated", "n-values-repeated", "graphs-repeated", "noise-tolerance-string",
