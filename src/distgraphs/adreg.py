@@ -22,27 +22,38 @@ intervals alone.  They are taken for radii moved by a rounding slack of
 rounding of any distance computed from these coordinates, and every
 point they leave in doubt gets the same distance predicate as a
 whole-cloud scan, so results are identical to that scan's, ties at the
-boundaries included.  A radius whose square with slack would overflow
-is a config error.
+boundaries included.  A radius, or a center, whose square with slack
+would overflow is a config error.
 
 Nets and net checks split each row a ball reaches into a sure run, the
 row's interval for r - slack, whose points all lie within r however
 their distances round, and two doubt bands out to its interval for
-r + slack.  A greedy net marks a new center's sure runs covered as
-whole index ranges and evaluates only its doubt bands.  A net check
-takes the centers in blocks and, in one difference array over the
-cloud, adds +1 at the start and -1 past the end of every sure run and
-of every doubt point that its predicate puts within 3 epsilon; one
-running sum then reads off the coverage of every point.
+r + slack.  A greedy net takes one slack for the whole call: every
+center is a cloud point, so 2^-30 (r + 2 max |axis end|) bounds each
+center's own, and a larger slack only moves points into doubt.  Per new
+center it marks each sure run covered as one slice and evaluates only
+the doubt bands.  A net check takes the centers in blocks and, in one
+difference array over the cloud, adds +1 at the start and -1 past the
+end of every sure run and of every doubt point that its predicate puts
+within 3 epsilon; one running sum then reads off the coverage of every
+point.
 
 `annulus_stats` takes a whole grid of t values at one epsilon in one
 pass over the centers, and reads each t's count as
 #{d <= t + epsilon} - #{d <= t}, which is exactly the number with
-t < d <= t + epsilon; a single t is a one-element grid.  Each
-#{d <= r} is summed over the rows that reach the largest radius: a
-row's points whose squared offset (a - c_last)^2 is below
-max(r - slack, 0)^2 - g^2 are counted unseen, those above
-(r + slack)^2 - g^2 are not, and only the few in between are evaluated.
+t < d <= t + epsilon; a single t is a one-element grid.  The radii t and
+t + epsilon are sorted and each taken once, so the grid may be unsorted,
+repeat a t, or be spaced below epsilon.  The centers go in blocks of at
+most _CHUNK / 256 (center, radius, row) cells.  Per block, each center's
+squared last-coordinate offsets (a - c_last)^2 are sorted once and its
+rows put in descending order of their squared gap g, so that along each
+radius its sure bounds max(r - slack, 0)^2 - g ascend, and one binary
+search per center counts, for every (radius, row), the points below the
+bound unseen.  One gather of each such cell's next offset, compared with
+(r + slack)^2 - g, finds the few cells with a doubt band, and only their
+points are evaluated.  The mass quantiles come from one sort with
+numpy's linear interpolation, without np.quantile, which imports
+numpy.ma.
 
 A net carries its scale epsilon, and the approximate distance graph,
 the approximation search and the edge-count fit read epsilon from the
@@ -200,7 +211,9 @@ def cantor_product(spec: FractalSpec) -> PointCloud:
 
 
 def _check_centers(cloud: PointCloud, centers) -> np.ndarray:
-    """The centers as a finite (k, d) float array, or a config error."""
+    """The centers as a finite (k, d) float array whose squared offsets
+    to the cloud stay finite when widened by the slack, or a config
+    error."""
     try:
         c = np.asarray(centers, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -209,6 +222,11 @@ def _check_centers(cloud: PointCloud, centers) -> np.ndarray:
         raise ConfigError(f"centers must be a finite (k, {cloud.d}) array, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ConfigError("centers must be finite")
+    # Every offset between a center and a cloud point, widened by its slack,
+    # lies within 2 span on each axis.
+    span = float(np.abs(cloud.axis[[0, -1]]).max()) + float(np.abs(c).max(initial=0.0))
+    if not isfinite(4.0 * cloud.d * span * span):
+        raise ConfigError("centers must lie where squared distances to the cloud are finite")
     return c
 
 
@@ -244,6 +262,24 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(len(first)) + first
 
 
+def _row_bounds(
+    cloud: PointCloud, row: np.ndarray, last, gaps: np.ndarray, r: float, slack: float
+) -> tuple[np.ndarray, ...]:
+    """Cloud indices lo <= sure_lo <= sure_hi <= hi bounding, in each given
+    row (at squared gap `gaps` from a center whose last coordinate is
+    `last`), the interval for r + slack widened by the slack, [lo, hi),
+    and the sure run for r - slack, [sure_lo, sure_hi)."""
+    axis, start = cloud.axis, row * len(cloud.axis)
+    reach = np.sqrt((r + slack) ** 2 - gaps) + slack
+    sure = _reach((r - slack) ** 2 - gaps) if r > slack else np.full(len(gaps), -1.0)  # no ball below radius 0
+    lo = start + np.searchsorted(axis, last - reach, side="left")
+    hi = start + np.searchsorted(axis, last + reach, side="right")
+    # an empty sure run (sure = -1) sits inside [lo, hi) as sure_lo = sure_hi
+    sure_lo = np.minimum(start + np.searchsorted(axis, last - sure, side="left"), hi)
+    sure_hi = np.maximum(start + np.searchsorted(axis, last + sure, side="right"), sure_lo)
+    return lo, sure_lo, sure_hi, hi
+
+
 def _intervals(cloud: PointCloud, centers: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
     """The balls of radius r around a (b, d) block of centers, row by row.
 
@@ -255,52 +291,13 @@ def _intervals(cloud: PointCloud, centers: np.ndarray, r: float) -> tuple[np.nda
     r; the two bands it adds to the sure run are its doubt points.
     Returns sure_lo and sure_hi, one per pair, then the doubt points'
     cloud indices and the row of `centers` each is in doubt for."""
-    m = len(cloud.axis)
     slack = _slack(cloud, centers, r)
     gaps = _row_gaps(cloud, centers)
     which, row = np.nonzero(gaps <= (r + slack) ** 2)
-    gaps = gaps[which, row]
-    last = centers[which, -1]
-    reach = np.sqrt((r + slack) ** 2 - gaps) + slack
-    sure = _reach((r - slack) ** 2 - gaps) if r > slack else np.full(len(gaps), -1.0)  # no ball below radius 0
-    start = row * m
-    lo = start + np.searchsorted(cloud.axis, last - reach, side="left")
-    hi = start + np.searchsorted(cloud.axis, last + reach, side="right")
-    # an empty sure run (sure = -1) sits inside [lo, hi) as sure_lo = sure_hi
-    sure_lo = np.minimum(start + np.searchsorted(cloud.axis, last - sure, side="left"), hi)
-    sure_hi = np.maximum(start + np.searchsorted(cloud.axis, last + sure, side="right"), sure_lo)
+    lo, sure_lo, sure_hi, hi = _row_bounds(cloud, row, centers[which, -1], gaps[which, row], r, slack)
     lengths = np.concatenate([sure_lo - lo, hi - sure_hi])
     doubt = _runs(np.concatenate([lo, sure_hi]), lengths)
     return sure_lo, sure_hi, doubt, np.repeat(np.concatenate([which, which]), lengths)
-
-
-def _within(cloud: PointCloud, c: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """#{p : np.linalg.norm(p - c) <= r} for each r of radii.  Rows that
-    lie beyond the largest radius plus slack are dropped.  Per remaining
-    row (at squared gap g) and radius, a point whose squared offset
-    (a - c_last)^2 lies below max(r - slack, 0)^2 - g is counted unseen,
-    and one above (r + slack)^2 - g is not; only the points in between
-    are evaluated.  Near a bound, the squared offset, g and the bound lie
-    below (r + slack)^2 and round by a few units in its last place, while
-    each bound lies at least 2^-30 r^2 from r^2 (the slack is at least
-    2^-30 r), so no rounded distance crosses r unseen."""
-    slack = _slack(cloud, c, float(radii.max()))
-    gaps = _row_gaps(cloud, c[None])[0]
-    rows = np.flatnonzero(gaps <= (radii.max() + slack) ** 2)
-    gaps = gaps[rows, None]
-    offsets = (cloud.axis - c[-1]) ** 2
-    order = np.argsort(offsets)
-    offsets = offsets[order]
-    lo = np.searchsorted(offsets, np.maximum(radii - slack, 0.0) ** 2 - gaps, side="left")  # (rows, radii)
-    room = (radii + slack) ** 2 - gaps
-    hi = lo.copy()
-    more = (lo < len(offsets)) & (offsets.take(lo, mode="clip") <= room)  # most doubt bands are empty
-    hi[more] = np.searchsorted(offsets, room[more], side="right")
-    band = (hi - lo).ravel()
-    row, k = np.divmod(np.repeat(np.arange(band.size), band), len(radii))
-    idx = rows[row] * len(cloud.axis) + order[_runs(lo.ravel(), band)]
-    dist = np.linalg.norm(cloud.points[idx] - c, axis=1)
-    return lo.sum(axis=0) + np.bincount(k[dist <= radii[k]], minlength=len(radii))
 
 
 # -- greedy separated nets -------------------------------------------------
@@ -335,18 +332,30 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> Net:
     uncovered point (in cloud order) as a center and cover everything
     within 3 epsilon of it."""
     r_cov = _cover_radius(epsilon)
-    pts = cloud.points
+    pts, m = cloud.points, len(cloud.axis)
     r2 = r_cov * r_cov
+    # Every center is a cloud point, so this bounds each center's own slack.
+    slack = 2.0**-30 * (r_cov + 2.0 * float(np.abs(cloud.axis[[0, -1]]).max()))
+    reach2 = (r_cov + slack) ** 2
+    heads = pts[::m, :-1]
     uncovered = np.ones(cloud.n, dtype=bool)
     chosen = []
     i = 0
     while uncovered[i]:
         chosen.append(i)
         uncovered[i] = False
-        sure_lo, sure_hi, doubt, _ = _intervals(cloud, pts[i : i + 1], r_cov)
-        uncovered[_runs(sure_lo, sure_hi - sure_lo)] = False
-        delta = pts[doubt] - pts[i]
-        uncovered[doubt[np.einsum("ij,ij->i", delta, delta) <= r2]] = False
+        c = pts[i]
+        delta = heads - c[:-1]
+        gaps = np.einsum("ij,ij->i", delta, delta)
+        rows = np.flatnonzero(gaps <= reach2)
+        lo, sure_lo, sure_hi, hi = _row_bounds(cloud, rows, c[-1], gaps[rows], r_cov, slack)
+        for a, b in zip(sure_lo.tolist(), sure_hi.tolist()):
+            uncovered[a:b] = False
+        bands = np.concatenate([sure_lo - lo, hi - sure_hi])
+        if bands.any():  # most doubt bands are empty
+            doubt = _runs(np.concatenate([lo, sure_hi]), bands)
+            delta = pts[doubt] - c
+            uncovered[doubt[np.einsum("ij,ij->i", delta, delta) <= r2]] = False
         i += int(np.argmax(uncovered[i:]))  # the first uncovered point, or i itself if none is left
     idx = np.array(chosen, dtype=np.int64)
     return Net(idx, pts[idx].copy(), epsilon)
@@ -409,6 +418,74 @@ class AnnulusStats:
     quantiles: tuple[float, ...]  # 0, 25, 50, 75, 100 percentiles of mass
 
 
+def _annulus_block(cloud: PointCloud, n_radii: int) -> int:
+    """Centers per block in `annulus_stats`: each block's (center, radius,
+    row) cells stay within _CHUNK / 256."""
+    return max(1, _CHUNK // (256 * n_radii * (cloud.n // len(cloud.axis))))
+
+
+def _within(cloud: PointCloud, block: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """#{p : np.linalg.norm(p - c) <= r} for each center c of a (b, d)
+    block and each r of the ascending, distinct radii, (b, radii).
+
+    Per center, row (at squared gap g) and radius, a point whose squared
+    offset (a - c_last)^2 lies below max(r - slack, 0)^2 - g is counted
+    unseen, and one above (r + slack)^2 - g is not; only the points in
+    between are evaluated.  Near a bound, the squared offset, g and the
+    bound lie below (r + slack)^2 and round by a few units in its last
+    place, while each bound lies at least 2^-30 r^2 from r^2 (the slack is
+    at least 2^-30 r), so no rounded distance crosses r unseen.  With each
+    center's rows in descending g, its (radius, row) lower bounds ascend
+    along each radius, which keeps its one binary search fast."""
+    b, m = len(block), len(cloud.axis)
+    slack = _slack(cloud, block, float(radii[-1]))
+    # Both orders come from runs: offsets fall then rise along the axis.
+    order = np.argsort((cloud.axis - block[:, -1:]) ** 2, axis=1, kind="stable")
+    offsets = np.empty((b, m + 1))  # each row ascending, then inf past its end
+    offsets[:, :m] = (cloud.axis[order] - block[:, -1:]) ** 2
+    offsets[:, m] = np.inf
+    gaps = _row_gaps(cloud, block)
+    rows = np.argsort(-gaps, axis=1, kind="stable")
+    gaps = gaps[np.arange(b)[:, None], rows][:, None, :]  # (b, 1, rows), each row descending
+    lower = np.maximum(radii - slack, 0.0)[:, None] ** 2 - gaps  # (b, radii, rows)
+    lo = np.empty(lower.shape, dtype=np.intp)
+    for i in range(b):
+        lo[i] = np.searchsorted(offsets[i, :m], lower[i], side="left")
+    room = ((radii + slack) ** 2)[:, None] - gaps
+    base = np.arange(b)[:, None, None] * (m + 1)
+    more = offsets.take(lo + base) <= room  # most doubt bands are empty
+    within = lo.sum(axis=2)
+    if more.any():
+        ci, k, j = np.nonzero(more)  # center by center, as the searches below
+        first = lo[ci, k, j]
+        doubtful = np.flatnonzero(more.any(axis=(1, 2)))
+        past = np.concatenate([np.searchsorted(offsets[i, :m], room[i][more[i]], side="right") for i in doubtful])
+        cell = np.repeat(np.arange(len(first)), past - first)
+        ci, k = ci[cell], k[cell]
+        idx = rows[ci, j[cell]] * m + order[ci, _runs(first, past - first)]
+        dist = np.linalg.norm(cloud.points[idx] - block[ci], axis=1)
+        hit = dist <= radii[k]
+        within += np.bincount(ci[hit] * len(radii) + k[hit], minlength=within.size).reshape(within.shape)
+    return within
+
+
+def _quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    """np.quantile(values, qs, axis=1).T for a (k, n) array with n >= 1,
+    bit for bit: the same virtual indices, neighbours and interpolation
+    as numpy's default linear method, read off one sort."""
+    n = values.shape[1]
+    at = (n - 1) * np.asarray(qs, dtype=float)
+    prev = np.floor(at)
+    last = at >= n - 1
+    prev[last] = -1.0  # numpy takes the last value at both ends here
+    nxt = np.where(last, -1.0, prev + 1.0)
+    gamma = at - prev
+    ordered = np.sort(values, axis=1)
+    a, b = ordered[:, prev.astype(np.intp)], ordered[:, nxt.astype(np.intp)]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+
+
 def annulus_stats(
     cloud: PointCloud,
     centers: np.ndarray,
@@ -424,15 +501,18 @@ def annulus_stats(
     centers = _check_centers(cloud, centers)
     if not len(ts):
         return []
-    radii = np.ravel([(t, t + epsilon) for t in ts])  # t_0, t_0 + epsilon, t_1, t_1 + epsilon, ...
-    counts = np.empty((len(ts), len(centers)), dtype=np.int64)
-    for i, c in enumerate(centers):
-        within = _within(cloud, c, radii)  # #{dist <= r} per radius r
-        counts[:, i] = within[1::2] - within[::2]
+    radii = np.sort(np.ravel([(t, t + epsilon) for t in ts]))
+    radii = radii[np.flatnonzero(np.diff(radii, prepend=-1.0))]  # ascending, each once
+    at = np.searchsorted(radii, [(t, t + epsilon) for t in ts])  # (ts, 2) positions in radii
+    step = _annulus_block(cloud, len(radii))
+    within = np.empty((len(centers), len(radii)), dtype=np.int64)
+    for lo in range(0, len(centers), step):
+        within[lo : lo + step] = _within(cloud, centers[lo : lo + step], radii)
+    counts = within.T[at[:, 1]] - within.T[at[:, 0]]  # (ts, centers)
     masses = counts / float(cloud.mass_denominator)
     in_band = (masses >= band[0] * epsilon) & (masses <= band[1] * epsilon)
     frac = in_band.mean(axis=1) if len(centers) else np.zeros(len(ts))
-    quant = np.quantile(masses, [0.0, 0.25, 0.5, 0.75, 1.0], axis=1).T if len(centers) else np.zeros((len(ts), 5))
+    quant = _quantiles(masses, (0.0, 0.25, 0.5, 0.75, 1.0)) if len(centers) else np.zeros((len(ts), 5))
     return [
         AnnulusStats(t, epsilon, counts[k], masses[k], band, in_band[k], float(frac[k]), tuple(map(float, quant[k])))
         for k, t in enumerate(ts)

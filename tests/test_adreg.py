@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from distgraphs import adreg
 from distgraphs.adreg import (
@@ -172,14 +173,22 @@ def test_annulus_far_and_complement():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_annulus_centers_far_off_the_cloud_count_nothing(d):
-    # Squared offsets and radii of centers at 1e200 overflow to inf; the
-    # points left in doubt are evaluated at distance inf and count nothing.
-    cloud = cantor_product(FractalSpec(d, 0.45, 3))
-    far = cloud.points[:3] + 1e200
-    with np.errstate(over="ignore", invalid="ignore"):
-        [stats] = annulus_stats(cloud, far, ts=[0.5], epsilon=0.1)
+def test_centers_whose_squares_overflow_are_rejected(d):
+    # Centers moved by 1e200 have squared offsets past the float range: both
+    # kernels reject them, where verify_net raised OverflowError and
+    # annulus_stats counted zeros under overflow warnings.  Centers moved by
+    # 1e150 still square finitely and count nothing, without a warning.
+    cloud = cantor_product(FractalSpec(d, 0.45, 4))
+    net = greedy_net(cloud, 0.1)
+    far = net.centers.copy()
+    far[0] += 1e200
+    with pytest.raises(ConfigError, match="squared distances"):
+        annulus_stats(cloud, far, ts=[0.5], epsilon=0.1)
+    with pytest.raises(ConfigError, match="squared distances"):
+        verify_net(cloud, dataclasses.replace(net, centers=far))
+    [stats] = annulus_stats(cloud, cloud.points[:3] + 1e150, ts=[0.5], epsilon=0.1)
     assert np.array_equal(stats.counts, [0, 0, 0])
+    assert not verify_net(cloud, dataclasses.replace(net, centers=net.centers + 1e150))
 
 
 def test_annulus_band_at_typical_scale():
@@ -532,3 +541,71 @@ def test_nets_below_the_slack_evaluate_every_point(monkeypatch, spec):
     for per_block in (1, 7):
         monkeypatch.setattr(adreg, "_net_block", lambda cloud, k: per_block)
         assert verify_net(cloud, net) is verify_net_oracle(cloud.points, net.centers, eps) is True
+
+
+@pytest.mark.parametrize("per_block", [1, 7, None])
+@pytest.mark.parametrize(
+    "spec", [FractalSpec(1, 1 / 3, 7), FractalSpec(2, 0.45, 4), FractalSpec(3, 0.5, 2)],
+    ids=lambda s: f"d{s.d}-lam{s.contraction:.3f}-depth{s.depth}",
+)
+def test_blocked_annulus_pass_matches_oracle(monkeypatch, spec, per_block):
+    # Blocks of 1 and 7 centers and the default.  The t grid is unsorted,
+    # repeats 0.25, is spaced below epsilon (so each t + epsilon lies past
+    # the next t), has 0.25 + epsilon = 0.375 among its t, and holds
+    # t = 1 - lambda, where every center has points at exactly t.  The
+    # centers are a net's, off-cloud points, and none.
+    if per_block:
+        monkeypatch.setattr(adreg, "_annulus_block", lambda cloud, n_radii: per_block)
+    cloud = cantor_product(spec)
+    eps = 0.125
+    ts = [0.55, 0.25, 0.375, 0.3, 0.25, 1.0 - spec.contraction, 0.35, 0.125]
+    gap = _min_gap(cloud.points)
+    net = greedy_net(cloud, 2.0**-4)
+    for centers in (net.centers, np.vstack([cloud.points[::5] + gap / 2, np.full((1, spec.d), 0.5)])):
+        stats = annulus_stats(cloud, centers, ts, eps)
+        assert [s.t for s in stats] == ts
+        for t, s in zip(ts, stats):
+            assert np.array_equal(s.counts, annulus_counts_oracle(cloud.points, centers, t, eps))
+            assert s.quantiles == tuple(np.quantile(s.masses, [0.0, 0.25, 0.5, 0.75, 1.0]))
+    for s in annulus_stats(cloud, np.empty((0, spec.d)), ts, eps):
+        assert s.counts.shape == (0,) and s.fraction_in_band == 0.0 and s.quantiles == (0.0,) * 5
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_greedy_net_matches_oracle_on_an_axis_with_negative_ends(d):
+    # The one slack of a greedy net comes from the axis ends, here the
+    # negative end; at epsilon = 1e-12 every point is in doubt.
+    cloud = PointCloud([-7.5, -7.25, -3.0, -1.0, -0.25, 0.0, 0.5, 1.25], d)
+    for eps in (1e-12, 0.05, 0.25, 1.0, 5.0):
+        net = greedy_net(cloud, eps)
+        assert np.array_equal(net.center_indices, greedy_net_oracle(cloud.points, eps))
+        assert verify_net(cloud, net)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda k: st.integers(1, 9).flatmap(
+            lambda n: arrays(np.float64, (k, n), elements=st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.25, 1 / 3]))
+        )
+    ),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6) | st.just([0.0, 0.25, 0.5, 0.75, 1.0]),
+)
+def test_quantiles_equal_numpy_bit_for_bit(values, qs):
+    # Odd and even lengths, length 1, ties (from the sampled elements) and
+    # no rows at all.
+    got = adreg._quantiles(values, qs)
+    want = np.quantile(values, qs, axis=1).T
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_quantiles_equal_numpy_on_seeded_arrays():
+    # Above gamma = 1/2 numpy interpolates down from the upper neighbour,
+    # which differs from a + (b - a) gamma in the last bit for about one
+    # draw in eight here.
+    rng = np.random.default_rng(7)
+    for n in range(1, 40):
+        values = rng.random((3, n))
+        qs = np.concatenate([[0.0, 0.25, 0.5, 0.75, 1.0], rng.random(8)])
+        assert adreg._quantiles(values, qs).tobytes() == np.quantile(values, qs, axis=1).T.tobytes()

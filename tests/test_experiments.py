@@ -235,8 +235,8 @@ def test_adreg_scan_runs_one_annulus_pass_per_scale(monkeypatch):
 
 
 def test_adreg_scan_t_scan_memory_is_per_center():
-    # The middle scale's t scan keeps only per-center (rows x radii)
-    # temporaries and nothing sized by the 65,536-point cloud, so its
+    # The middle scale's t scan keeps only per-block (centers x radii x
+    # rows) temporaries and nothing sized by the 65,536-point cloud, so its
     # tracemalloc peak stays under 2 MiB.
     cloud = adreg.cantor_product(adreg.FractalSpec(2, 0.45, 8))
     centers = adreg.greedy_net(cloud, 2.0**-5).centers
@@ -248,6 +248,20 @@ def test_adreg_scan_t_scan_memory_is_per_center():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def test_adreg_scan_does_not_load_numpy_ma():
+    # np.quantile loads numpy.ma, through np.unique, which costs every fresh
+    # sweep process its import; the annulus quantiles come from one sort.
+    root = str(Path(distgraphs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "from distgraphs.experiments import ExperimentConfig, run\n"
+        f"run(ExperimentConfig(kind='adreg-scan', params={ADREG_SCALES!r})).records_csv()\n"
+        "sys.exit('numpy.ma' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_adreg_scan_builds_one_graph_per_scale(monkeypatch):
