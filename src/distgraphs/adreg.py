@@ -31,12 +31,12 @@ their distances round, and two doubt bands out to its interval for
 r + slack.  A greedy net takes one slack for the whole call: every
 center is a cloud point, so 2^-30 (r + 2 max |axis end|) bounds each
 center's own, and a larger slack only moves points into doubt.  Per new
-center it marks each sure run covered as one slice and evaluates only
-the doubt bands.  A net check takes the centers in blocks and, in one
-difference array over the cloud, adds +1 at the start and -1 past the
-end of every sure run and of every doubt point that its predicate puts
-within 3 epsilon; one running sum then reads off the coverage of every
-point.
+center it marks every sure run covered through one index array and
+evaluates only the doubt bands.  A net check takes the centers in
+blocks and, in one difference array over the cloud, adds +1 at the
+start and -1 past the end of every sure run and of every doubt point
+that its predicate puts within 3 epsilon; one running sum then reads
+off the coverage of every point.
 
 `annulus_stats` takes a whole grid of t values at one epsilon in one
 pass over the centers, and reads each t's count as
@@ -44,14 +44,16 @@ pass over the centers, and reads each t's count as
 t < d <= t + epsilon; a single t is a one-element grid.  The radii t and
 t + epsilon are sorted and each taken once, so the grid may be unsorted,
 repeat a t, or be spaced below epsilon.  The centers go in blocks of at
-most _CHUNK / 256 (center, radius, row) cells.  Per block, each center's
-squared last-coordinate offsets (a - c_last)^2 are sorted once and its
-rows put in descending order of their squared gap g, so that along each
-radius its sure bounds max(r - slack, 0)^2 - g ascend, and one binary
-search per center counts, for every (radius, row), the points below the
-bound unseen.  One gather of each such cell's next offset, compared with
-(r + slack)^2 - g, finds the few cells with a doubt band, and only their
-points are evaluated.  The mass quantiles come from one sort with
+most _CHUNK / 256 (center, radius, row) cells and (center, axis point)
+offsets.  Per block, the rows that no center reaches within the largest
+radius are left out, each center's squared last-coordinate offsets
+(a - c_last)^2 are sorted once and its rows put in descending order of
+their squared gap g, so that along each radius its sure bounds
+max(r - slack, 0)^2 - g ascend, and one binary search per center
+counts, for every (radius, row), the points below the bound unseen.
+One gather of each such cell's next offset, compared with
+(r + slack)^2 - g, finds the few cells with a doubt band, and only
+their points are evaluated.  The mass quantiles come from one sort with
 numpy's linear interpolation, without np.quantile, which imports
 numpy.ma.
 
@@ -334,10 +336,9 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> Net:
     r_cov = _cover_radius(epsilon)
     pts, m = cloud.points, len(cloud.axis)
     r2 = r_cov * r_cov
-    # Every center is a cloud point, so this bounds each center's own slack.
-    slack = 2.0**-30 * (r_cov + 2.0 * float(np.abs(cloud.axis[[0, -1]]).max()))
+    # Every center is a cloud point, so the axis ends bound each center's slack.
+    slack = _slack(cloud, cloud.axis[[0, -1]][:, None], r_cov)
     reach2 = (r_cov + slack) ** 2
-    heads = pts[::m, :-1]
     uncovered = np.ones(cloud.n, dtype=bool)
     chosen = []
     i = 0
@@ -345,12 +346,10 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> Net:
         chosen.append(i)
         uncovered[i] = False
         c = pts[i]
-        delta = heads - c[:-1]
-        gaps = np.einsum("ij,ij->i", delta, delta)
+        gaps = _row_gaps(cloud, pts[i : i + 1])[0]
         rows = np.flatnonzero(gaps <= reach2)
         lo, sure_lo, sure_hi, hi = _row_bounds(cloud, rows, c[-1], gaps[rows], r_cov, slack)
-        for a, b in zip(sure_lo.tolist(), sure_hi.tolist()):
-            uncovered[a:b] = False
+        uncovered[_runs(sure_lo, sure_hi - sure_lo)] = False
         bands = np.concatenate([sure_lo - lo, hi - sure_hi])
         if bands.any():  # most doubt bands are empty
             doubt = _runs(np.concatenate([lo, sure_hi]), bands)
@@ -420,8 +419,10 @@ class AnnulusStats:
 
 def _annulus_block(cloud: PointCloud, n_radii: int) -> int:
     """Centers per block in `annulus_stats`: each block's (center, radius,
-    row) cells stay within _CHUNK / 256."""
-    return max(1, _CHUNK // (256 * n_radii * (cloud.n // len(cloud.axis))))
+    row) cells, and its (center, axis point) offsets, stay within
+    _CHUNK / 256."""
+    m = len(cloud.axis)
+    return max(1, _CHUNK // (256 * max(n_radii * (cloud.n // m), m + 1)))
 
 
 def _within(cloud: PointCloud, block: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -434,19 +435,24 @@ def _within(cloud: PointCloud, block: np.ndarray, radii: np.ndarray) -> np.ndarr
     between are evaluated.  Near a bound, the squared offset, g and the
     bound lie below (r + slack)^2 and round by a few units in its last
     place, while each bound lies at least 2^-30 r^2 from r^2 (the slack is
-    at least 2^-30 r), so no rounded distance crosses r unseen.  With each
-    center's rows in descending g, its (radius, row) lower bounds ascend
-    along each radius, which keeps its one binary search fast."""
+    at least 2^-30 r), so no rounded distance crosses r unseen.  Rows that
+    no center of the block reaches within the largest radius plus slack
+    are left out.  With each center's rows in descending g, its (radius,
+    row) lower bounds ascend along each radius, which keeps its one binary
+    search fast."""
     b, m = len(block), len(cloud.axis)
     slack = _slack(cloud, block, float(radii[-1]))
+    gaps = _row_gaps(cloud, block)
+    reached = np.flatnonzero((gaps <= (radii[-1] + slack) ** 2).any(axis=0))
+    gaps = gaps[:, reached]
+    rows = np.argsort(-gaps, axis=1, kind="stable")
+    gaps = np.take_along_axis(gaps, rows, axis=1)[:, None, :]  # (b, 1, reached), descending
+    rows = reached[rows]
     # Both orders come from runs: offsets fall then rise along the axis.
     order = np.argsort((cloud.axis - block[:, -1:]) ** 2, axis=1, kind="stable")
     offsets = np.empty((b, m + 1))  # each row ascending, then inf past its end
     offsets[:, :m] = (cloud.axis[order] - block[:, -1:]) ** 2
     offsets[:, m] = np.inf
-    gaps = _row_gaps(cloud, block)
-    rows = np.argsort(-gaps, axis=1, kind="stable")
-    gaps = gaps[np.arange(b)[:, None], rows][:, None, :]  # (b, 1, rows), each row descending
     lower = np.maximum(radii - slack, 0.0)[:, None] ** 2 - gaps  # (b, radii, rows)
     lo = np.empty(lower.shape, dtype=np.intp)
     for i in range(b):

@@ -571,6 +571,23 @@ def test_blocked_annulus_pass_matches_oracle(monkeypatch, spec, per_block):
         assert s.counts.shape == (0,) and s.fraction_in_band == 0.0 and s.quantiles == (0.0,) * 5
 
 
+def test_annulus_memory_is_per_block_on_a_deep_1d_cloud():
+    # A 1-D cloud is one row, so few (center, radius, row) cells stand for
+    # each center's 4,096 axis offsets; blocks sized by the cells alone
+    # would take all 1,024 centers at once, 32 MiB per offset array.
+    cloud = cantor_product(FractalSpec(1, 0.45, 12))
+    centers = cloud.points[::4]
+    annulus_stats(cloud, centers[:1], [0.3], 2.0**-6)  # lazy imports on a first call
+    tracemalloc.start()
+    try:
+        [stats] = annulus_stats(cloud, centers, [0.3], 2.0**-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(centers) == 1024 and stats.counts.shape == (1024,)
+    assert peak < 2 << 20
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_greedy_net_matches_oracle_on_an_axis_with_negative_ends(d):
     # The one slack of a greedy net comes from the axis ends, here the
