@@ -22,8 +22,8 @@ intervals alone.  They are taken for radii moved by a rounding slack of
 rounding of any distance computed from these coordinates, and every
 point they leave in doubt gets the same distance predicate as a
 whole-cloud scan, so results are identical to that scan's, ties at the
-boundaries included.  A radius, or a center, whose square with slack
-would overflow is a config error.
+boundaries included.  A radius, a center or a cloud axis whose square
+with slack would overflow is a config error.
 
 Nets and net checks split each row a ball reaches into a sure run, the
 row's interval for r - slack, whose points all lie within r however
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isfinite, log
+from math import isfinite, log, sqrt
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -146,6 +146,9 @@ class PointCloud:
             raise ConfigError("cloud axis must be finite")
         if np.any(axis[1:] <= axis[:-1]):
             raise ConfigError("cloud axis must be strictly increasing")
+        # Cloud points as centers give _check_centers a span of twice the largest axis end.
+        if not _squarable(2.0 * sqrt(self.d) * float(np.abs(axis[[0, -1]]).max())):
+            raise ConfigError("cloud axis must lie where squared distances between its points are finite")
         axis.setflags(write=False)
         grids = np.meshgrid(*([axis] * self.d), indexing="ij")
         pts = np.stack([g.reshape(-1) for g in grids], axis=1)
@@ -225,9 +228,9 @@ def _check_centers(cloud: PointCloud, centers) -> np.ndarray:
     if not np.isfinite(c).all():
         raise ConfigError("centers must be finite")
     # Every offset between a center and a cloud point, widened by its slack,
-    # lies within 2 span on each axis.
+    # lies within 2 span on each axis, so their distance within 2 sqrt(d) span.
     span = float(np.abs(cloud.axis[[0, -1]]).max()) + float(np.abs(c).max(initial=0.0))
-    if not isfinite(4.0 * cloud.d * span * span):
+    if not _squarable(sqrt(cloud.d) * span):
         raise ConfigError("centers must lie where squared distances to the cloud are finite")
     return c
 

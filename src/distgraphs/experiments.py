@@ -18,7 +18,6 @@ import math
 import os
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, Optional
@@ -289,6 +288,8 @@ def _run_instances(instances: list, worker: Callable, jobs: Optional[int]) -> li
     workers = min(jobs or cpus, cpus, len(instances))
     if workers <= 1:
         return [worker(inst) for inst in instances]
+    # Imported here, so a run without a pool does not load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(instances) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, instances, chunksize=chunk))

@@ -62,7 +62,7 @@ def _check_pattern(pattern: Graph) -> None:
         raise EmptyPattern("extremal numbers are undefined for edgeless patterns")
 
 
-def ex_exhaustive(n: int, pattern: Graph, max_n: Optional[int] = None) -> ExtremalResult:
+def ex_exhaustive(n: int, pattern: Graph) -> ExtremalResult:
     """ex(n, G) from the G-free graphs on n - 1 vertices, one per
     isomorphism class (`_free_classes`).
 
@@ -77,7 +77,7 @@ def ex_exhaustive(n: int, pattern: Graph, max_n: Optional[int] = None) -> Extrem
     answer is K_n, and no class is built.
     """
     _check_pattern(pattern)
-    cap = max_n if max_n is not None else env_cap(ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE)
+    cap = env_cap(ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE)
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the exhaustive cap {cap}")
     if n < pattern.n:  # no room for a copy of G, so K_n is the answer
@@ -250,12 +250,7 @@ def _arc_orbit_plans(pattern: Graph) -> list[_Plan]:
     return plans
 
 
-def ex_branch_bound(
-    n: int,
-    pattern: Graph,
-    max_n: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> ExtremalResult:
+def ex_branch_bound(n: int, pattern: Graph, *, budget: Optional[int] = None) -> ExtremalResult:
     """ex(n, G) by proving ex(k, G) for k = 1 .. n in turn, each by
     branching on the edges of K_k in lexicographic order, include first.
 
@@ -280,7 +275,7 @@ def ex_branch_bound(
     across the whole chain.
     """
     _check_pattern(pattern)
-    cap = max_n if max_n is not None else env_cap(ENV_MAX_BRANCH, DEFAULT_MAX_BRANCH)
+    cap = env_cap(ENV_MAX_BRANCH, DEFAULT_MAX_BRANCH)
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the branch-and-bound cap {cap}")
     plans = _arc_orbit_plans(pattern)

@@ -22,8 +22,9 @@ rounds under the same guard as the histogram below, and each row must
 sum to n - 1.  Other sets take one bincount per block of pairwise norms.
 Each t's search reads the t-distance graph through a host whose bitset
 row i is packed the first time the search reads it, from x_i's norm
-row.  That row is computed once per point set and kept, up to a
-_CHUNK of cells, so every later t that reads row i only compares it.
+row in one store per point set, of up to a _CHUNK of cells.  The norm
+blocks fill the store as they count; after the sphere convolutions a
+row is computed the first time any t reads it.
 
 The distance histogram takes one of two paths, chosen from |E| alone.
 When |E|^2 >= 4 q^d it is the Fourier picture of the count: F_q^d is
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 from math import sqrt
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -244,11 +245,10 @@ def _norm_kernel(E: PointSet) -> Callable:
     return norms
 
 
-def _norm_blocks(E: PointSet) -> Iterator[tuple[slice, np.ndarray]]:
+def _norm_blocks(E: PointSet, norms: Callable) -> Iterator[tuple[slice, np.ndarray]]:
     """(rows, norm codes ||x_i - x_j|| for i in `rows` and every j), over
-    blocks of about _CHUNK / d cells."""
+    blocks of about _CHUNK / d cells, from E's kernel `norms`."""
     n = len(E)
-    norms = _norm_kernel(E)
     step = max(1, _CHUNK // (max(n, 1) * max(E.d, 1)))
     for lo in range(0, n, step):
         rows = slice(lo, min(lo + step, n))
@@ -259,7 +259,7 @@ def pairwise_norms(E: PointSet) -> np.ndarray:
     """Full (n, n) matrix of pairwise norm codes."""
     n = len(E)
     out = np.empty((n, n), dtype=np.int32)
-    for rows, block in _norm_blocks(E):
+    for rows, block in _norm_blocks(E, _norm_kernel(E)):
         out[rows] = block
     return out
 
@@ -354,7 +354,7 @@ def distance_histogram(E: PointSet) -> DistanceHistogram:
     if n * n >= 4 * spec.q**E.d:
         np.add.at(counts, _all_norms(spec, E.d), _autocorrelation(E))
         return DistanceHistogram(spec, counts, n)
-    for _, block in _norm_blocks(E):
+    for _, block in _norm_blocks(E, _norm_kernel(E)):
         counts += np.bincount(block.ravel(), minlength=spec.q)
     return DistanceHistogram(spec, counts, n)
 
@@ -453,7 +453,29 @@ class GraphDistanceSet:
         return {self.spec.from_code(t) for t in self.contained}
 
 
-def _degree_table(E: PointSet) -> np.ndarray:
+class _NormRows(dict):
+    """The norm rows of one point set: row i is x_i's norm codes
+    ||x_i - x_j|| for every j, in the smallest unsigned dtype that holds
+    q - 1.  Rows are kept while rows kept * n <= _CHUNK; a row past that
+    is computed again on each read.  The kernel is built on first use."""
+
+    def __init__(self, E: PointSet):
+        self.E = E
+        self.room = _CHUNK // max(len(E), 1)
+        self.dtype = np.min_scalar_type(E.spec.q - 1)
+
+    @cached_property
+    def norms(self) -> Callable:
+        return _norm_kernel(self.E)
+
+    def __missing__(self, i: int) -> np.ndarray:
+        row = self.norms(self.E.codes[i])
+        if len(self) < self.room:
+            row = self[i] = row.astype(self.dtype)
+        return row
+
+
+def _degree_table(rows: _NormRows) -> np.ndarray:
     """(n, q) int64 table deg[i, t] = #{j != i : ||x_i - x_j|| = t}.
 
     The path is chosen from n, d and q = p^k alone, by comparing cell
@@ -462,23 +484,19 @@ def _degree_table(E: PointSet) -> np.ndarray:
     dk the axis count of the grid, plus a fixed _TRANSFORM_SETUP_CELLS.
     A set with n^2 d >= c dk q^(d+1) + _TRANSFORM_SETUP_CELLS takes the
     transforms when one sphere's intermediates, _SPHERE_CELLS q^d float
-    cells, fit in a _CHUNK; every other set, such as a sparse sample of
-    a large space, takes the blocks."""
+    cells, fit in a _CHUNK.  Every other set, such as a sparse sample of
+    a large space, takes one bincount per norm block over
+    (row - block start) * q + norm, and the blocks fill `rows`."""
+    E = rows.E
     n, q, d = len(E), E.spec.q, E.d
     transform_cells = _TRANSFORM_PASS_CELLS * d * E.spec.k * q ** (d + 1) + _TRANSFORM_SETUP_CELLS
     if _SPHERE_CELLS * q**d <= _CHUNK and n * n * d >= transform_cells:
         return _sphere_degree_table(E)
-    return _block_degree_table(E)
-
-
-def _block_degree_table(E: PointSet) -> np.ndarray:
-    """The degree table from one bincount per norm block over
-    (row - block start) * q + norm."""
-    n, q = len(E), E.spec.q
     deg = np.empty((n, q), dtype=np.int64)
-    for rows, block in _norm_blocks(E):
-        offsets = np.arange(rows.stop - rows.start, dtype=np.int64)[:, None] * q
-        deg[rows] = np.bincount((offsets + block).ravel(), minlength=offsets.size * q).reshape(-1, q)
+    for span, block in _norm_blocks(E, rows.norms):
+        rows.update(enumerate(block[: rows.room - len(rows)].astype(rows.dtype), span.start))
+        offsets = np.arange(len(block), dtype=np.int64)[:, None] * q
+        deg[span] = np.bincount((offsets + block).ravel(), minlength=offsets.size * q).reshape(-1, q)
     deg[:, 0] -= 1  # the diagonal, ||x_i - x_i|| = 0
     return deg
 
@@ -513,34 +531,30 @@ def _sphere_degree_table(E: PointSet) -> np.ndarray:
     return deg
 
 
-class _PackedRows(dict):
-    """Bitset rows keyed by vertex: row i is `pack(i)`, packed the first
-    time it is read.  A later read is a plain dict lookup."""
+class _DistanceHost(dict):
+    """The t-distance graph as the embedding search reads it: `n`,
+    `degrees()` and `rows`, the host itself, whose row i is packed from
+    x_i's norm row the first time the search reads it."""
 
-    __slots__ = ("pack",)
+    __slots__ = ("n", "t", "norm_rows", "_degrees")
 
-    def __init__(self, pack: Callable[[int], int]):
-        super().__init__()
-        self.pack = pack
-
-    def __missing__(self, i: int) -> int:
-        row = self[i] = self.pack(i)
-        return row
-
-
-class _DistanceHost:
-    """A t-distance graph as the embedding search reads it: `n`, `rows`
-    and `degrees()`."""
-
-    __slots__ = ("n", "rows", "_degrees")
-
-    def __init__(self, n: int, rows: _PackedRows, degrees: list[int]):
-        self.n = n
-        self.rows = rows
+    def __init__(self, norm_rows: _NormRows, t: int, degrees: list[int]):
+        self.n = len(norm_rows.E)
+        self.t = t
+        self.norm_rows = norm_rows
         self._degrees = degrees
+
+    @property
+    def rows(self) -> "_DistanceHost":
+        return self
 
     def degrees(self) -> list[int]:
         return self._degrees
+
+    def __missing__(self, i: int) -> int:
+        packed = np.packbits(self.norm_rows[i] == self.t, bitorder="little")
+        row = self[i] = int.from_bytes(packed.tobytes(), "little") & ~(1 << i)
+        return row
 
 
 def graph_distance_set(E: PointSet, pattern: Graph, budget: Optional[int] = None) -> GraphDistanceSet:
@@ -549,42 +563,23 @@ def graph_distance_set(E: PointSet, pattern: Graph, budget: Optional[int] = None
     degree table, taken from sphere convolutions for a dense set and
     from norm blocks otherwise (see _degree_table), and each t's search
     packs row i of its graph, the points at norm t from x_i, the first
-    time it reads that row.  The search visits the candidates it would
-    visit in the whole graph, in the same order.
-
-    x_i's norm row ||x_i - x_j|| is computed once per call, the first
-    time any t reads row i, and kept in the smallest unsigned dtype that
-    holds q - 1, so a later t's row i is one comparison and one packbits.
-    At most a _CHUNK of cells is kept (rows kept * n <= _CHUNK); past
-    that, a row not kept is computed again for each t that reads it.
+    time it reads that row, from x_i's norm row in one store per call
+    (_NormRows).  The search visits the candidates it would visit in the
+    whole graph, in the same order.
 
     A t no pair of E realizes gives an edgeless graph, in which a
     pattern with edges has no candidate vertex, so its search ends
     before spending budget: absent, never indeterminate."""
-    n = len(E)
-    if pattern.n > n:
+    if pattern.n > len(E):
         return GraphDistanceSet(E.spec, frozenset(), frozenset())
-    degrees = _degree_table(E).T.tolist()
-    norms, codes = _norm_kernel(E), E.codes.tolist()
-    dtype = np.min_scalar_type(E.spec.q - 1)
-    kept: dict[int, np.ndarray] = {}
-    room = _CHUNK // max(n, 1)
-
-    def pack(t: int, i: int) -> int:
-        row = kept.get(i)
-        if row is None:
-            row = norms(codes[i])
-            if len(kept) < room:
-                row = kept[i] = row.astype(dtype)
-        return int.from_bytes(np.packbits(row == t, bitorder="little").tobytes(), "little") & ~(1 << i)
-
+    rows = _NormRows(E)
+    degrees = _degree_table(rows).T.tolist()
     contained = set()
     indeterminate = set()
     witnesses = {}
     for t in range(E.spec.q):
-        host = _DistanceHost(len(E), _PackedRows(partial(pack, t)), degrees[t])
         try:
-            w = contains_subgraph(host, pattern, budget=budget)
+            w = contains_subgraph(_DistanceHost(rows, t, degrees[t]), pattern, budget=budget)
         except BudgetExceeded:
             indeterminate.add(t)
             continue

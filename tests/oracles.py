@@ -14,9 +14,11 @@ anchored plan per directed pattern edge with no symmetry reduction, and
 `ex_labeled_oracle` is the former exhaustive ex(n, G) oracle, a scan of
 every labeled graph on n vertices, and `graph_distance_set_oracle` is the
 former G-distance set, which builds every t-distance graph whole from one
-n x n norm matrix.  `approx_distance_graph_oracle` is the former
-approximate distance graph, built from the whole (k, k, d) difference
-array of the net's centers.
+n x n norm matrix.  `degree_table_oracle` is the former block degree
+table, which checks the sphere-convolution table.
+`approx_distance_graph_oracle` is the former approximate distance
+graph, built from the whole (k, k, d) difference array of the net's
+centers.
 """
 
 from itertools import combinations, permutations
@@ -26,7 +28,7 @@ import numpy as np
 from distgraphs.adreg import GUARD, Net
 from distgraphs.errors import BudgetExceeded
 from distgraphs.extremal import ExtremalResult
-from distgraphs.ffgeom import GraphDistanceSet, PointSet, pairwise_norms
+from distgraphs.ffgeom import GraphDistanceSet, PointSet, _norm_blocks, _norm_kernel, pairwise_norms
 from distgraphs.graphs import (
     Graph,
     _Budget,
@@ -200,6 +202,18 @@ def graph_distance_set_oracle(E: PointSet, pattern: Graph, budget=None) -> Graph
             contained.add(t)
             witnesses[t] = w
     return GraphDistanceSet(E.spec, frozenset(contained), frozenset(indeterminate), witnesses)
+
+
+def degree_table_oracle(E: PointSet) -> np.ndarray:
+    """(n, q) int64 table deg[i, t] = #{j != i : ||x_i - x_j|| = t}, from
+    one bincount per norm block over (row - block start) * q + norm."""
+    n, q = len(E), E.spec.q
+    deg = np.empty((n, q), dtype=np.int64)
+    for rows, block in _norm_blocks(E, _norm_kernel(E)):
+        offsets = np.arange(rows.stop - rows.start, dtype=np.int64)[:, None] * q
+        deg[rows] = np.bincount((offsets + block).ravel(), minlength=offsets.size * q).reshape(-1, q)
+    deg[:, 0] -= 1  # the diagonal, ||x_i - x_i|| = 0
+    return deg
 
 
 def partial_fisher_yates_oracle(n: int, size: int, rng: np.random.Generator) -> list[int]:

@@ -101,6 +101,18 @@ def test_point_cloud_rejects_a_bad_axis_or_dimension(axis, d):
         PointCloud(axis, d)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_point_cloud_rejects_an_axis_whose_squares_overflow(d):
+    # greedy_net on this cloud raised OverflowError from its row bounds,
+    # because the slack grows with the axis.
+    with pytest.raises(ConfigError, match="squared distances"):
+        greedy_net(PointCloud([1e200, 2e200, 3e200], d), 0.1)
+    # Axes at 1e150 still square finitely: every point is its own center.
+    cloud = PointCloud([-3e150, 1e150, 2e150], d)
+    net = greedy_net(cloud, 0.1)
+    assert net.size == cloud.n and verify_net(cloud, net)
+
+
 @pytest.mark.parametrize(
     "centers",
     [[[0.5]], [0.5, 0.5], [[0.5, float("nan")]], [[0.5, float("inf")]], [[0.5, 0.5, 0.5]], [["a", "b"]]],

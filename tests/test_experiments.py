@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -682,6 +683,23 @@ def test_cli_out_naming_a_file_exits_2(tmp_path, capsys, argv):
     assert taken.read_text() == "not a directory\n"
 
 
+def test_run_without_a_pool_does_not_load_multiprocessing():
+    # The process pool is imported only when a run starts one, so neither
+    # `import distgraphs` nor a `jobs = 1` run pays for multiprocessing.
+    root = str(Path(distgraphs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+        "import distgraphs\n"
+        "assert not any(m in sys.modules for m in pool)\n"
+        "from distgraphs.experiments import ExperimentConfig, run\n"
+        f"run(ExperimentConfig(kind='ir-sweep', seed=1, params={IR_PARAMS!r}, jobs=1)).records_csv()\n"
+        "sys.exit(any(m in sys.modules for m in pool))"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_worker_pool_is_bounded(monkeypatch):
     """The pool never has more workers than cores or instances, whatever
     `jobs` asks for; a fake executor maps the work in this process."""
@@ -700,7 +718,7 @@ def test_worker_pool_is_bounded(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     expected = run(ExperimentConfig(kind="ir-sweep", seed=9, params=IR_PARAMS, jobs=1)).records_csv()
     for cpus, workers in [(3, 3), (64, 8)]:  # IR_PARAMS has 8 instances
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)

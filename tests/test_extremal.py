@@ -64,14 +64,18 @@ def test_ex_rejects_degenerate_patterns():
         ex_branch_bound(4, Graph(3))
 
 
-def test_ex_caps():
+def test_ex_caps(monkeypatch):
     with pytest.raises(TooLarge):
         ex_exhaustive(9, cycle_graph(4))
     with pytest.raises(TooLarge):
         ex_branch_bound(13, cycle_graph(4))
-    # An explicit max_n overrides the default cap.
+    # The environment caps override the defaults.
+    monkeypatch.setenv("DISTGRAPHS_MAX_EXHAUSTIVE_N", "4")
+    monkeypatch.setenv("DISTGRAPHS_MAX_BRANCH_N", "4")
     with pytest.raises(TooLarge):
-        ex_exhaustive(5, cycle_graph(4), max_n=4)
+        ex_exhaustive(5, cycle_graph(4))
+    with pytest.raises(TooLarge):
+        ex_branch_bound(5, cycle_graph(4))
 
 
 def test_branch_bound_budget():

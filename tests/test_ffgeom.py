@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    degree_table_oracle,
     graph_distance_set_oracle,
     histogram_oracle,
     pairwise_norms_oracle,
@@ -544,6 +545,10 @@ def test_graph_distance_set_matches_whole_graph_oracle(pk, d, size, name, budget
     assert _distance_set_key(graph_distance_set(E, pattern, budget=budget)) == _distance_set_key(expected)
 
 
+def _degree_table_of(E: PointSet) -> np.ndarray:
+    return ffgeom._degree_table(ffgeom._NormRows(E))
+
+
 @pytest.mark.parametrize(
     "pk, d, size, rows_per_block",
     [
@@ -564,7 +569,7 @@ def test_degree_table_matches_whole_graphs(monkeypatch, pk, d, size, rows_per_bl
     # same _CHUNK splits the sphere transforms into batches of fewer t
     monkeypatch.setattr(ffgeom, "_CHUNK", rows_per_block * size * d)
     degrees = [distance_graph(E, t).degrees() for t in range(spec.q)]
-    for path in (ffgeom._block_degree_table, ffgeom._sphere_degree_table, ffgeom._degree_table):
+    for path in (degree_table_oracle, ffgeom._sphere_degree_table, _degree_table_of):
         deg = path(E)
         assert deg.shape == (size, spec.q)
         assert deg.T.tolist() == degrees
@@ -628,7 +633,7 @@ def test_graph_distance_set_memory_is_batched_transforms(monkeypatch):
     E = all_points(spec, 2)
     n = len(E)
     spec.add_table, spec.sub_table, spec.square_table  # built before tracing
-    monkeypatch.setattr(ffgeom, "_block_degree_table", _refuse)
+    monkeypatch.setattr(ffgeom, "_norm_blocks", _refuse)
     monkeypatch.setattr(ffgeom, "_CHUNK", 64 * n * 2)
     result = []
     peak = _traced_peak(lambda: result.append(graph_distance_set(E, cycle_graph(4))))
@@ -636,54 +641,69 @@ def test_graph_distance_set_memory_is_batched_transforms(monkeypatch):
     assert peak < n * n
 
 
-# -- norm rows: computed once per point, kept up to a _CHUNK -----------------
+# -- norm rows: one store per point set, kept up to a _CHUNK ----------------
 
 
-def _count_norm_rows(monkeypatch) -> tuple[list[int], list[int]]:
-    """(single-point norm computations, the vertex of every (t, i) row
-    packed), each filled in by later graph_distance_set calls."""
-    computed, packed = [], []
+def _count_norm_rows(monkeypatch, E: PointSet) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(one entry per norm kernel built, the vertex of every norm row
+    computed in a block, of every one computed alone, and of every (t, i)
+    row packed), each filled in by later graph_distance_set calls on E."""
+    vertex = {tuple(c): i for i, c in enumerate(E.codes.tolist())}
+    builds, in_blocks, alone, packed = [], [], [], []
     real_kernel = ffgeom._norm_kernel
-    real_missing = ffgeom._PackedRows.__missing__
+    real_missing = ffgeom._DistanceHost.__missing__
 
     def kernel(E):
+        builds.append(1)
         norms = real_kernel(E)
 
         def counted(xs):
+            points = np.asarray(xs).T.tolist()
             if np.ndim(xs[0]) == 0:  # one point, not a block
-                computed.append(1)
+                alone.append(vertex[tuple(points)])
+            else:
+                in_blocks.extend(vertex[tuple(c)] for c in points)
             return norms(xs)
 
         return counted
 
-    def missing(rows, i):
+    def missing(host, i):
         packed.append(i)
-        return real_missing(rows, i)
+        return real_missing(host, i)
 
     monkeypatch.setattr(ffgeom, "_norm_kernel", kernel)
-    monkeypatch.setattr(ffgeom._PackedRows, "__missing__", missing)
-    return computed, packed
+    monkeypatch.setattr(ffgeom._DistanceHost, "__missing__", missing)
+    return builds, in_blocks, alone, packed
 
 
 _K23 = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 
 
 @pytest.mark.parametrize(
-    "pk, d, size, pattern",
+    "pk, d, size, pattern, sphere",
     [
-        ((7, 1), 2, 49, cycle_graph(4)),
-        ((13, 1), 3, 160, hypercube_graph(3)),
-        ((5, 2), 2, 300, cycle_graph(6)),
-        ((3, 2), 3, 200, _K23),
+        ((7, 1), 2, 49, cycle_graph(4), False),
+        ((13, 1), 3, 160, hypercube_graph(3), False),
+        ((5, 2), 2, 300, cycle_graph(6), False),
+        ((3, 2), 3, 200, _K23, False),
+        ((13, 1), 3, 500, cycle_graph(4), True),
+        ((3, 2), 3, 700, _K23, True),
     ],
-    ids=["C4-F7^2", "Q3-F13^3", "C6-F25^2", "K23-F9^3"],
+    ids=["C4-F7^2", "Q3-F13^3", "C6-F25^2", "K23-F9^3", "C4-F13^3-sphere", "K23-F9^3-sphere"],
 )
-def test_graph_distance_set_computes_each_norm_row_once(monkeypatch, pk, d, size, pattern):
+def test_graph_distance_set_computes_each_norm_row_once(monkeypatch, pk, d, size, pattern, sphere):
+    # n * n <= _CHUNK, so the store has room for every row.
     E = random_subset(make_field(*pk), d, size, seed=size)
+    assert size * size <= ffgeom._CHUNK
     expected = graph_distance_set_oracle(E, pattern)
-    computed, packed = _count_norm_rows(monkeypatch)
+    builds, in_blocks, alone, packed = _count_norm_rows(monkeypatch, E)
     assert _distance_set_key(graph_distance_set(E, pattern)) == _distance_set_key(expected)
-    assert len(computed) == len(set(packed)) < len(packed)
+    assert len(builds) == 1
+    if sphere:  # rows are computed the first time a search reads them
+        assert not in_blocks and sorted(alone) == sorted(set(packed))
+    else:  # the degree table's blocks compute every row; the searches none
+        assert sorted(in_blocks) == list(range(size)) and not alone
+    assert len(set(packed)) < len(packed)
 
 
 @pytest.mark.parametrize(
@@ -697,17 +717,18 @@ def test_graph_distance_set_computes_each_norm_row_once(monkeypatch, pk, d, size
     ids=["Q3-F13^3", "K23-F13^3", "Q3-F49^2", "K23-F5^4"],
 )
 def test_graph_distance_set_with_a_full_row_cache(monkeypatch, pk, d, size, pattern):
-    # Absence-heavy sparse sets, with room for 5 norm rows: every row past
-    # those is computed again for each t that reads it.
+    # Absence-heavy sparse sets, with room for 5 norm rows: the blocks keep
+    # rows 0 to 4, and every row past those is computed again for each t
+    # that reads it.
     E = random_subset(make_field(*pk), d, size, seed=size)
     expected = graph_distance_set_oracle(E, pattern, budget=20000)
-    computed, packed = _count_norm_rows(monkeypatch)
+    builds, in_blocks, alone, packed = _count_norm_rows(monkeypatch, E)
     monkeypatch.setattr(ffgeom, "_CHUNK", 5 * size)
     assert _distance_set_key(graph_distance_set(E, pattern, budget=20000)) == _distance_set_key(expected)
-    read = list(dict.fromkeys(packed))
-    kept = read[:5]  # the first five rows read
-    assert len(read) > 5
-    assert len(computed) == len(kept) + sum(1 for i in packed if i not in kept)
+    assert len(builds) == 1
+    assert sorted(in_blocks) == list(range(size))
+    assert alone == [i for i in packed if i >= 5]
+    assert len(set(alone)) < len(alone)
 
 
 def test_graph_distance_set_rows_past_uint8(monkeypatch):
@@ -763,7 +784,7 @@ def test_sphere_degree_table_matches_norm_blocks(space, kind, spheres_per_batch,
         "any": 1 + seed % 1200,
     }[kind]
     E = random_subset(spec, d, min(size, total), seed)
-    expected = ffgeom._block_degree_table(E)
+    expected = degree_table_oracle(E)
     rng = np.random.default_rng(seed)
     shift = Point(spec.from_code(int(c)) for c in rng.integers(spec.q, size=d))
     with pytest.MonkeyPatch.context() as mp:
@@ -794,7 +815,7 @@ def test_sphere_degree_table_matches_norm_blocks(space, kind, spheres_per_batch,
 def test_sphere_degree_table_matches_norm_blocks_on_seeded_sets(pk, d, size, seed):
     spec = make_field(*pk)
     E = random_subset(spec, d, size, seed)
-    expected = ffgeom._block_degree_table(E)
+    expected = degree_table_oracle(E)
     assert np.array_equal(ffgeom._sphere_degree_table(E), expected)
     assert np.array_equal(expected.sum(axis=1), np.full(size, size - 1))
     shift = Point(spec.from_code(c % spec.q) for c in range(3, 3 + d))
@@ -823,9 +844,12 @@ def test_degree_table_path_rule(monkeypatch):
     ]:
         calls.clear()
         E = random_subset(make_field(*pk), d, size, seed=size)
-        deg = ffgeom._degree_table(E)
+        rows = ffgeom._NormRows(E)
+        deg = ffgeom._degree_table(rows)
         assert calls == ([size] if sphere else [])
-        assert np.array_equal(deg, ffgeom._block_degree_table(E))
+        assert np.array_equal(deg, degree_table_oracle(E))
+        # the norm blocks fill the row store; the transforms leave it empty
+        assert sorted(rows) == ([] if sphere else list(range(min(size, rows.room))))
 
 
 def test_large_spaces_build_no_transform(monkeypatch):
@@ -845,7 +869,7 @@ def test_large_spaces_build_no_transform(monkeypatch):
     n = _sphere_min(3, 1, 12)
     assert ffgeom._SPHERE_CELLS * spec.q**12 > ffgeom._CHUNK and n <= 2900
     E = random_subset(spec, 12, n, seed=5)
-    assert np.array_equal(ffgeom._degree_table(E).sum(axis=1), np.full(n, n - 1))
+    assert np.array_equal(_degree_table_of(E).sum(axis=1), np.full(n, n - 1))
 
 
 def test_sphere_degree_table_rounding_guard(monkeypatch):
