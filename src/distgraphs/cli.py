@@ -41,10 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("graph-distance-set")
     sp.add_argument("--points-file", help="point set file")
     sp.add_argument("--p", type=int, help="field characteristic")
-    sp.add_argument("--k", type=int, default=1, help="extension degree")
+    sp.add_argument("--k", type=int, help="extension degree (default 1)")
     sp.add_argument("--d", type=int, help="ambient dimension")
     sp.add_argument("--size", type=int, help="random subset size (omit for all points)")
-    sp.add_argument("--seed", type=int, help="sampling seed (required with --size)")
+    sp.add_argument("--seed", type=int, help="sampling seed (required with --size, refused without)")
     sp.add_argument("--graph", help="catalog graph name, e.g. C6, Q3, S2")
     sp.add_argument("--graph-file", help="graph text file (overrides --graph)")
     sp.add_argument("--budget", type=int, help="per-t search node budget")
@@ -59,6 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args, kind: str) -> ExperimentConfig:
     if args.config:
+        if kind == "adreg-scan" and (args.dim, args.contraction, args.depth) != (None, None, None):
+            raise ConfigError("--dim, --lambda and --depth replace --config; give one or the other")
         try:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
@@ -95,14 +97,17 @@ def _pattern(args) -> tuple[Graph, str]:
 
 def _points(args) -> ffgeom.PointSet:
     if args.points_file:
+        given = [f"--{name}" for name in ("p", "k", "d", "size", "seed") if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"--points-file takes the space and points from the file, not {', '.join(given)}")
         return ffgeom.read_points_file(args.points_file)
     if args.p is None or args.d is None:
         raise ConfigError("need --points-file, or --p/--d (with optional --size/--seed)")
-    spec = ff.make_field(args.p, args.k)
+    spec = ff.make_field(args.p, 1 if args.k is None else args.k)
+    if (args.size is None) != (args.seed is None):
+        raise ConfigError("--size and --seed go together: both to sample, neither to take every point")
     if args.size is None:
         return ffgeom.all_points(spec, args.d)
-    if args.seed is None:
-        raise ConfigError("--size requires --seed")
     return ffgeom.random_subset(spec, args.d, args.size, seed=args.seed)
 
 

@@ -512,7 +512,10 @@ def _extremal_summarize(p: dict, records: list, meta: dict):
             entry = {"value": rec["ex"], "witness_edges": rec["witness_edges"], "method": rec["method"]}
             cache[_cache_key(rec["n"], patterns[rec["graph"]])] = entry
     if path:
-        Path(path).write_text(json.dumps(cache, indent=1) + "\n")
+        try:
+            Path(path).write_text(json.dumps(cache, indent=1) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write the cache {path}: {exc}") from exc
     records = sorted(records, key=lambda r: (r["graph"], r["n"]))
     references = {}
     for name, pattern in patterns.items():

@@ -11,20 +11,16 @@ gather per coordinate summed through the addition table, with no
 (rows, n, d) temporary.  All theorem-level comparisons are exact
 integer arithmetic.
 
-The G-distance set never holds an n x n array.  Its (n, q) degree
-table deg[i, t] = #{j != i : ||x_i - x_j|| = t} takes one of two paths,
-chosen from n, d and q by comparing cell counts.  A dense set, with
-n^2 d >= 8 q^(d+1) + 2^16, takes the Fourier picture again: column t is
-the convolution 1_E * 1_{S_t} with the sphere S_t = {v : ||v|| = t},
-read at the points of E, from the q sphere indicators' transforms over
-Z_p^{dk} times that of 1_E.  Every entry is an integer in [0, n), so it
-rounds under the same guard as the histogram below, and each row must
-sum to n - 1.  Other sets take one bincount per block of pairwise norms.
-Each t's search reads the t-distance graph through a host whose bitset
-row i is packed the first time the search reads it, from x_i's norm
-row in one store per point set, of up to a _CHUNK of cells.  The norm
-blocks fill the store as they count; after the sphere convolutions a
-row is computed the first time any t reads it.
+No t-distance graph holds an n x n array; only the pairwise_norms
+export builds one.  distance_graph packs rows one norm block at a time.
+The G-distance set's (n, q) degree table
+deg[i, t] = #{j != i : ||x_i - x_j|| = t} comes, for a dense set, from
+the convolutions 1_E * 1_{S_t} with the spheres S_t = {v : ||v|| = t},
+by transforms over Z_p^{dk} rounded under the histogram's guard below
+(each row must sum to n - 1), and otherwise from one bincount per norm
+block; _degree_table states the rule.  Each t's search packs row i of
+its graph the first time it reads it, from x_i's norm row in one store
+per point set (_NormRows).
 
 The distance histogram takes one of two paths, chosen from |E| alone.
 When |E|^2 >= 4 q^d it is the Fourier picture of the count: F_q^d is
@@ -189,10 +185,8 @@ def _partial_fisher_yates(n: int, size: int, rng: np.random.Generator) -> list[i
     swap: dict[int, int] = {}
     out = []
     for i, j in enumerate(rng.integers(np.arange(size), n).tolist()):
-        vi = swap.get(i, i)
-        vj = swap.get(j, j)
-        swap[i], swap[j] = vj, vi
-        out.append(vj)
+        out.append(swap.get(j, j))
+        swap[j] = swap.get(i, i)  # later steps read only positions past i
     return out
 
 
@@ -256,7 +250,7 @@ def _norm_blocks(E: PointSet, norms: Callable) -> Iterator[tuple[slice, np.ndarr
 
 
 def pairwise_norms(E: PointSet) -> np.ndarray:
-    """Full (n, n) matrix of pairwise norm codes."""
+    """Full (n, n) matrix of pairwise norm codes; no library path calls it."""
     n = len(E)
     out = np.empty((n, n), dtype=np.int32)
     for rows, block in _norm_blocks(E, _norm_kernel(E)):
@@ -366,7 +360,8 @@ def distance_graph(E: PointSet, t) -> Graph:
     t = 0 is permitted; the resulting graph records isotropic differences
     only, since loops are excluded.
     """
-    return Graph.from_bool_matrix(pairwise_norms(E) == _t_code(E.spec, t))
+    t = _t_code(E.spec, t)
+    return Graph.from_bool_blocks(block == t for _, block in _norm_blocks(E, _norm_kernel(E)))
 
 
 # -- exact remainder-term bound check -------------------------------------

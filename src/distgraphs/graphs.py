@@ -51,11 +51,6 @@ class Graph:
         return g
 
     @classmethod
-    def from_bool_matrix(cls, adj: np.ndarray) -> "Graph":
-        """Graph from a symmetric boolean adjacency matrix (diagonal ignored)."""
-        return cls.from_bool_blocks([adj])
-
-    @classmethod
     def from_bool_blocks(cls, blocks: Iterable[np.ndarray]) -> "Graph":
         """Graph from a symmetric boolean adjacency matrix given as
         consecutive blocks of its rows (diagonal ignored), so only one

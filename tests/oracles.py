@@ -194,7 +194,7 @@ def graph_distance_set_oracle(E: PointSet, pattern: Graph, budget=None) -> Graph
     witnesses = {}
     for t in range(E.spec.q):
         try:
-            w = contains_subgraph(Graph.from_bool_matrix(norms == t), pattern, budget=budget)
+            w = contains_subgraph(Graph.from_bool_blocks([norms == t]), pattern, budget=budget)
         except BudgetExceeded:
             indeterminate.add(t)
             continue
@@ -245,7 +245,7 @@ def approx_distance_graph_oracle(net: Net, t: float) -> Graph:
     epsilon, from one (k, k, d) difference array."""
     diff = net.centers[:, None, :] - net.centers[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
-    return Graph.from_bool_matrix(np.abs(dist - t) < 10.0 * net.epsilon)
+    return Graph.from_bool_blocks([np.abs(dist - t) < 10.0 * net.epsilon])
 
 
 def greedy_net_oracle(points: np.ndarray, epsilon: float) -> np.ndarray:

@@ -1,5 +1,4 @@
-"""The walkthrough scripts in demos/ run to completion.  The extremal
-numbers walkthrough is left out: it takes about 20 s."""
+"""The walkthrough scripts in demos/ run to completion."""
 
 import runpy
 from pathlib import Path
@@ -9,7 +8,9 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["fractal_nets.py", "finite_field_distances.py", "threshold_sweep.py"])
+@pytest.mark.parametrize(
+    "name", ["fractal_nets.py", "finite_field_distances.py", "threshold_sweep.py", "extremal_numbers.py"]
+)
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out

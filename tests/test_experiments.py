@@ -449,6 +449,16 @@ def test_extremal_table_malformed_cache(tmp_path, capsys, cache_text):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_extremal_table_unwritable_cache_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "ex.json"
+    cfg.write_text(json.dumps({"kind": "extremal-table", "params": {"n_values": [4], "graphs": ["C4"]}}))
+    cache = tmp_path / "missing" / "cache.json"
+    assert main(["extremal-table", "--config", str(cfg), "--cache", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(cache) in err and not cache.parent.exists()
+
+
 IR_ONE = {"fields": [[3, 1]], "dims": [2], "sizes": ["q"], "trials": 1}
 ADREG_ONE = {"d": 1, "contraction": 0.45, "depth": 7}
 THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials": 1}
@@ -573,6 +583,11 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
          ["threshold"]),
         ({"kind": "ir-sweep", "seed": 1, "params": {"fields": [[3, 1]], "dims": [3000000], "sizes": []}},
          ["ir-sweep"]),
+        # flags the command would ignore
+        ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE]}},
+         ["adreg-scan", "--dim", "2", "--lambda", "0.3", "--depth", "9"]),
+        ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE]}}, ["adreg-scan", "--depth", "9"]),
+        (None, ["graph-distance-set", "--p", "3", "--d", "2", "--graph", "C4", "--seed", "5"]),
     ],
     ids=[
         "list", "seed-negative", "seed-float", "seed-string", "seed-bool", "seed-flag-negative",
@@ -593,6 +608,7 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         "cloud-depth-20", "cloud-depth-1e9", "graph-k1000", "graphs-q30", "graph-flag-k1000",
         "graph-text-1e7-vertices", "adreg-graph-text-1e7-vertices", "ir-space-3^41", "threshold-space-3^41",
         "threshold-space-3^1e7-no-sizes", "ir-space-3^3e6-no-sizes",
+        "adreg-config-and-spec-flags", "adreg-config-and-depth-flag", "seed-flag-without-size",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):
@@ -659,6 +675,23 @@ def test_cli_bad_input_files_exit_2(tmp_path, capsys, points, graph):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--p", "7", "--d", "3"], ["--k", "1"], ["--size", "4", "--seed", "1"], ["--seed", "1"]],
+    ids=["p-and-d", "k", "size-and-seed", "seed"],
+)
+def test_cli_flags_beside_a_points_file_exit_2(tmp_path, capsys, flags):
+    from distgraphs.field import make_field
+    from distgraphs.ffgeom import all_points, write_points_file
+
+    pts = tmp_path / "pts.txt"
+    write_points_file(all_points(make_field(3, 1), 2), pts)
+    assert main(["graph-distance-set", "--points-file", str(pts), "--graph", "C4", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert all(flag in captured.err for flag in flags if flag.startswith("--")) and captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -334,6 +334,48 @@ def test_distance_graph_empty_t(f5):
         assert distance_graph(E, t).edge_count == 0
 
 
+@pytest.mark.parametrize(
+    "pk, d, size",
+    [
+        ((5, 1), 2, None),  # all of F_5^2
+        ((3, 2), 2, None),  # all of F_9^2
+        ((3, 1), 3, None),  # all of F_3^3
+        ((7, 1), 3, 40),
+        ((3, 2), 3, 45),
+        ((5, 2), 2, 60),
+        ((11, 1), 2, 3),
+    ],
+)
+def test_distance_graph_matches_norm_matrix(monkeypatch, pk, d, size):
+    spec = make_field(*pk)
+    E = all_points(spec, d) if size is None else random_subset(spec, d, size, seed=size)
+    n = len(E)
+    monkeypatch.setattr(ffgeom, "_CHUNK", max(1, n // 3) * n * d)  # at least three norm blocks
+    assert len(list(ffgeom._norm_blocks(E, ffgeom._norm_kernel(E)))) >= 3
+    norms = pairwise_norms_oracle(E)
+    for t in range(spec.q):
+        assert distance_graph(E, t) == Graph.from_bool_blocks([norms == t])
+
+
+def test_distance_graph_memory_is_one_norm_block(monkeypatch):
+    # 1031 points of F_25^3 in blocks of 8 rows: the norm matrix and its
+    # bool mask alone would take 5 n^2 bytes (5.3 MB).
+    spec = make_field(5, 2)
+    E = random_subset(spec, 3, 1031, seed=4)
+    n = len(E)
+    spec.add_table, spec.sub_table, spec.square_table  # built before tracing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("distance_graph built the n x n norm matrix")
+
+    monkeypatch.setattr(ffgeom, "pairwise_norms", refuse)
+    monkeypatch.setattr(ffgeom, "_CHUNK", 8 * n * 3)
+    graphs = []
+    peak = _traced_peak(lambda: graphs.append(distance_graph(E, 3)))
+    assert graphs[0].n == n
+    assert peak < n * n
+
+
 def test_ir_check_full_plane(f3):
     rep = ir_check(all_points(f3, 2))
     assert rep.passed
@@ -584,7 +626,7 @@ def test_graph_distance_set_builds_no_whole_graph(monkeypatch):
 
     monkeypatch.setattr(ffgeom, "pairwise_norms", refuse)
     monkeypatch.setattr(ffgeom, "distance_graph", refuse)
-    monkeypatch.setattr(Graph, "from_bool_matrix", refuse)
+    monkeypatch.setattr(Graph, "from_bool_blocks", refuse)
     for name, g in _DS_PATTERNS.items():
         assert _distance_set_key(graph_distance_set(E, g, budget=50)) == _distance_set_key(expected[name])
 

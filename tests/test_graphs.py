@@ -133,9 +133,11 @@ def test_from_bool_matrix_matches_edge_list(n):
         adj = upper | upper.T
         adj[np.diag_indices(n)] = True  # the diagonal is ignored
         before = adj.copy()
-        g = Graph.from_bool_matrix(adj)
-        assert g == Graph(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))])
-        assert g.edge_count == int(upper.sum())
+        expected = Graph(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))])
+        # the whole matrix as one block, then as blocks of 1 to 3 rows
+        for blocks in ([adj], np.array_split(adj, np.arange(1, n, 3)), np.array_split(adj, np.arange(2, n, 2))):
+            g = Graph.from_bool_blocks(blocks)
+            assert g == expected and g.edge_count == int(upper.sum())
         assert np.array_equal(adj, before)
 
 
