@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--size", type=int, help="random subset size (omit for all points)")
     sp.add_argument("--seed", type=int, help="sampling seed (required with --size, refused without)")
     sp.add_argument("--graph", help="catalog graph name, e.g. C6, Q3, S2")
-    sp.add_argument("--graph-file", help="graph text file (overrides --graph)")
+    sp.add_argument("--graph-file", help="graph text file (instead of --graph)")
     sp.add_argument("--budget", type=int, help="per-t search node budget")
     sp.add_argument("--out", help="output directory")
     sp.add_argument(
@@ -89,6 +89,8 @@ def _load_config(args, kind: str) -> ExperimentConfig:
 
 def _pattern(args) -> tuple[Graph, str]:
     if args.graph_file:
+        if args.graph:
+            raise ConfigError("--graph-file takes the pattern from the file, not --graph")
         return graph_from_text(Path(args.graph_file).read_text()), args.graph_file
     if args.graph:
         return graph_from_name(args.graph), args.graph

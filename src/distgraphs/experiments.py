@@ -448,11 +448,15 @@ CACHE_ENTRY = {
 
 def _cache(path) -> tuple[str, dict]:
     """A cache file path with its entries (none while the file is absent).
-    Anything but a JSON object of `CACHE_ENTRY` objects is rejected."""
-    if not Path(_string(path)).exists():
+    Anything but a JSON object of `CACHE_ENTRY` objects is rejected, and
+    so is a path outside an existing directory, before any cell runs."""
+    file = Path(_string(path))
+    if not file.exists():
+        if not file.parent.is_dir():
+            raise ConfigError(f"cannot write the cache {path}: {file.parent} is not a directory")
         return path, {}
     try:
-        cache = _object(json.loads(Path(path).read_text()))
+        cache = _object(json.loads(file.read_text()))
     except OSError as exc:
         raise ConfigError(f"unreadable cache {path}: {exc}") from exc
     for entry in cache.values():

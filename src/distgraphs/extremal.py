@@ -6,10 +6,14 @@ lexicographically first maximum G-free edge set as the witness:
 
 - a hereditary exhaustive scan over isomorphism classes: a G-free graph
   minus a vertex is G-free, so the G-free graphs on k vertices are the
-  G-free one-vertex extensions of the classes on k - 1 vertices, for
-  k = 1 .. n.  Each extension is searched whole for a copy of G, and
-  one graph per class is kept by a canonical certificate (colour
-  refinement, then individualization);
+  G-free one-vertex extensions of the classes on k - 1 vertices.  Each
+  extension is searched whole for a copy of G, and one graph per class
+  is kept by a canonical certificate (colour refinement, then
+  individualization).  It proves ex(k, G) for k = |V(G)| .. n in turn,
+  and at each k keeps only the classes with enough edges to descend
+  from a graph as large as the best extension of the previous maxima:
+  deleting a minimum-degree vertex of a G-free graph with e edges on
+  j + 1 vertices leaves at least e - floor(2e / (j+1)) of them;
 - a hereditary branch-and-bound that proves ex(k, G) for k = 1 .. n in
   turn.  At each k it branches on edges with incremental anchored
   searches, one per arc orbit of G, and cuts with ex(k-1, G): a G-free
@@ -43,7 +47,7 @@ from .graphs import (
     min_side_max_degree,
 )
 
-DEFAULT_MAX_EXHAUSTIVE = 8
+DEFAULT_MAX_EXHAUSTIVE = 10
 DEFAULT_MAX_BRANCH = 12
 ENV_MAX_EXHAUSTIVE = "DISTGRAPHS_MAX_EXHAUSTIVE_N"
 ENV_MAX_BRANCH = "DISTGRAPHS_MAX_BRANCH_N"
@@ -63,18 +67,34 @@ def _check_pattern(pattern: Graph) -> None:
 
 
 def ex_exhaustive(n: int, pattern: Graph) -> ExtremalResult:
-    """ex(n, G) from the G-free graphs on n - 1 vertices, one per
-    isomorphism class (`_free_classes`).
+    """ex(n, G) by proving ex(k, G) for k = |V(G)| .. n in turn, each
+    from a window of the G-free isomorphism classes on k - 1 vertices.
 
-    Every G-free graph on n vertices is one of them plus a vertex n - 1,
-    so the value is the largest edge count m for which some class plus
-    a vertex of degree m minus its edge count is G-free.  Edge counts
-    are tried in descending order, and the first with a G-free
-    extension ends the scan.  The witness is the lexicographically
-    first maximum G-free edge set over all labeled graphs on n
-    vertices: the least sorted edge list over the relabelings of the
-    classes attaining the value.  With fewer than |V(G)| vertices the
-    answer is K_n, and no class is built.
+    With fewer than |V(G)| vertices nothing holds a copy of G, so those
+    maxima are K_k, and no class is built.  Step k takes:
+
+    - a lower bound L: the edge count of the best G-free one-vertex
+      extension of step k - 1's maximum classes (`_extension_bound`),
+      a graph the scan has built itself, never a value taken from
+      branch-and-bound;
+    - the window w(k) = L, w(j) = w(j+1) - floor(2 w(j+1) / (j+1))
+      (`_window`).  Deleting a minimum-degree vertex of a G-free graph
+      with e edges on j + 1 vertices leaves a G-free graph with at least
+      e - floor(2e / (j+1)) edges, and that bound is nondecreasing in e,
+      so every maximum graph on k vertices descends one vertex at a
+      time through graphs meeting the window.  `_free_classes` builds
+      only the classes on k - 1 vertices that meet it;
+    - the value: every maximum graph on k vertices is one of those
+      classes plus a vertex k - 1, so ex(k, G) is the largest edge
+      count m for which some class plus a vertex of degree m minus its
+      edge count is G-free.  Edge counts are tried in descending order,
+      and the first with a G-free extension ends the step.  Its G-free
+      extensions, one per isomorphism class, are the maxima that step
+      k + 1 extends.
+
+    The witness is the lexicographically first maximum G-free edge set
+    over all labeled graphs on n vertices: the least sorted edge list
+    over the relabelings of the classes attaining the value.
     """
     _check_pattern(pattern)
     cap = env_cap(ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE)
@@ -82,40 +102,87 @@ def ex_exhaustive(n: int, pattern: Graph) -> ExtremalResult:
         raise TooLarge(f"n = {n} exceeds the exhaustive cap {cap}")
     if n < pattern.n:  # no room for a copy of G, so K_n is the answer
         return ExtremalResult(n, pattern, n * (n - 1) // 2, Graph(n, combinations(range(n), 2)))
-    classes = _free_classes(n - 1, pattern)
-    sizes = [sum(r.bit_count() for r in rows) // 2 for rows in classes]
-    for m in range(n * (n - 1) // 2, -1, -1):
-        tops = [
-            ext
-            for rows, size in zip(classes, sizes)
-            if size <= m
-            for nbrs in combinations(range(n - 1), m - size)
-            if _is_free(ext := _extend(rows, sum(1 << v for v in nbrs)), pattern)
-        ]
-        if tops:
-            break
-    witness = min(map(_first_edge_list, dict.fromkeys(map(_certificate, tops))))
+    below = pattern.n - 1
+    maxima = [tuple(((1 << below) - 1) ^ (1 << v) for v in range(below))]  # K_{|V(G)|-1}
+    for k in range(pattern.n, n + 1):
+        classes = _free_classes(k - 1, pattern, _window(k, _extension_bound(maxima, pattern)))
+        sizes = list(map(_edge_count, classes))
+        for m in range(k * (k - 1) // 2, -1, -1):
+            tops = [
+                ext
+                for rows, size in zip(classes, sizes)
+                if size <= m
+                for nbrs in combinations(range(k - 1), m - size)
+                if _is_free(ext := _extend(rows, sum(1 << v for v in nbrs)), pattern)
+            ]
+            if tops:
+                break
+        maxima = list(dict.fromkeys(map(_certificate, tops)))
+    witness = min(map(_first_edge_list, maxima))
     return ExtremalResult(n, pattern, m, Graph(n, witness))
 
 
-def _free_classes(n: int, pattern: Graph) -> list[tuple[int, ...]]:
-    """The G-free graphs on n vertices, one canonical rows tuple per
-    isomorphism class.
+def _extension_bound(maxima: Sequence[Sequence[int]], pattern: Graph) -> int:
+    """The edge count of the best G-free one-vertex extension of the
+    given graphs, or 0 if none is G-free.  Larger neighbour sets are
+    tried first, and a graph is left once no smaller set can beat the
+    best so far."""
+    best = 0
+    for rows in maxima:
+        size = _edge_count(rows)
+        for s in range(len(rows), max(best - size, -1), -1):
+            if any(
+                _is_free(_extend(rows, sum(1 << v for v in nbrs)), pattern)
+                for nbrs in combinations(range(len(rows)), s)
+            ):
+                best = size + s
+                break
+    return best
+
+
+def _window(k: int, top: int) -> list[int]:
+    """Edge floors w(0), ..., w(k) with w(k) = top and
+    w(j) = w(j+1) - floor(2 w(j+1) / (j+1)): deleting a minimum-degree
+    vertex of a graph on j + 1 vertices with at least w(j+1) edges
+    leaves at least w(j) edges."""
+    floors = [top]
+    for j in range(k - 1, -1, -1):
+        floors.append(floors[-1] - 2 * floors[-1] // (j + 1))
+    return floors[::-1]
+
+
+def _free_classes(n: int, pattern: Graph, floors: Optional[Sequence[int]] = None) -> list[tuple[int, ...]]:
+    """The G-free graphs on n vertices with at least floors[n] edges,
+    one canonical rows tuple per isomorphism class.
 
     Deleting a vertex of a G-free graph leaves a G-free graph, so every
-    class on n vertices is a class on n - 1 vertices plus a vertex n - 1
-    joined to some subset of the others.  Each such extension is
-    searched for a copy of G, and the G-free ones are cut to one per
-    class by `_certificate`."""
-    if n == 0:
-        return [()]
-    free = (
-        ext
-        for rows in _free_classes(n - 1, pattern)
-        for nbrs in range(1 << (n - 1))
-        if _is_free(ext := _extend(rows, nbrs), pattern)
-    )
-    return list(dict.fromkeys(map(_certificate, free)))
+    class on j vertices is a class on j - 1 vertices plus a vertex j - 1
+    joined to some subset S of the others.  Level j keeps only classes
+    with at least floors[j] edges: the extension of a class with e edges
+    by S is skipped before its search when e + |S| < floors[j].  Each
+    other extension is searched for a copy of G, and the G-free ones are
+    cut to one per class by `_certificate`.
+
+    With no floors (all zero) every class is built.  With a `_window`,
+    every G-free graph with at least floors[n] edges is still reached:
+    deleting minimum-degree vertices one at a time takes it down through
+    graphs with at least floors[j] edges on j vertices."""
+    if floors is None:
+        floors = [0] * (n + 1)
+    classes: list[tuple[int, ...]] = [()] if floors[0] <= 0 else []
+    for j in range(1, n + 1):
+        free = (
+            ext
+            for rows, size in zip(classes, map(_edge_count, classes))
+            for nbrs in range(1 << (j - 1))
+            if size + nbrs.bit_count() >= floors[j] and _is_free(ext := _extend(rows, nbrs), pattern)
+        )
+        classes = list(dict.fromkeys(map(_certificate, free)))
+    return classes
+
+
+def _edge_count(rows: Sequence[int]) -> int:
+    return sum(r.bit_count() for r in rows) // 2
 
 
 def _extend(rows: Sequence[int], nbrs: int) -> list[int]:

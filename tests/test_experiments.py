@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distgraphs
-from distgraphs import adreg, experiments, ffgeom
+from distgraphs import adreg, experiments, extremal, ffgeom
 from distgraphs.cli import main
 from distgraphs.errors import ConfigError
 from distgraphs.experiments import (
@@ -459,6 +459,20 @@ def test_extremal_table_unwritable_cache_exits_2(tmp_path, capsys):
     assert str(cache) in err and not cache.parent.exists()
 
 
+def test_extremal_table_unwritable_cache_fails_before_any_cell(tmp_path, capsys, monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("an oracle ran before the cache path was checked")
+
+    monkeypatch.setattr(extremal, "ex_exhaustive", no_oracle)
+    monkeypatch.setattr(extremal, "ex_branch_bound", no_oracle)
+    cfg = tmp_path / "ex.json"
+    cfg.write_text(json.dumps({"kind": "extremal-table", "jobs": 1, "params": {"n_values": [4, 5], "graphs": ["C4"]}}))
+    cache = tmp_path / "missing" / "dir" / "cache.json"
+    assert main(["extremal-table", "--config", str(cfg), "--cache", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and str(cache) in err
+
+
 IR_ONE = {"fields": [[3, 1]], "dims": [2], "sizes": ["q"], "trials": 1}
 ADREG_ONE = {"d": 1, "contraction": 0.45, "depth": 7}
 THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials": 1}
@@ -588,6 +602,7 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
          ["adreg-scan", "--dim", "2", "--lambda", "0.3", "--depth", "9"]),
         ({"kind": "adreg-scan", "params": {"specs": [ADREG_ONE]}}, ["adreg-scan", "--depth", "9"]),
         (None, ["graph-distance-set", "--p", "3", "--d", "2", "--graph", "C4", "--seed", "5"]),
+        (None, ["graph-distance-set", "--p", "3", "--d", "2", "--graph-file", "{graph_file}", "--graph", "C4"]),
     ],
     ids=[
         "list", "seed-negative", "seed-float", "seed-string", "seed-bool", "seed-flag-negative",
@@ -609,10 +624,13 @@ THRESHOLD_ONE = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4], "trials":
         "graph-text-1e7-vertices", "adreg-graph-text-1e7-vertices", "ir-space-3^41", "threshold-space-3^41",
         "threshold-space-3^1e7-no-sizes", "ir-space-3^3e6-no-sizes",
         "adreg-config-and-spec-flags", "adreg-config-and-depth-flag", "seed-flag-without-size",
+        "graph-file-and-graph-flag",
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):
-    argv = list(flags)
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("4 4\n0 1\n0 3\n1 2\n2 3\n")  # a valid C4, so only the flag pair is wrong
+    argv = [flag.replace("{graph_file}", str(graph_file)) for flag in flags]
     if doc is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))

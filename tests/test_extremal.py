@@ -15,6 +15,7 @@ from distgraphs.extremal import (
     _certificate,
     _first_edge_list,
     _free_classes,
+    _window,
     AKS,
     BONDY_SIMONOVITS,
     ERDOS_SIMONOVITS,
@@ -66,7 +67,7 @@ def test_ex_rejects_degenerate_patterns():
 
 def test_ex_caps(monkeypatch):
     with pytest.raises(TooLarge):
-        ex_exhaustive(9, cycle_graph(4))
+        ex_exhaustive(11, cycle_graph(4))
     with pytest.raises(TooLarge):
         ex_branch_bound(13, cycle_graph(4))
     # The environment caps override the defaults.
@@ -288,7 +289,7 @@ def test_oracles_match_networkx_atlas():
             )
             assert ex_branch_bound(n, pattern).value == expected, (name, n)
             assert ex_exhaustive(n, pattern).value == expected, (name, n)
-    # The exhaustive cap.
+    # One vertex past the atlas.
     assert ex_exhaustive(8, patterns["C4"]).value == EX_C4[8]
 
 
@@ -304,6 +305,41 @@ def test_free_class_counts_match_networkx_atlas():
             if h.number_of_nodes() <= 7 and not GraphMatcher(h, g).subgraph_is_monomorphic():
                 expected[h.number_of_nodes()] += 1
         assert [len(_free_classes(k, pattern)) for k in range(8)] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(0, 6), st.integers(0, 16))
+def test_windowed_classes_are_the_classes_meeting_the_window(seed, pattern_n, k, top):
+    # A window loses no G-free graph with at least `top` edges on k
+    # vertices, and keeps no graph with fewer.
+    rng = np.random.default_rng(seed)
+    pattern = random_graph(pattern_n + 1, float(rng.uniform(0.2, 0.9)), rng)
+    if pattern.edge_count == 0:
+        pattern = Graph(pattern.n, [(0, pattern.n - 1)])
+    meeting = [rows for rows in _free_classes(k, pattern) if sum(r.bit_count() for r in rows) // 2 >= top]
+    assert sorted(_free_classes(k, pattern, _window(k, top))) == sorted(meeting)
+
+
+def test_window_follows_the_deletion_bound():
+    # C4 with L = 21 at n = 12: w(j) = w(j+1) - floor(2 w(j+1) / (j+1)).
+    assert _window(12, 21)[8:] == [10, 12, 15, 18, 21]
+    assert _window(0, 0) == [0]
+
+
+@pytest.mark.parametrize("pattern, n", [(cycle_graph(4), 10), (cycle_graph(6), 9)], ids=["C4-10", "C6-9"])
+def test_exhaustive_matches_branch_bound_past_the_old_cap(pattern, n):
+    a, b = ex_exhaustive(n, pattern), ex_branch_bound(n, pattern)
+    assert (a.value, a.witness) == (b.value, b.witness)
+
+
+def test_exhaustive_scan_never_calls_branch_bound(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exhaustive scan called branch-and-bound")
+
+    monkeypatch.setattr(extremal, "ex_branch_bound", refuse)
+    monkeypatch.setattr(extremal, "_ex_given_previous", refuse)
+    for n in range(9):
+        assert ex_exhaustive(n, cycle_graph(4)).value == EX_C4[n]
 
 
 def test_ex_monotone_and_bounded():
