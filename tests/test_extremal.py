@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from oracles import all_arc_plans, brute_contains, ex_labeled_oracle, random_graph
 from distgraphs import extremal
-from distgraphs.errors import BudgetExceeded, EmptyPattern, NotBipartite, BadDimension, TooLarge
+from distgraphs.errors import BudgetExceeded, EmptyPattern, NotBipartite, BadDimension, TooLarge, TooSmall
 from distgraphs.extremal import (
     _arc_orbit_plans,
     _certificate,
-    _first_edge_list,
+    _edge_list,
     _free_classes,
     _window,
     AKS,
@@ -63,6 +63,12 @@ def test_ex_rejects_degenerate_patterns():
         ex_exhaustive(4, Graph(1))
     with pytest.raises(EmptyPattern):
         ex_branch_bound(4, Graph(3))
+
+
+def test_ex_rejects_negative_n():
+    for oracle in (ex_exhaustive, ex_branch_bound):
+        with pytest.raises(TooSmall, match="nonnegative"):
+            oracle(-2, cycle_graph(4))
 
 
 def test_ex_caps(monkeypatch):
@@ -178,8 +184,9 @@ def test_certificate_is_relabeling_invariant(seed, n):
 
 
 def test_certificate_on_regular_graphs_that_are_not_vertex_transitive():
-    # Refinement leaves one cell, and not every choice of first vertex
-    # gives the same leaves: C3 + C4 and its complement.
+    # Every vertex has the same degree, so the first label may go to
+    # any of them, and not every choice gives the greatest rows:
+    # C3 + C4 and its complement.
     c3c4 = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
     complement = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7) if not c3c4.has_edge(u, v)])
     rng = np.random.default_rng(3)
@@ -210,7 +217,7 @@ def test_first_edge_list_is_least_over_all_relabelings(seed, n):
     rng = np.random.default_rng(seed)
     g = random_graph(n, float(rng.uniform(0.1, 0.9)), rng)
     least = min(sorted(_relabeled(g, perm).edges()) for perm in permutations(range(n)))
-    assert _first_edge_list(g.rows) == least
+    assert _edge_list(_certificate(g.rows)) == least
 
 
 @settings(max_examples=150, deadline=None)
@@ -224,8 +231,8 @@ def test_equal_certificates_only_for_isomorphic_graphs(seed, n):
     assert (_certificate(a.rows) == _certificate(b.rows)) == _isomorphic(a, b)
 
 
-# ex(n, C4), OEIS A006855, n = 0..10
-EX_C4 = [0, 0, 1, 3, 4, 6, 7, 9, 11, 13, 16]
+# ex(n, C4), OEIS A006855, n = 0..11
+EX_C4 = [0, 0, 1, 3, 4, 6, 7, 9, 11, 13, 16, 18]
 
 
 def test_branch_bound_known_values():
@@ -330,6 +337,13 @@ def test_window_follows_the_deletion_bound():
 def test_exhaustive_matches_branch_bound_past_the_old_cap(pattern, n):
     a, b = ex_exhaustive(n, pattern), ex_branch_bound(n, pattern)
     assert (a.value, a.witness) == (b.value, b.witness)
+
+
+def test_exhaustive_past_the_default_cap(monkeypatch):
+    monkeypatch.setenv("DISTGRAPHS_MAX_EXHAUSTIVE_N", "11")
+    res = ex_exhaustive(11, cycle_graph(4))
+    assert res.value == EX_C4[11]
+    assert verify_extremal_witness(res)
 
 
 def test_exhaustive_scan_never_calls_branch_bound(monkeypatch):
