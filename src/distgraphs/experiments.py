@@ -724,7 +724,7 @@ SWEEPS: dict[str, Sweep] = {
     "extremal-table": Sweep({
         "n_values": (_list(_count, nonempty=True, distinct=True), REQUIRED),
         "graphs": (_list(_extremal_pattern, nonempty=True, distinct=True), REQUIRED),
-        "exhaustive_max": (_count, 7),
+        "exhaustive_max": (_count, extremal.DEFAULT_MAX_EXHAUSTIVE),
         "cache": (_optional(_cache), None),
     }, False, EXTREMAL_COLUMNS, _extremal_expand, _extremal_worker, _extremal_summarize),
     "adreg-scan": Sweep({

@@ -9,12 +9,13 @@ lexicographically first maximum G-free edge set as the witness:
   G-free one-vertex extensions of the classes on k - 1 vertices.  Each
   extension is searched whole for a copy of G, and one graph per class
   is kept: its relabeling with the least sorted edge list, which is
-  also the labeling the witness is read from.  It proves ex(k, G) for
-  k = |V(G)| .. n in turn, and at each k keeps only the classes with
-  enough edges to descend from a graph as large as the best extension
-  of the previous maxima: deleting a minimum-degree vertex of a G-free
-  graph with e edges on j + 1 vertices leaves at least
-  e - floor(2e / (j+1)) of them;
+  also the labeling the witness is read from.  For k = |V(G)| .. n in
+  turn it builds the classes on k vertices with at least L edges, L
+  the best extension of the classes kept at k - 1, keeping at each
+  level only the classes with enough edges to descend from such a
+  graph: deleting a minimum-degree vertex of a G-free graph with e
+  edges on j + 1 vertices leaves at least e - floor(2e / (j+1)) of
+  them;
 - a hereditary branch-and-bound that proves ex(k, G) for k = 1 .. n in
   turn.  At each k it branches on edges with incremental anchored
   searches, one per arc orbit of G, and cuts with ex(k-1, G): a G-free
@@ -44,6 +45,7 @@ from .graphs import (
     _search_rows,
     _self_embedding,
     contains_subgraph,
+    hypercube_graph,
     iter_bits,
     min_side_max_degree,
 )
@@ -70,35 +72,31 @@ def _check_args(n: int, pattern: Graph) -> None:
 
 
 def ex_exhaustive(n: int, pattern: Graph) -> ExtremalResult:
-    """ex(n, G) by proving ex(k, G) for k = |V(G)| .. n in turn, each
-    from a window of the G-free isomorphism classes on k - 1 vertices.
+    """ex(n, G) by building, for k = |V(G)| .. n in turn, every G-free
+    isomorphism class on k vertices with at least L edges.
 
     With fewer than |V(G)| vertices nothing holds a copy of G, so those
     maxima are K_k, and no class is built.  Step k takes:
 
-    - a lower bound L: the edge count of the best G-free one-vertex
-      extension of step k - 1's maximum classes (`_extension_bound`),
-      a graph the scan has built itself, never a value taken from
-      branch-and-bound;
+    - a lower bound L <= ex(k, G): the edge count of the best G-free
+      one-vertex extension of the classes step k - 1 kept (K_{k-1} at
+      k = |V(G)|; `_extension_bound`), a graph the scan has built
+      itself, never a value taken from branch-and-bound;
     - the window w(k) = L, w(j) = w(j+1) - floor(2 w(j+1) / (j+1))
       (`_window`).  Deleting a minimum-degree vertex of a G-free graph
       with e edges on j + 1 vertices leaves a G-free graph with at least
       e - floor(2e / (j+1)) edges, and that bound is nondecreasing in e,
-      so every maximum graph on k vertices descends one vertex at a
-      time through graphs meeting the window.  `_free_classes` builds
-      only the classes on k - 1 vertices that meet it;
-    - the value: every maximum graph on k vertices is one of those
-      classes plus a vertex k - 1, so ex(k, G) is the largest edge
-      count m for which some class plus a vertex of degree m minus its
-      edge count is G-free.  Edge counts are tried in descending order,
-      and the first with a G-free extension ends the step.  Its G-free
-      extensions, one per isomorphism class, are the maxima that step
-      k + 1 extends.
+      so every G-free graph on k vertices with at least L edges, and so
+      every maximum one, descends one vertex at a time through graphs
+      meeting the window.  `_free_classes` builds the classes on k
+      vertices that meet it.
 
-    The witness is the lexicographically first maximum G-free edge set
-    over all labeled graphs on n vertices.  Each class is kept as its
-    relabeling with the least sorted edge list (`_certificate`), so the
-    witness is the least of the maxima's edge lists.
+    After step n the greatest edge count among the kept classes is
+    ex(n, G).  The witness is the lexicographically first maximum
+    G-free edge set over all labeled graphs on n vertices.  Each class
+    is kept as its relabeling with the least sorted edge list
+    (`_certificate`), so the witness is the least edge list among the
+    classes of that count.
     """
     _check_args(n, pattern)
     cap = env_cap(ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE)
@@ -107,32 +105,21 @@ def ex_exhaustive(n: int, pattern: Graph) -> ExtremalResult:
     if n < pattern.n:  # no room for a copy of G, so K_n is the answer
         return ExtremalResult(n, pattern, n * (n - 1) // 2, Graph(n, combinations(range(n), 2)))
     below = pattern.n - 1
-    maxima = [tuple(((1 << below) - 1) ^ (1 << v) for v in range(below))]  # K_{|V(G)|-1}
+    classes = [tuple(((1 << below) - 1) ^ (1 << v) for v in range(below))]  # K_{|V(G)|-1}
     for k in range(pattern.n, n + 1):
-        classes = _free_classes(k - 1, pattern, _window(k, _extension_bound(maxima, pattern)))
-        sizes = list(map(_edge_count, classes))
-        for m in range(k * (k - 1) // 2, -1, -1):
-            tops = [
-                ext
-                for rows, size in zip(classes, sizes)
-                if size <= m
-                for nbrs in combinations(range(k - 1), m - size)
-                if _is_free(ext := _extend(rows, sum(1 << v for v in nbrs)), pattern)
-            ]
-            if tops:
-                break
-        maxima = list(dict.fromkeys(map(_certificate, tops)))
-    witness = min(map(_edge_list, maxima))
-    return ExtremalResult(n, pattern, m, Graph(n, witness))
+        classes = _free_classes(k, pattern, _window(k, _extension_bound(classes, pattern)))
+    value = max(map(_edge_count, classes))
+    witness = min(_edge_list(rows) for rows in classes if _edge_count(rows) == value)
+    return ExtremalResult(n, pattern, value, Graph(n, witness))
 
 
-def _extension_bound(maxima: Sequence[Sequence[int]], pattern: Graph) -> int:
+def _extension_bound(classes: Sequence[Sequence[int]], pattern: Graph) -> int:
     """The edge count of the best G-free one-vertex extension of the
-    given graphs, or 0 if none is G-free.  Larger neighbour sets are
-    tried first, and a graph is left once no smaller set can beat the
+    given classes, or 0 if none is G-free.  Larger neighbour sets are
+    tried first, and a class is left once no smaller set can beat the
     best so far."""
     best = 0
-    for rows in maxima:
+    for rows in classes:
         size = _edge_count(rows)
         for s in range(len(rows), max(best - size, -1), -1):
             if any(
@@ -155,7 +142,7 @@ def _window(k: int, top: int) -> list[int]:
     return floors[::-1]
 
 
-def _free_classes(n: int, pattern: Graph, floors: Optional[Sequence[int]] = None) -> list[tuple[int, ...]]:
+def _free_classes(n: int, pattern: Graph, floors: Sequence[int]) -> list[tuple[int, ...]]:
     """The G-free graphs on n vertices with at least floors[n] edges,
     one canonical rows tuple per isomorphism class.
 
@@ -168,12 +155,10 @@ def _free_classes(n: int, pattern: Graph, floors: Optional[Sequence[int]] = None
     cut to one per class by `_certificate`, which relabels each to its
     least sorted edge list.
 
-    With no floors (all zero) every class is built.  With a `_window`,
-    every G-free graph with at least floors[n] edges is still reached:
-    deleting minimum-degree vertices one at a time takes it down through
-    graphs with at least floors[j] edges on j vertices."""
-    if floors is None:
-        floors = [0] * (n + 1)
+    With floors all zero (`_window(n, 0)`) every class is built.  With
+    a `_window`, every G-free graph with at least floors[n] edges is
+    still reached: deleting minimum-degree vertices one at a time takes
+    it down through graphs with at least floors[j] edges on j vertices."""
     classes: list[tuple[int, ...]] = [()] if floors[0] <= 0 else []
     for j in range(1, n + 1):
         free = (
@@ -419,8 +404,6 @@ def _hypercube_order(g: Graph) -> Optional[int]:
         return None
     if g.edge_count != k * (1 << (k - 1)) or any(d != k for d in g.degrees()):
         return None
-    from .graphs import hypercube_graph
-
     # Same vertex and edge counts, so any embedding is an isomorphism.
     if contains_subgraph(g, hypercube_graph(k)) is None:
         return None

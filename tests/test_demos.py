@@ -8,9 +8,7 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize(
-    "name", ["fractal_nets.py", "finite_field_distances.py", "threshold_sweep.py", "extremal_numbers.py"]
-)
+@pytest.mark.parametrize("name", [path.name for path in sorted(DEMOS.glob("*.py"))])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out

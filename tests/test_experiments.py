@@ -186,6 +186,12 @@ def test_extremal_table_skips_oversize_cells():
     assert report.summary["skipped"] == 1
 
 
+def test_extremal_table_default_runs_the_scan_to_its_cap():
+    cfg = ExperimentConfig(kind="extremal-table", params={"n_values": [8], "graphs": ["C4"]})
+    (record,) = run(cfg).records
+    assert (record["method"], record["ex"]) == ("exhaustive", 11)
+
+
 def test_adreg_scan_runner():
     cfg = ExperimentConfig(
         kind="adreg-scan",

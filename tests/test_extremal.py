@@ -311,7 +311,7 @@ def test_free_class_counts_match_networkx_atlas():
         for h in atlas:
             if h.number_of_nodes() <= 7 and not GraphMatcher(h, g).subgraph_is_monomorphic():
                 expected[h.number_of_nodes()] += 1
-        assert [len(_free_classes(k, pattern)) for k in range(8)] == expected
+        assert [len(_free_classes(k, pattern, _window(k, 0))) for k in range(8)] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,7 +323,8 @@ def test_windowed_classes_are_the_classes_meeting_the_window(seed, pattern_n, k,
     pattern = random_graph(pattern_n + 1, float(rng.uniform(0.2, 0.9)), rng)
     if pattern.edge_count == 0:
         pattern = Graph(pattern.n, [(0, pattern.n - 1)])
-    meeting = [rows for rows in _free_classes(k, pattern) if sum(r.bit_count() for r in rows) // 2 >= top]
+    every = _free_classes(k, pattern, _window(k, 0))
+    meeting = [rows for rows in every if sum(r.bit_count() for r in rows) // 2 >= top]
     assert sorted(_free_classes(k, pattern, _window(k, top))) == sorted(meeting)
 
 
@@ -333,10 +334,34 @@ def test_window_follows_the_deletion_bound():
     assert _window(0, 0) == [0]
 
 
-@pytest.mark.parametrize("pattern, n", [(cycle_graph(4), 10), (cycle_graph(6), 9)], ids=["C4-10", "C6-9"])
+@pytest.mark.parametrize(
+    "pattern, n",
+    [(cycle_graph(4), 10), (cycle_graph(6), 9), (shattering_graph(2), 7)],
+    ids=["C4-10", "C6-9", "S2-7"],
+)
 def test_exhaustive_matches_branch_bound_past_the_old_cap(pattern, n):
+    # ex(S2) falls 10 -> 7 -> 9 over n = 5 .. 7, and no one-vertex
+    # extension of K_5 is S2-free (L = 0 at n = 6), so the kept classes
+    # at n = 6 run below their maximum.
     a, b = ex_exhaustive(n, pattern), ex_branch_bound(n, pattern)
     assert (a.value, a.witness) == (b.value, b.witness)
+
+
+def test_extension_bound_reads_every_kept_class(monkeypatch):
+    # Q3 at n = 10: L = 30 from the maxima on 9 vertices alone, but a
+    # kept class below the maximum extends to 31 = ex(10, Q3).
+    bounds = []
+    bound = extremal._extension_bound
+
+    def record(classes, pattern):
+        bounds.append(bound(classes, pattern))
+        return bounds[-1]
+
+    monkeypatch.setattr(extremal, "_extension_bound", record)
+    res = ex_exhaustive(10, hypercube_graph(3))
+    assert bounds == [23, 26, 31]
+    assert res.value == 31
+    assert verify_extremal_witness(res)
 
 
 def test_exhaustive_past_the_default_cap(monkeypatch):
