@@ -7,7 +7,7 @@ lexicographically first maximum G-free edge set as the witness:
 - a hereditary exhaustive scan over isomorphism classes: a G-free graph
   minus a vertex is G-free, so the G-free graphs on k vertices are the
   G-free one-vertex extensions of the classes on k - 1 vertices.  Each
-  extension is searched whole for a copy of G, and one graph per class
+  extension is searched through its new vertex, and one graph per class
   is kept: its relabeling with the least sorted edge list, which is
   also the labeling the witness is read from.  For k = |V(G)| .. n in
   turn it builds the classes on k vertices with at least L edges, L
@@ -17,8 +17,8 @@ lexicographically first maximum G-free edge set as the witness:
   edges on j + 1 vertices leaves at least e - floor(2e / (j+1)) of
   them;
 - a hereditary branch-and-bound that proves ex(k, G) for k = 1 .. n in
-  turn.  At each k it branches on edges with incremental anchored
-  searches, one per arc orbit of G, and cuts with ex(k-1, G): a G-free
+  turn.  At each k it branches on edges, searching through each new
+  edge, and cuts with ex(k-1, G): a G-free
   graph minus a vertex is G-free, so every vertex of a graph beating
   the best has degree at least its edge count minus ex(k-1, G).
   Vertex 0's neighbours are taken to be a prefix 1 .. deg(0).
@@ -41,7 +41,6 @@ from .graphs import (
     _Budget,
     _Plan,
     _components,
-    _get_plan,
     _search_rows,
     _self_embedding,
     contains_subgraph,
@@ -50,7 +49,7 @@ from .graphs import (
     min_side_max_degree,
 )
 
-DEFAULT_MAX_EXHAUSTIVE = 10
+DEFAULT_MAX_EXHAUSTIVE = 11
 DEFAULT_MAX_BRANCH = 12
 ENV_MAX_EXHAUSTIVE = "DISTGRAPHS_MAX_EXHAUSTIVE_N"
 ENV_MAX_BRANCH = "DISTGRAPHS_MAX_BRANCH_N"
@@ -64,11 +63,19 @@ class ExtremalResult:
     witness: Graph  # a G-free graph on n vertices attaining the value
 
 
-def _check_args(n: int, pattern: Graph) -> None:
+def _below_pattern(n: int, pattern: Graph, env: str, default: int, oracle: str) -> Optional[ExtremalResult]:
+    """Checks the arguments and the oracle's cap.  Below |V(G)| vertices
+    nothing holds a copy of G: K_n is returned before any plan is built."""
     if n < 0:
         raise TooSmall(f"vertex count must be nonnegative, got {n}")
     if pattern.edge_count == 0:
         raise EmptyPattern("extremal numbers are undefined for edgeless patterns")
+    cap = env_cap(env, default)
+    if n > cap:
+        raise TooLarge(f"n = {n} exceeds the {oracle} cap {cap}")
+    if n < pattern.n:
+        return ExtremalResult(n, pattern, n * (n - 1) // 2, Graph(n, combinations(range(n), 2)))
+    return None
 
 
 def ex_exhaustive(n: int, pattern: Graph) -> ExtremalResult:
@@ -98,12 +105,8 @@ def ex_exhaustive(n: int, pattern: Graph) -> ExtremalResult:
     (`_certificate`), so the witness is the least edge list among the
     classes of that count.
     """
-    _check_args(n, pattern)
-    cap = env_cap(ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE)
-    if n > cap:
-        raise TooLarge(f"n = {n} exceeds the exhaustive cap {cap}")
-    if n < pattern.n:  # no room for a copy of G, so K_n is the answer
-        return ExtremalResult(n, pattern, n * (n - 1) // 2, Graph(n, combinations(range(n), 2)))
+    if (small := _below_pattern(n, pattern, ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE, "exhaustive")) is not None:
+        return small
     below = pattern.n - 1
     classes = [tuple(((1 << below) - 1) ^ (1 << v) for v in range(below))]  # K_{|V(G)|-1}
     for k in range(pattern.n, n + 1):
@@ -151,9 +154,9 @@ def _free_classes(n: int, pattern: Graph, floors: Sequence[int]) -> list[tuple[i
     joined to some subset S of the others.  Level j keeps only classes
     with at least floors[j] edges: the extension of a class with e edges
     by S is skipped before its search when e + |S| < floors[j].  Each
-    other extension is searched for a copy of G, and the G-free ones are
-    cut to one per class by `_certificate`, which relabels each to its
-    least sorted edge list.
+    other extension is searched for a copy of G through vertex j - 1,
+    and the G-free ones are cut to one per class by `_certificate`,
+    which relabels each to its least sorted edge list.
 
     With floors all zero (`_window(n, 0)`) every class is built.  With
     a `_window`, every G-free graph with at least floors[n] edges is
@@ -182,11 +185,19 @@ def _extend(rows: Sequence[int], nbrs: int) -> list[int]:
 
 
 def _is_free(rows: Sequence[int], pattern: Graph) -> bool:
-    """No copy of G, by the unanchored (symmetry-reduced) search, which
-    stays correct for patterns with isolated vertices or several
-    components."""
-    plan = _get_plan(pattern, induced=False)
-    return _search_rows(rows, [r.bit_count() for r in rows], len(rows), plan, _Budget(None)) is None
+    """No copy of G in a one-vertex extension of a G-free graph.  Any copy
+    maps some pattern vertex u, isolated or not, to the new vertex, and
+    an automorphism moves u onto its orbit's representative."""
+    pre = ((0, len(rows) - 1),)
+    return not _copy_through(rows, [r.bit_count() for r in rows], pre, _orbit_plans(pattern, 1), _Budget(None))
+
+
+def _copy_through(rows: Sequence[int], degs: Sequence[int], pre: tuple, plans: list[_Plan], budget: _Budget) -> bool:
+    """Whether some plan, its anchor mapped as `pre` says, finds G."""
+    for plan in plans:
+        if _search_rows(rows, degs, len(rows), plan, budget, pre) is not None:
+            return True
+    return False
 
 
 def _twins(rows: Sequence[int], u: int, v: int) -> bool:
@@ -214,7 +225,7 @@ def _certificate(rows: Sequence[int]) -> tuple[int, ...]:
     The rows are returned in reversed label order: vertex i holds label
     n - 1 - i, so label 0, of maximum degree, is the last vertex.  The
     `_is_free` searches on extensions of the classes take fewer nodes
-    that way (Q3 at n = 10: 1.91M, against 5.29M in label order)."""
+    that way (Q3 at n = 10: 0.35M, against 1.03M in label order)."""
     n = len(rows)
     branches = [((), [(1 << n) - 1])]  # vertices in label order, cells as bitsets
     for _ in range(n):
@@ -248,22 +259,22 @@ def _edge_list(cert: Sequence[int]) -> list[tuple[int, int]]:
     return sorted((last - v, last - u) for u, r in enumerate(cert) for v in iter_bits(r) if u < v)
 
 
-def _arc_orbit_plans(pattern: Graph) -> list[_Plan]:
-    """One anchored plan per orbit of directed pattern edges under
-    Aut(G), positions 0 and 1 anchored at the orbit's first arc.
-
-    Arc (c, d) joins the orbit of a representative (a, b) when
-    `_self_embedding` finds an automorphism of G that maps a to c and b
-    to d.  Any copy of G through a host edge then has some
-    representative arc on it, so the representatives answer every
-    "copy through (u, v)?".  A probe that runs out of the shared
-    `_ORBIT_BUDGET` only leaves an arc as its own representative."""
-    plans: list[_Plan] = []
-    budget = _Budget(_ORBIT_BUDGET)
-    for a, b in pattern.edges():
-        for arc in ((a, b), (b, a)):
-            if all(_self_embedding(pattern, plan, arc, budget) is None for plan in plans):
-                plans.append(_Plan(pattern, False, arc))
+def _orbit_plans(pattern: Graph, width: int) -> list[_Plan]:
+    """One plan per orbit of Aut(G) on vertices (width 1) or arcs (width
+    2), anchored at its first member, cached apart from `_get_plan`'s
+    plans (True == 1).  A member joins a representative's orbit when
+    `_self_embedding` finds an automorphism mapping the one onto the
+    other, so any copy of G through a host vertex (edge) has some
+    representative on it.  A probe that runs out of the shared
+    `_ORBIT_BUDGET` only leaves a member as its own representative."""
+    plans = pattern._plans.get(("orbits", width))
+    if plans is None:
+        plans, budget = [], _Budget(_ORBIT_BUDGET)
+        arcs = [arc for a, b in pattern.edges() for arc in ((a, b), (b, a))]
+        for anchor in arcs if width == 2 else [(v,) for v in range(pattern.n)]:
+            if all(_self_embedding(pattern, plan, anchor, budget) is None for plan in plans):
+                plans.append(_Plan(pattern, False, anchor))
+        pattern._plans["orbits", width] = plans
     return plans
 
 
@@ -291,11 +302,9 @@ def ex_branch_bound(n: int, pattern: Graph, *, budget: Optional[int] = None) -> 
     witness wherever both run.  One budget of search nodes is spent
     across the whole chain.
     """
-    _check_args(n, pattern)
-    cap = env_cap(ENV_MAX_BRANCH, DEFAULT_MAX_BRANCH)
-    if n > cap:
-        raise TooLarge(f"n = {n} exceeds the branch-and-bound cap {cap}")
-    plans = _arc_orbit_plans(pattern)
+    if (small := _below_pattern(n, pattern, ENV_MAX_BRANCH, DEFAULT_MAX_BRANCH, "branch-and-bound")) is not None:
+        return small
+    plans = _orbit_plans(pattern, 2)
     search_budget = _Budget(budget)
     value, rows = 0, ()
     for k in range(1, n + 1):
@@ -316,13 +325,6 @@ def _ex_given_previous(
     best = -1
     best_rows: tuple[int, ...] = ()
 
-    def creates_copy(u: int, v: int) -> bool:
-        pre = ((0, u), (1, v))
-        for plan in plans:
-            if _search_rows(rows, degs, k, plan, search_budget, preassigned=pre) is not None:
-                return True
-        return False
-
     def dfs(i: int, count: int) -> None:
         nonlocal best, best_rows
         search_budget.spend()
@@ -341,7 +343,7 @@ def _ex_given_previous(
             rows[v] |= 1 << u
             degs[u] += 1
             degs[v] += 1
-            if not creates_copy(u, v):
+            if not _copy_through(rows, degs, ((0, u), (1, v)), plans, search_budget):
                 dfs(i + 1, count + 1)
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u

@@ -306,32 +306,27 @@ class EmbeddingWitness:
 
 
 class _Plan:
-    """Precomputed search order for one pattern.
+    """Precomputed search order for one pattern, led by its 0-2 anchors.
 
-    Order is connectivity-first with descending degree: start at the
-    highest-degree vertex; repeatedly take the vertex with the most
-    already-placed neighbors, breaking ties by higher degree then lower
-    index.  Vertices with no placed neighbor (new components, isolated
-    vertices) are ranked the same way, which pushes isolated vertices to
-    the end.  For each position we record the placed neighbors and, for
-    induced search, the placed non-neighbors.
-
-    An unanchored plan also records `floors`, a stabilizer chain of the
-    pattern's automorphisms read along the order: floors[j] lists each
-    earlier position i such that order[j] is in the orbit of order[i]
-    under the automorphisms that fix order[0..i-1], as far as
-    `_chain_floors` finds them.  The unanchored search maps position j
-    above the image of every position in floors[j] (see `_search_rows`).
-    Anchored plans, which only run with their first positions
-    preassigned, have no floors.
+    Order is connectivity-first with descending degree: after the anchor,
+    repeatedly take the vertex with the most already-placed neighbors,
+    breaking ties by higher degree then lower index.  Vertices with no
+    placed neighbor (new components, isolated vertices) are ranked the
+    same way, which pushes isolated vertices to the end.  For each
+    position we record the placed neighbors and, for induced search, the
+    placed non-neighbors.  `floors` is a stabilizer chain of the
+    pattern's automorphisms read along the order past the anchor:
+    floors[j] lists each earlier position i past the anchor such that
+    order[j] is in the orbit of order[i] under the automorphisms that
+    fix order[0..i-1], as far as `_chain_floors` finds them.
     """
 
-    __slots__ = ("n", "order", "prior_nbrs", "prior_nonnbrs", "degrees", "induced", "floors")
+    __slots__ = ("n", "order", "prior_nbrs", "prior_nonnbrs", "degrees", "induced", "anchored", "floors")
 
-    def __init__(self, pattern: Graph, induced: bool, anchor: tuple[int, int] | None = None):
+    def __init__(self, pattern: Graph, induced: bool, anchor: tuple[int, ...] = ()):
         n, rows = pattern.n, pattern.rows
         degs = pattern.degrees()
-        placed: list[int] = list(anchor) if anchor else []
+        placed: list[int] = list(anchor)
         placed_mask = sum(1 << v for v in placed)
         # Max-rank selection by a heap of (-placed neighbours, -degree,
         # index).  Counts only grow, so an entry whose count is stale is
@@ -365,9 +360,9 @@ class _Plan:
                 prior_nonnbrs.append(())
         self.prior_nbrs = tuple(prior_nbrs)
         self.prior_nonnbrs = tuple(prior_nonnbrs)
-        self.floors: tuple[tuple[int, ...], ...] = ((),) * n
-        if anchor is None:
-            self.floors = _chain_floors(pattern, self, _Budget(_ORBIT_BUDGET))
+        self.anchored = len(anchor)
+        self.floors: tuple[tuple[int, ...], ...] = ((),) * n  # read by the chain's probes
+        self.floors = _chain_floors(pattern, self, _Budget(_ORBIT_BUDGET))
 
 
 def _get_plan(pattern: Graph, induced: bool) -> _Plan:
@@ -408,22 +403,20 @@ def _search_rows(
     the pattern's size, not by the interpreter's recursion limit.  It
     visits the images in lexicographic order, position by position.
 
-    With nothing preassigned, every position j is mapped above the image
-    of each position in plan.floors[j].  This cuts no embedding that the
-    plain search would find first.  That embedding f is the
-    lexicographically least image tuple.  Take an automorphism s of the
-    pattern that fixes order[0..i-1] and maps order[i] to order[j].  Then
-    f composed with s is an embedding that agrees with f before position
-    i, so f(order[i]) < f(order[j]): f meets every floor.  So the first
-    embedding found is the same, and absence is still a proof.  Fixed
-    images at the first positions void the argument, so preassigned
-    searches run unconstrained.
+    Every position j is mapped above the image of each position i in
+    plan.floors[j] with i at least the number of preassigned positions.
+    This cuts no embedding that the plain search would find first.  That
+    embedding f is the lexicographically least image tuple.  Take an
+    automorphism s of the pattern that fixes order[0..i-1] and maps
+    order[i] to order[j].  Then f composed with s is an embedding that
+    agrees with f before position i, the preassigned ones included, so
+    f(order[i]) < f(order[j]): f meets every floor kept.  So the first
+    embedding found is the same, and absence is still a proof.
     """
     n = plan.n
     if n > n_host:
         return None
     full = (1 << n_host) - 1
-    floors = ((),) * n if preassigned else plan.floors
     nbrs_at, nonnbrs_at, need_at = plan.prior_nbrs, plan.prior_nonnbrs, plan.degrees
     induced = plan.induced
     images = [-1] * n
@@ -445,6 +438,9 @@ def _search_rows(
         start += 1
     if start == n:
         return tuple(images)
+    floors = plan.floors
+    if start > plan.anchored:
+        floors = [f and tuple(i for i in f if i >= start) for f in floors]
 
     cands = [0] * n
     pos = start
@@ -497,9 +493,9 @@ def _witness_from_plan(plan: _Plan, images: tuple[int, ...]) -> EmbeddingWitness
     return EmbeddingWitness(tuple(mapping))
 
 
-# Search nodes for all the self-embedding probes of one pattern's chain
-# (plus one node per probe) or of its arc orbits.  Once it is spent,
-# later probes find nothing.
+# Search nodes for all the self-embedding probes of one plan's chain
+# (plus one node per probe) or of a pattern's vertex or arc orbits.
+# Once it is spent, later probes find nothing.
 _ORBIT_BUDGET = 1 << 13
 
 
@@ -522,12 +518,13 @@ def _self_embedding(
 
 
 def _chain_floors(pattern: Graph, plan: _Plan, budget: _Budget) -> tuple[tuple[int, ...], ...]:
-    """The floors of an unanchored plan: per position j, the earlier
-    positions i whose orbit at level i holds order[j].
+    """The floors of a plan: per position j, the earlier positions i
+    past the anchor whose orbit at level i holds order[j].
 
     Level i's orbit is that of order[i] under the automorphisms that fix
-    order[0..i-1] and that the probes find, a subset of its orbit under
-    that pointwise stabilizer, so `_search_rows` may use it.  An
+    order[0..i-1], the anchor included, and that the probes find, a
+    subset of its orbit under that pointwise stabilizer, so
+    `_search_rows` may use it.  An
     automorphism there keeps a vertex's sorted neighbour degrees and its
     neighbours among the fixed prefix.  Each vertex that matches order[i]
     in both and that the orbit has not yet reached is probed for one
@@ -543,8 +540,8 @@ def _chain_floors(pattern: Graph, plan: _Plan, budget: _Budget) -> tuple[tuple[i
         classes[key] = classes.get(key, 0) | 1 << v
     position = {v: pos for pos, v in enumerate(order)}
     floors: list[tuple[int, ...]] = [()] * n
-    prefix = 0
-    for i, v in enumerate(order):
+    prefix = sum(1 << v for v in order[: plan.anchored])
+    for i, v in enumerate(order[plan.anchored :], plan.anchored):
         cand = classes[profiles[v]] & ~prefix
         for k in plan.prior_nbrs[i]:
             cand &= rows[order[k]]
@@ -594,12 +591,12 @@ def contains_subgraph(
     Returns a witness or None (a proof of absence).  A node-expansion
     budget may be set; exhausting it raises BudgetExceeded rather than
     returning None.  The budget counts nodes of the symmetry-reduced
-    search (see `_search_rows`): along a stabilizer chain of Aut(G),
-    each pattern vertex in the orbit of a placed vertex under the
-    automorphisms fixing the vertices placed before it maps above that
-    vertex's image.  The witness is the one the plain search finds
-    first, and an absence proof no longer visits each copy of G once
-    per automorphism the chain finds.
+    search (`_search_rows`, which the ex(n, G) oracles run anchored):
+    along a stabilizer chain of Aut(G), each pattern vertex in the orbit
+    of a placed vertex under the automorphisms fixing the vertices
+    placed before it maps above that vertex's image.  The witness is
+    the one the plain search finds first, and an absence proof no
+    longer visits each copy of G once per automorphism the chain finds.
 
     The search reads three members of host: `n`, `rows[v]` (the bitset
     of v's neighbours) and `degrees()`, so a host may pack its rows on

@@ -10,7 +10,9 @@ same distance predicates as the library's row-interval kernels.
 `search_rows_oracle` is the library's former embedding search, recursive
 and with no stabilizer-chain floors, and `contains_oracle` runs it on a whole host.
 `all_arc_plans` is the extremal branch-and-bound's former plan set, one
-anchored plan per directed pattern edge with no symmetry reduction, and
+anchored plan per directed pattern edge, not one per orbit;
+`all_vertex_plans` is its one-vertex counterpart, one anchored plan per
+pattern vertex, for the exhaustive scan's search through a new vertex;
 `ex_labeled_oracle` is the former exhaustive ex(n, G) oracle, a scan of
 every labeled graph on n vertices, and `graph_distance_set_oracle` is the
 former G-distance set, which builds every t-distance graph whole from one
@@ -141,6 +143,12 @@ def all_arc_plans(pattern: Graph) -> list[_Plan]:
         plans.append(_Plan(pattern, induced=False, anchor=(a, b)))
         plans.append(_Plan(pattern, induced=False, anchor=(b, a)))
     return plans
+
+
+def all_vertex_plans(pattern: Graph) -> list[_Plan]:
+    """One plan per pattern vertex, anchored so position 0 is that
+    vertex."""
+    return [_Plan(pattern, induced=False, anchor=(v,)) for v in range(pattern.n)]
 
 
 def ex_labeled_oracle(n: int, pattern: Graph) -> ExtremalResult:

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_arc_plans, brute_contains, ex_labeled_oracle, random_graph
+from oracles import all_arc_plans, all_vertex_plans, brute_contains, contains_oracle, ex_labeled_oracle, random_graph
 from distgraphs import extremal
 from distgraphs.errors import BudgetExceeded, EmptyPattern, NotBipartite, BadDimension, TooLarge, TooSmall
 from distgraphs.extremal import (
-    _arc_orbit_plans,
     _certificate,
     _edge_list,
+    _extend,
     _free_classes,
+    _is_free,
+    _orbit_plans,
     _window,
     AKS,
     BONDY_SIMONOVITS,
@@ -73,7 +75,7 @@ def test_ex_rejects_negative_n():
 
 def test_ex_caps(monkeypatch):
     with pytest.raises(TooLarge):
-        ex_exhaustive(11, cycle_graph(4))
+        ex_exhaustive(12, cycle_graph(4))
     with pytest.raises(TooLarge):
         ex_branch_bound(13, cycle_graph(4))
     # The environment caps override the defaults.
@@ -161,6 +163,16 @@ def test_fewer_vertices_than_the_pattern_build_no_class(monkeypatch):
     assert time.perf_counter() - t0 < 0.1
     monkeypatch.setattr(extremal, "_free_classes", None)  # any class build would now fail
     assert ex_exhaustive(8, path_graph(9)).value == 28
+
+
+def test_patterns_that_cannot_fit_build_no_plan():
+    # K60 has 3,540 arcs; with no room for it, branch-and-bound answers
+    # K_4 before any orbit probe or plan is built.
+    k60 = complete_graph(60)
+    t0 = time.perf_counter()
+    assert ex_branch_bound(4, k60) == ex_exhaustive(4, k60)
+    assert time.perf_counter() - t0 < 0.5
+    assert k60._plans == {}
 
 
 def _relabeled(g: Graph, perm) -> Graph:
@@ -257,27 +269,49 @@ def test_arc_orbit_counts():
         "P4": (path_graph(4), 3),
     }
     for name, (pattern, expected) in counts.items():
-        assert len(_arc_orbit_plans(pattern)) == expected, name
+        assert len(_orbit_plans(pattern, 2)) == expected, name
 
 
+@pytest.mark.parametrize("width", [1, 2])
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000))
-def test_arc_orbit_plans_find_the_same_copies(seed):
+@given(seed=st.integers(0, 10_000))
+def test_orbit_plans_find_the_same_copies(width, seed):
+    # One plan per vertex (arc) orbit finds a copy through a host vertex
+    # (edge) exactly when one plan per vertex (arc) does.
     rng = np.random.default_rng(seed)
     pattern = random_graph(int(rng.integers(2, 6)), 0.6, rng)
     host = random_graph(int(rng.integers(2, 9)), 0.5, rng)
     u, v = (int(x) for x in rng.choice(host.n, 2, replace=False))
     host = Graph(host.n, set(host.edges()) | {(min(u, v), max(u, v))})
     degs = host.degrees()
+    pre = ((0, u), (1, v))[:width]
+    every = all_vertex_plans(pattern) if width == 1 else all_arc_plans(pattern)
 
     def copy_through(plans) -> bool:
-        pre = ((0, u), (1, v))
         return any(
             _search_rows(host.rows, degs, host.n, plan, _Budget(None), pre) is not None
             for plan in plans
         )
 
-    assert copy_through(_arc_orbit_plans(pattern)) == copy_through(all_arc_plans(pattern))
+    assert copy_through(_orbit_plans(pattern, width)) == copy_through(every)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["random", "random", *DISCONNECTED]))
+def test_is_free_on_extensions_of_free_graphs_matches_the_oracle(seed, kind):
+    # `_is_free` only searches through the new vertex, which is exact
+    # when the graph extended is G-free.
+    rng = np.random.default_rng(seed)
+    pattern = DISCONNECTED.get(kind) or random_graph(int(rng.integers(2, 6)), 0.6, rng)
+    if pattern.edge_count == 0:
+        pattern = Graph(pattern.n, [(0, pattern.n - 1)])
+    base = random_graph(int(rng.integers(0, 8)), float(rng.uniform(0.2, 0.9)), rng)
+    while (copy := contains_oracle(base, pattern)) is not None:
+        a, b = next(pattern.edges())
+        base = Graph(base.n, set(base.edges()) - {tuple(sorted((copy.mapping[a], copy.mapping[b])))})
+    rows = _extend(base.rows, int(rng.integers(1 << base.n)))
+    extension = Graph(len(rows), [(u, w) for u, r in enumerate(rows) for w in range(u + 1, len(rows)) if r >> w & 1])
+    assert _is_free(rows, pattern) == (contains_oracle(extension, pattern) is None)
 
 
 def test_oracles_match_networkx_atlas():
@@ -364,8 +398,7 @@ def test_extension_bound_reads_every_kept_class(monkeypatch):
     assert verify_extremal_witness(res)
 
 
-def test_exhaustive_past_the_default_cap(monkeypatch):
-    monkeypatch.setenv("DISTGRAPHS_MAX_EXHAUSTIVE_N", "11")
+def test_exhaustive_at_the_default_cap():
     res = ex_exhaustive(11, cycle_graph(4))
     assert res.value == EX_C4[11]
     assert verify_extremal_witness(res)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_arc_plans,
+    all_vertex_plans,
     automorphisms,
     brute_contains,
     contains_oracle,
@@ -16,7 +17,7 @@ from oracles import (
     search_rows_oracle,
 )
 from distgraphs.errors import BudgetExceeded, NoEdges, NotBipartite, TooLarge, TooSmall
-from distgraphs.extremal import _arc_orbit_plans
+from distgraphs.extremal import _orbit_plans
 from distgraphs.ffgeom import distance_graph, graph_distance_set, random_subset
 from distgraphs.field import make_field
 from distgraphs.graphs import (
@@ -238,7 +239,7 @@ def test_pattern_larger_than_host_builds_no_plan():
 def test_plan_order_is_pinned(pattern, anchor, order):
     # Most placed neighbours first, then higher degree, then lower index.
     g = graph_from_name(pattern)
-    assert _Plan(g, False, anchor).order == order
+    assert _Plan(g, False, anchor or ()).order == order
     if anchor is None:
         assert _Plan(g, True).order == order
 
@@ -323,19 +324,34 @@ def _symmetric_pattern(rng) -> Graph:
     return Graph(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
 
 
-def _brute_floors(g: Graph, plan: _Plan) -> tuple[tuple[int, ...], ...]:
+def _brute_floors(plan: _Plan, auts: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """The stabilizer chain's floors from every automorphism: position j
-    gets floor i when order[j] is in the orbit of order[i] under the
-    automorphisms that fix order[0..i-1]."""
-    order, floors = plan.order, [()] * g.n
-    stabilizer = automorphisms(g)
+    gets floor i, for i past the anchor, when order[j] is in the orbit
+    of order[i] under the automorphisms that fix order[0..i-1]."""
+    order, floors = plan.order, [()] * plan.n
+    stabilizer = auts
     for i, v in enumerate(order):
-        orbit = {perm[v] for perm in stabilizer}
-        for j in range(i + 1, g.n):
+        orbit = {perm[v] for perm in stabilizer} if i >= plan.anchored else ()
+        for j in range(i + 1, plan.n):
             if order[j] in orbit:
                 floors[j] += (i,)
         stabilizer = [perm for perm in stabilizer if perm[v] == v]
     return tuple(floors)
+
+
+def _vertex_orbit_firsts(g: Graph, auts: list[tuple[int, ...]]) -> list[tuple[int]]:
+    """The least vertex of each orbit, in order."""
+    return [(v,) for v in range(g.n) if min(perm[v] for perm in auts) == v]
+
+
+def _check_anchored_floors_and_orbits(g: Graph, anchors) -> None:
+    """Floors of the plans anchored at each of `anchors` and the vertex
+    orbit plans' representatives, against every automorphism."""
+    auts = automorphisms(g)
+    for anchor in anchors:
+        plan = _Plan(g, False, anchor)
+        assert plan.floors == _brute_floors(plan, auts), anchor
+    assert [plan.order[:1] for plan in _orbit_plans(g, 1)] == _vertex_orbit_firsts(g, auts)
 
 
 def _floor_counts(plan: _Plan) -> list[int]:
@@ -350,9 +366,13 @@ def _floor_counts(plan: _Plan) -> list[int]:
 @pytest.mark.parametrize("name", ORBIT_CATALOG)
 def test_orbits_match_brute_force_automorphisms_catalog(name):
     g = graph_from_name(name)
+    auts = automorphisms(g)
     for induced in (False, True):
         plan = _Plan(g, induced)
-        assert plan.floors == _brute_floors(g, plan)
+        assert plan.floors == _brute_floors(plan, auts)
+    # Plans anchored at every vertex and every arc.
+    arcs = [arc for a, b in g.edges() for arc in ((a, b), (b, a))]
+    _check_anchored_floors_and_orbits(g, [(v,) for v in range(g.n)] + arcs)
     # C4, C6, K3 and Q3 are vertex-transitive; in P4 and S2 order[0] has
     # one other vertex in its orbit and the rest of the chain is trivial.
     expected = {
@@ -373,9 +393,12 @@ def test_orbits_match_brute_force_automorphisms_random(seed, symmetric):
     g = _symmetric_pattern(rng) if symmetric else random_graph(int(rng.integers(1, 8)), 0.5, rng)
     if not 1 <= g.n <= 7:
         return
+    auts = automorphisms(g)
     for induced in (False, True):
         plan = _Plan(g, induced)
-        assert plan.floors == _brute_floors(g, plan)
+        assert plan.floors == _brute_floors(plan, auts)
+    anchors = [(int(rng.integers(g.n)),), *itertools.islice(g.edges(), 1)]
+    _check_anchored_floors_and_orbits(g, anchors)
 
 
 class _CountingBudget(_Budget):
@@ -399,14 +422,16 @@ class _CountingBudget(_Budget):
 )
 def test_plan_builds_are_bounded(pattern):
     # The ordering takes a heap and the chain's probes share one budget,
-    # so even a pattern whose probes exhaust it plans in milliseconds.
-    start = time.perf_counter()
-    plan = _Plan(pattern, False)
-    assert time.perf_counter() - start < 0.1
-    budget = _CountingBudget(_ORBIT_BUDGET)
-    assert _chain_floors(pattern, plan, budget) == plan.floors
-    # at most one refused spend: no probe starts once the budget is out
-    assert budget.calls <= _ORBIT_BUDGET + 1
+    # so even a pattern whose probes exhaust it plans in milliseconds,
+    # unanchored or anchored at a vertex or an arc.
+    for anchor in [(), (1,), *itertools.islice(pattern.edges(), 1)]:
+        start = time.perf_counter()
+        plan = _Plan(pattern, False, anchor)
+        assert time.perf_counter() - start < 0.1, anchor
+        budget = _CountingBudget(_ORBIT_BUDGET)
+        assert _chain_floors(pattern, plan, budget) == plan.floors
+        # at most one refused spend: no probe starts once the budget is out
+        assert budget.calls <= _ORBIT_BUDGET + 1
 
 
 def test_arc_orbit_representatives_match_brute_force():
@@ -423,14 +448,14 @@ def test_arc_orbit_representatives_match_brute_force():
         for a, b in arcs:
             if not any((perm[c], perm[d]) == (a, b) for c, d in firsts for perm in auts):
                 firsts.append((a, b))
-        assert [plan.order[:2] for plan in _arc_orbit_plans(g)] == firsts
+        assert [plan.order[:2] for plan in _orbit_plans(g, 2)] == firsts
 
 
 @pytest.mark.parametrize("name", ORBIT_CATALOG)
 def test_probes_return_the_unbudgeted_search(name):
     # Below the probe budget a probe is the plain preassigned search.
     g = graph_from_name(name)
-    plans = [_Plan(g, False), _Plan(g, True), *all_arc_plans(g)]
+    plans = [_Plan(g, False), _Plan(g, True), *all_vertex_plans(g), *all_arc_plans(g)]
     for plan in plans:
         k = 1 if len(plan.order) < 2 or not g.has_edge(*plan.order[:2]) else 2
         for images in itertools.permutations(range(g.n), k):
@@ -479,16 +504,25 @@ def test_symmetry_broken_search_matches_the_oracle(seed, density, induced, kind)
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 100_000), st.booleans(), PATTERN_KINDS)
 def test_preassigned_search_is_unchanged(seed, induced, kind):
-    # Searches with fixed first images keep the plain search, node for node.
+    # Searches with fixed first images find the plain search's first
+    # embedding in no more nodes: they keep the floors past the fixed
+    # positions, which on an anchored plan start past its anchor.
     rng = np.random.default_rng(seed)
     pattern = _test_pattern(kind, rng)
     host = random_graph(int(rng.integers(1, 10)), 0.6, rng)
-    plans = [_Plan(pattern, induced)] + (all_arc_plans(pattern) if not induced else [])
+    plans = [_Plan(pattern, induced)]
+    if not induced:
+        plans += all_vertex_plans(pattern) + all_arc_plans(pattern)
     for plan in plans:
         k = 2 if plan.prior_nbrs[1:2] == ((0,),) else 1
         for images in itertools.permutations(range(host.n), min(k, host.n)):
             pre = tuple(enumerate(images))
-            assert _run(_search_rows, host, plan, pre) == _run(search_rows_oracle, host, plan, pre)
+            (found, spent), (expected, oracle_spent) = (
+                _run(_search_rows, host, plan, pre),
+                _run(search_rows_oracle, host, plan, pre),
+            )
+            assert found == expected
+            assert spent <= oracle_spent
 
 
 def test_searches_deeper_than_the_recursion_limit_answer():
