@@ -18,13 +18,14 @@ from distgraphs import (
 
 # ---------------------------------------------------------------------------
 # ex(n, C_4): the largest edge count avoiding a 4-cycle.
+# Each oracle proves ex(k, C_4) for every k <= n on its way to n and
+# keeps them as `levels`, so one call per oracle gives the whole table.
 c4 = cycle_graph(4)
 print("ex(n, C_4) by two independent oracles:")
-for n in range(3, 8):
-    a = ex_exhaustive(n, c4)
-    b = ex_branch_bound(n, c4)
-    assert a.value == b.value
-    print(f"  n={n}: ex = {a.value:2d}   witness edges: {list(a.witness.edges())}")
+scan, bb = ex_exhaustive(7, c4), ex_branch_bound(7, c4)
+for a, b in zip(scan.levels[3:], bb.levels[3:]):
+    assert (a.value, a.witness) == (b.value, b.witness)
+    print(f"  n={a.n}: ex = {a.value:2d}   witness edges: {list(a.witness.edges())}")
 
 # ---------------------------------------------------------------------------
 # Exponents alpha with ex(n, G) = O(n^(2 - alpha)), per pattern.

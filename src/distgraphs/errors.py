@@ -88,4 +88,7 @@ def env_cap(name: str, default: int) -> int:
         return default
     if not raw.strip().isdecimal():
         raise ConfigError(f"{name} must be a nonnegative integer, got {raw!r}")
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:  # past the interpreter's limit on digits read as an int
+        raise ConfigError(f"{name} has {len(raw.strip())} digits, too many to read as an integer") from None

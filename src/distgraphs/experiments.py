@@ -32,7 +32,7 @@ from .errors import (
     DegenerateFit,
     DistGraphsError,
     NotBipartite,
-    TooLarge,
+    env_cap,
 )
 from .graphs import Graph, graph_from_name, graph_from_text, graph_to_text
 
@@ -423,7 +423,10 @@ def _threshold_summarize(p: dict, records: list, meta: dict):
 # -- extremal-table ----------------------------------------------------------
 #
 # The JSON cache is keyed by (n, canonical graph text); a hit is an
-# instance whose worker checks the cached witness again.
+# instance whose worker checks the cached witness again.  The uncached
+# cells of one (pattern, method) are one instance: both oracles prove
+# every k <= n on the way to n, so one call at the group's largest n
+# within the oracle's cap serves them all.
 
 EXTREMAL_COLUMNS = ["n", "graph", "ex", "witness_edges", "method", "cached", "verified"]
 
@@ -466,47 +469,69 @@ def _cache(path) -> tuple[str, dict]:
 
 def _extremal_expand(p: dict, seed) -> list[dict]:
     _, cache = p["cache"] or (None, {})
-    instances = []
+    instances, chains = [], {}
     for name, pattern in p["graphs"]:
         for n in p["n_values"]:
             hit = cache.get(_cache_key(n, pattern))
             method = "exhaustive" if n <= p["exhaustive_max"] else "branch-bound"
-            inst = {"n": n, "graph": name, "pattern": pattern, "method": method, "hit": hit}
-            if hit:
-                try:
-                    edges = [tuple(map(int, e.split("-"))) for e in hit["witness_edges"].split(";") if e]
-                    inst["witness"] = Graph(n, edges)
-                except ValueError as exc:
-                    raise ConfigError(f"bad cached witness for ex({n}, {name}): {exc}") from exc
-            instances.append(inst)
+            if not hit:
+                if (name, method) not in chains:
+                    chains[name, method] = {"ns": [], "graph": name, "pattern": pattern, "method": method, "hit": None}
+                    instances.append(chains[name, method])
+                chains[name, method]["ns"].append(n)
+                continue
+            try:
+                edges = [tuple(map(int, e.split("-"))) for e in hit["witness_edges"].split(";") if e]
+                witness = Graph(n, edges)
+            except ValueError as exc:
+                raise ConfigError(f"bad cached witness for ex({n}, {name}): {exc}") from exc
+            instances.append({"ns": [n], "graph": name, "pattern": pattern, "method": method, "hit": hit,
+                              "witness": witness})
     return instances
 
 
-def _extremal_worker(inst: dict) -> dict:
-    row = {"n": inst["n"], "graph": inst["graph"], "method": inst["method"], "cached": False}
+def _extremal_worker(inst: dict) -> list[dict]:
+    """One row per cell of the instance: a cache hit checked again, or
+    each cell of a (pattern, method) group read from the levels of one
+    oracle call, at the group's largest n within the oracle's cap.
+    Cells over the cap are skipped.  Every row of a group records the
+    group's wall time up to that call's end."""
+    pattern, ns = inst["pattern"], inst["ns"]
+    base = {"graph": inst["graph"], "method": inst["method"], "cached": False}
     hit = inst["hit"]
     if hit:
-        result = extremal.ExtremalResult(inst["n"], inst["pattern"], hit["value"], inst["witness"])
-        return {**row, "ex": hit["value"], "witness_edges": hit["witness_edges"], "method": hit["method"],
-                "cached": True, "verified": extremal.verify_extremal_witness(result)}
-    oracle = extremal.ex_exhaustive if inst["method"] == "exhaustive" else extremal.ex_branch_bound
+        result = extremal.ExtremalResult(ns[0], pattern, hit["value"], inst["witness"])
+        return [{**base, "n": ns[0], "ex": hit["value"], "witness_edges": hit["witness_edges"],
+                 "method": hit["method"], "cached": True, "verified": extremal.verify_extremal_witness(result)}]
     t0 = time.perf_counter()
-    try:
-        res = oracle(inst["n"], inst["pattern"])
-    except TooLarge:
-        return {**row, "ex": None, "witness_edges": "skipped", "verified": None,
-                "elapsed_s": time.perf_counter() - t0}
+    if inst["method"] == "exhaustive":
+        oracle, cap = extremal.ex_exhaustive, env_cap(extremal.ENV_MAX_EXHAUSTIVE, extremal.DEFAULT_MAX_EXHAUSTIVE)
+    else:
+        oracle, cap = extremal.ex_branch_bound, env_cap(extremal.ENV_MAX_BRANCH, extremal.DEFAULT_MAX_BRANCH)
+    top = max((n for n in ns if n <= cap), default=None)
+    levels = oracle(top, pattern).levels if top is not None else ()
     elapsed = time.perf_counter() - t0
-    return {
-        **row, "ex": res.value, "elapsed_s": elapsed,
-        "witness_edges": ";".join(f"{u}-{v}" for u, v in res.witness.edges()),
-        "verified": extremal.verify_extremal_witness(res),
-    }
+    rows = []
+    for n in ns:
+        row = {**base, "n": n, "elapsed_s": elapsed}
+        if n > cap:
+            rows.append({**row, "ex": None, "witness_edges": "skipped", "verified": None})
+            continue
+        res = levels[n]
+        rows.append({
+            **row, "ex": res.value,
+            "witness_edges": ";".join(f"{u}-{v}" for u, v in res.witness.edges()),
+            "verified": extremal.verify_extremal_witness(res),
+        })
+    return rows
 
 
-def _extremal_summarize(p: dict, records: list, meta: dict):
+def _extremal_summarize(p: dict, results: list, meta: dict):
     path, cache = p["cache"] or (None, {})
     patterns = dict(p["graphs"])
+    by_cell = {(r["graph"], r["n"]): r for rows in results for r in rows}
+    # in config order, the order new entries join the cache file
+    records = [by_cell[name, n] for name in patterns for n in p["n_values"]]
     seconds = meta["cell_seconds"] = {}
     for rec in records:
         if rec["cached"]:

@@ -29,7 +29,7 @@ feed are equality-sensitive, so no floats are allowed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -61,11 +61,15 @@ class ExtremalResult:
     pattern: Graph
     value: int
     witness: Graph  # a G-free graph on n vertices attaining the value
+    # levels[k] is the result at k = 0 .. n, read off the same chain and
+    # equal to a call at k; its own levels are left empty.
+    levels: tuple["ExtremalResult", ...] = field(default=(), compare=False, repr=False)
 
 
-def _below_pattern(n: int, pattern: Graph, env: str, default: int, oracle: str) -> Optional[ExtremalResult]:
-    """Checks the arguments and the oracle's cap.  Below |V(G)| vertices
-    nothing holds a copy of G: K_n is returned before any plan is built."""
+def _levels_below_pattern(n: int, pattern: Graph, env: str, default: int, oracle: str) -> list[ExtremalResult]:
+    """Checks the arguments and the oracle's cap, and returns the levels
+    below |V(G)| vertices, up to n: nothing there holds a copy of G, so
+    each is K_k, given before any plan is built."""
     if n < 0:
         raise TooSmall(f"vertex count must be nonnegative, got {n}")
     if pattern.edge_count == 0:
@@ -73,9 +77,15 @@ def _below_pattern(n: int, pattern: Graph, env: str, default: int, oracle: str) 
     cap = env_cap(env, default)
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the {oracle} cap {cap}")
-    if n < pattern.n:
-        return ExtremalResult(n, pattern, n * (n - 1) // 2, Graph(n, combinations(range(n), 2)))
-    return None
+    return [
+        ExtremalResult(k, pattern, k * (k - 1) // 2, Graph(k, combinations(range(k), 2)))
+        for k in range(min(n + 1, pattern.n))
+    ]
+
+
+def _chain(levels: list[ExtremalResult]) -> ExtremalResult:
+    """The result at the last level, carrying every level."""
+    return replace(levels[-1], levels=tuple(levels))
 
 
 def ex_exhaustive(n: int, pattern: Graph) -> ExtremalResult:
@@ -98,22 +108,23 @@ def ex_exhaustive(n: int, pattern: Graph) -> ExtremalResult:
       meeting the window.  `_free_classes` builds the classes on k
       vertices that meet it.
 
-    After step n the greatest edge count among the kept classes is
-    ex(n, G).  The witness is the lexicographically first maximum
-    G-free edge set over all labeled graphs on n vertices.  Each class
+    After step k the greatest edge count among the kept classes is
+    ex(k, G).  The witness is the lexicographically first maximum
+    G-free edge set over all labeled graphs on k vertices.  Each class
     is kept as its relabeling with the least sorted edge list
     (`_certificate`), so the witness is the least edge list among the
-    classes of that count.
+    classes of that count.  Every step's value and witness are kept as
+    the result's `levels`.
     """
-    if (small := _below_pattern(n, pattern, ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE, "exhaustive")) is not None:
-        return small
+    levels = _levels_below_pattern(n, pattern, ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE, "exhaustive")
     below = pattern.n - 1
     classes = [tuple(((1 << below) - 1) ^ (1 << v) for v in range(below))]  # K_{|V(G)|-1}
     for k in range(pattern.n, n + 1):
         classes = _free_classes(k, pattern, _window(k, _extension_bound(classes, pattern)))
-    value = max(map(_edge_count, classes))
-    witness = min(_edge_list(rows) for rows in classes if _edge_count(rows) == value)
-    return ExtremalResult(n, pattern, value, Graph(n, witness))
+        value = max(map(_edge_count, classes))
+        witness = min(_edge_list(rows) for rows in classes if _edge_count(rows) == value)
+        levels.append(ExtremalResult(k, pattern, value, Graph(k, witness)))
+    return _chain(levels)
 
 
 def _extension_bound(classes: Sequence[Sequence[int]], pattern: Graph) -> int:
@@ -300,16 +311,19 @@ def ex_branch_bound(n: int, pattern: Graph, *, budget: Optional[int] = None) -> 
     set by another route, as the least labeling of the maximum classes
     of its isomorph-free scan; the two oracles agree on value and
     witness wherever both run.  One budget of search nodes is spent
-    across the whole chain.
+    across the whole chain, and every step's value and witness are kept
+    as the result's `levels`.
     """
-    if (small := _below_pattern(n, pattern, ENV_MAX_BRANCH, DEFAULT_MAX_BRANCH, "branch-and-bound")) is not None:
-        return small
+    levels = _levels_below_pattern(n, pattern, ENV_MAX_BRANCH, DEFAULT_MAX_BRANCH, "branch-and-bound")
+    if n < pattern.n:
+        return _chain(levels)
     plans = _orbit_plans(pattern, 2)
     search_budget = _Budget(budget)
-    value, rows = 0, ()
+    levels = levels[:1]  # the chain proves every k >= 1 itself
     for k in range(1, n + 1):
-        value, rows = _ex_given_previous(k, value, plans, search_budget)
-    return ExtremalResult(n, pattern, value, Graph._from_rows(n, rows))
+        value, rows = _ex_given_previous(k, levels[-1].value, plans, search_budget)
+        levels.append(ExtremalResult(k, pattern, value, Graph._from_rows(k, rows)))
+    return _chain(levels)
 
 
 def _ex_given_previous(

@@ -192,6 +192,114 @@ def test_extremal_table_default_runs_the_scan_to_its_cap():
     assert (record["method"], record["ex"]) == ("exhaustive", 11)
 
 
+def _extremal_reference(params: dict, cache: dict) -> tuple[list[dict], dict]:
+    """The records of an extremal-table run and the cache it leaves,
+    built from one direct oracle call per cell, in the config's order."""
+    from distgraphs.errors import TooLarge
+    from distgraphs.graphs import Graph, graph_from_name, graph_to_text
+
+    rows, cache = [], dict(cache)
+    for name in params["graphs"]:
+        pattern = graph_from_name(name)
+        for n in params["n_values"]:
+            key = f"{n}|{graph_to_text(pattern)}"
+            hit = cache.get(key)
+            method = "exhaustive" if n <= params["exhaustive_max"] else "branch-bound"
+            row = {"n": n, "graph": name, "method": method, "cached": bool(hit)}
+            if hit:
+                edges = [tuple(map(int, e.split("-"))) for e in hit["witness_edges"].split(";") if e]
+                res = extremal.ExtremalResult(n, pattern, hit["value"], Graph(n, edges))
+                row.update(ex=hit["value"], witness_edges=hit["witness_edges"], method=hit["method"],
+                           verified=extremal.verify_extremal_witness(res))
+                rows.append(row)
+                continue
+            oracle = extremal.ex_exhaustive if method == "exhaustive" else extremal.ex_branch_bound
+            try:
+                res = oracle(n, pattern)
+            except TooLarge:
+                rows.append({**row, "ex": None, "witness_edges": "skipped", "verified": None})
+                continue
+            edges = ";".join(f"{u}-{v}" for u, v in res.witness.edges())
+            rows.append({**row, "ex": res.value, "witness_edges": edges, "verified": extremal.verify_extremal_witness(res)})
+            cache[key] = {"value": res.value, "witness_edges": edges, "method": method}
+    return sorted(rows, key=lambda r: (r["graph"], r["n"])), cache
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("seed", range(8))
+def test_extremal_table_matches_one_oracle_call_per_cell(tmp_path, monkeypatch, seed, jobs):
+    import random
+
+    from distgraphs.graphs import graph_from_name, graph_to_text
+
+    rng = random.Random(seed)
+    params = {
+        "n_values": rng.sample(range(9), rng.randint(4, 8)),
+        "graphs": rng.sample(["P3", "P4", "C4", "C5", "K3", "S2", "K4"], rng.randint(2, 3)),
+        "exhaustive_max": rng.randint(3, 6),
+    }
+    # hits for some cells (one of them poisoned) and an entry no cell asks for
+    cache = {}
+    for name in params["graphs"]:
+        pattern = graph_from_name(name)
+        for n in params["n_values"]:
+            if rng.random() < 0.2:
+                res = extremal.ex_exhaustive(n, pattern)
+                edges = ";".join(f"{u}-{v}" for u, v in res.witness.edges())
+                cache[f"{n}|{graph_to_text(pattern)}"] = {"value": res.value, "witness_edges": edges, "method": "old"}
+    if cache:
+        key = next(iter(cache))
+        cache[key] = {**cache[key], "value": cache[key]["value"] + 1}
+    cache["9|3 2\n0 1\n1 2\n"] = {"value": 4, "witness_edges": "0-1;2-3;4-5;6-7", "method": "exhaustive"}
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps(cache))
+    # caps below some cells, so those are skipped
+    monkeypatch.setenv("DISTGRAPHS_MAX_EXHAUSTIVE_N", str(rng.randint(4, 8)))
+    monkeypatch.setenv("DISTGRAPHS_MAX_BRANCH_N", str(rng.randint(6, 8)))
+
+    want_rows, want_cache = _extremal_reference(params, cache)
+    report = run(ExperimentConfig(kind="extremal-table", jobs=jobs, params={**params, "cache": str(path)}))
+    want = experiments.ExperimentReport({}, experiments.EXTREMAL_COLUMNS, want_rows, {}, None)
+    assert report.records_csv() == want.records_csv()
+    assert path.read_text() == json.dumps(want_cache, indent=1) + "\n"
+    assert report.verdict == all(r["verified"] for r in want_rows if r["verified"] is not None)
+    assert report.summary["skipped"] == sum(r["ex"] is None for r in want_rows)
+    # every uncached cell is timed, and the cells of one chain share its time
+    seconds = report.meta["cell_seconds"]
+    assert set(seconds) == {f"{r['graph']}|{r['n']}" for r in want_rows if not r["cached"]}
+    groups = {}
+    for r in want_rows:
+        if not r["cached"]:
+            groups.setdefault((r["graph"], r["method"]), set()).add(seconds[f"{r['graph']}|{r['n']}"])
+    assert all(len(times) == 1 for times in groups.values())
+
+
+def test_extremal_table_calls_each_oracle_once_per_group(tmp_path, monkeypatch):
+    from distgraphs.graphs import graph_from_name, graph_to_text
+
+    calls = []
+    for name in ("ex_exhaustive", "ex_branch_bound"):
+        def counted(n, pattern, _oracle=getattr(extremal, name), _name=name, **kwargs):
+            calls.append((_name, graph_to_text(pattern), n))
+            return _oracle(n, pattern, **kwargs)
+
+        monkeypatch.setattr(extremal, name, counted)
+    monkeypatch.setenv("DISTGRAPHS_MAX_BRANCH_N", "7")
+    path = tmp_path / "cache.json"
+    params = {"n_values": [2, 6, 3, 8, 5, 7], "graphs": ["C4", "K3", "P4"], "exhaustive_max": 5, "cache": str(path)}
+    report = run(ExperimentConfig(kind="extremal-table", jobs=1, params=params))
+    assert len(report.records) == 18 and report.summary["skipped"] == 3 and report.verdict
+    texts = {name: graph_to_text(graph_from_name(name)) for name in params["graphs"]}
+    assert sorted(calls) == sorted(
+        (oracle, texts[name], n) for name in texts for oracle, n in (("ex_exhaustive", 5), ("ex_branch_bound", 7))
+    )
+    # with ex(5, C4) cached, the C4 scan stops at the next largest cell
+    calls.clear()
+    path.write_text(json.dumps({k: v for k, v in json.loads(path.read_text()).items() if k.startswith("5|")}))
+    run(ExperimentConfig(kind="extremal-table", jobs=1, params={**params, "graphs": ["C4"]}))
+    assert sorted(calls) == [("ex_branch_bound", texts["C4"], 7), ("ex_exhaustive", texts["C4"], 3)]
+
+
 def test_adreg_scan_runner():
     cfg = ExperimentConfig(
         kind="adreg-scan",
@@ -660,8 +768,20 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, doc, flags):
         ("DISTGRAPHS_MAX_BRANCH_N", "1.5",
          {"kind": "extremal-table", "params": {"n_values": [3], "graphs": ["K3"], "exhaustive_max": 2}},
          ["extremal-table"]),
+        # past the interpreter's 4,300-digit limit on reading an int
+        ("DISTGRAPHS_MAX_Q", "9" * 5000, {"kind": "ir-sweep", "seed": 1, "params": IR_ONE}, ["ir-sweep"]),
+        ("DISTGRAPHS_MAX_POINTS", "9" * 5000, None, ["graph-distance-set", "--p", "3", "--d", "2", "--graph", "C4"]),
+        ("DISTGRAPHS_MAX_CLOUD", "9" * 5000, None,
+         ["adreg-scan", "--dim", "1", "--lambda", "0.45", "--depth", "7"]),
+        ("DISTGRAPHS_MAX_EXHAUSTIVE_N", "9" * 5000,
+         {"kind": "extremal-table", "params": {"n_values": [3], "graphs": ["K3"]}}, ["extremal-table"]),
+        ("DISTGRAPHS_MAX_BRANCH_N", "9" * 5000,
+         {"kind": "extremal-table", "params": {"n_values": [3], "graphs": ["K3"], "exhaustive_max": 2}},
+         ["extremal-table"]),
     ],
-    ids=["max-q", "max-points", "max-cloud", "max-exhaustive-n", "max-branch-n"],
+    ids=["max-q", "max-points", "max-cloud", "max-exhaustive-n", "max-branch-n", "max-q-5000-digits",
+         "max-points-5000-digits", "max-cloud-5000-digits", "max-exhaustive-n-5000-digits",
+         "max-branch-n-5000-digits"],
 )
 def test_cli_bad_env_cap_exits_2(tmp_path, capsys, monkeypatch, var, value, doc, flags):
     monkeypatch.setenv(var, value)

@@ -165,6 +165,62 @@ def test_fewer_vertices_than_the_pattern_build_no_class(monkeypatch):
     assert ex_exhaustive(8, path_graph(9)).value == 28
 
 
+LEVEL_PATTERNS = {
+    "P3": path_graph(3),
+    "P4": path_graph(4),
+    "S2": shattering_graph(2),
+    "K3": complete_graph(3),
+    "C4": cycle_graph(4),
+    "C5": cycle_graph(5),
+    "C6": cycle_graph(6),
+    "2K2": DISCONNECTED["2K2"],
+    "P3+K1": DISCONNECTED["P3+K1"],
+}
+
+
+@pytest.mark.parametrize("oracle, n", [(ex_exhaustive, 8), (ex_branch_bound, 6)], ids=["scan", "branch-bound"])
+@pytest.mark.parametrize("name", ["P3", "C4", "K3", "P4", "C6", "2K2"])
+def test_each_level_equals_a_call_at_that_k(oracle, n, name):
+    pattern = LEVEL_PATTERNS[name]
+    chain = oracle(n, pattern)
+    assert [level.n for level in chain.levels] == list(range(n + 1))
+    assert chain.levels[n] == chain and chain.levels[n].witness == chain.witness
+    for k, level in enumerate(chain.levels):
+        alone = oracle(k, pattern)
+        assert (level.pattern, level.value, level.witness) == (pattern, alone.value, alone.witness), k
+        assert level.levels == () and len(alone.levels) == k + 1
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_PATTERNS))
+def test_scan_levels_match_branch_bound_levels(name):
+    pattern = LEVEL_PATTERNS[name]
+    scan, bb = ex_exhaustive(9, pattern), ex_branch_bound(7, pattern)
+    assert len(scan.levels) == 10 and len(bb.levels) == 8
+    for a, b in zip(scan.levels, bb.levels):
+        assert (a.n, a.value, a.witness) == (b.n, b.value, b.witness), a.n
+        assert verify_extremal_witness(a)
+
+
+@pytest.mark.parametrize("oracle", [ex_exhaustive, ex_branch_bound], ids=["scan", "branch-bound"])
+@pytest.mark.parametrize("name", ["C6", "P3+K1", "K3"])
+def test_levels_below_the_pattern_are_complete(oracle, name):
+    pattern = LEVEL_PATTERNS[name]
+    for n in range(pattern.n):
+        chain = oracle(n, pattern)
+        assert [(level.value, level.witness) for level in chain.levels] == [
+            (k * (k - 1) // 2, Graph(k, combinations(range(k), 2))) for k in range(n + 1)
+        ]
+    # and the levels of a longer chain start the same way
+    levels = oracle(pattern.n + 1, pattern).levels
+    assert all(levels[k].witness == complete_graph(k) for k in range(2, pattern.n))
+
+
+def test_levels_stay_out_of_equality_and_repr():
+    chain = ex_exhaustive(5, cycle_graph(4))
+    assert chain == chain.levels[5] and chain.levels[5].levels == ()
+    assert "levels" not in repr(chain)
+
+
 def test_patterns_that_cannot_fit_build_no_plan():
     # K60 has 3,540 arcs; with no room for it, branch-and-bound answers
     # K_4 before any orbit probe or plan is built.
