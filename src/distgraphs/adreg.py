@@ -30,8 +30,14 @@ row's interval for r - slack, whose points all lie within r however
 their distances round, and two doubt bands out to its interval for
 r + slack.  A greedy net takes one slack for the whole call: every
 center is a cloud point, so 2^-30 (r + 2 max |axis end|) bounds each
-center's own, and a larger slack only moves points into doubt.  Per new
-center it marks every sure run covered through one index array and
+center's own, and a larger slack only moves points into doubt.  It scans
+the cloud one row at a time; when it reaches a row, every earlier row is
+covered.  Within a row two points lie |a - c| apart, so what a center
+covers to its right is its sure run for gap 0 extended while
+(a - c)^2 <= r^2, one end per axis position, found once per call; the
+row's centers follow from these ends and the points that earlier rows
+left uncovered.  They share one gap to each later row, so one pass per
+row marks all their sure runs there covered through one index array and
 evaluates only the doubt bands.  A net check takes the centers in
 blocks and, in one difference array over the cloud, adds +1 at the
 start and -1 past the end of every sure run and of every doubt point
@@ -65,6 +71,7 @@ of the net's own scale.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, log, sqrt
@@ -332,34 +339,69 @@ def _cover_radius(epsilon: float) -> float:
     return r_cov
 
 
+def _row_ends(cloud: PointCloud, r: float, slack: float) -> list[int]:
+    """For a center at each axis position j, the end of the points it
+    covers to its right in its own row: its sure run for gap 0 (j alone,
+    where r <= slack leaves no sure run), extended over the doubt band
+    while (a - c)^2 <= r^2.  Row offsets are |a - c|, so that test holds
+    on a prefix of the band."""
+    axis, m = cloud.axis, len(cloud.axis)
+    at = np.arange(m)
+    _, sure_lo, sure_hi, hi = _row_bounds(cloud, np.zeros(m, dtype=np.intp), axis, np.zeros(m), r, slack)
+    start = np.where(sure_hi > sure_lo, sure_hi, at + 1)
+    band, owner = _runs(start, hi - start), np.repeat(at, hi - start)
+    within = (axis[band] - axis[owner]) ** 2 <= r * r
+    return (start + np.bincount(owner[within], minlength=m)).tolist()
+
+
 def greedy_net(cloud: PointCloud, epsilon: float) -> Net:
     """Deterministic greedy construction: repeatedly take the first
     uncovered point (in cloud order) as a center and cover everything
-    within 3 epsilon of it."""
+    within 3 epsilon of it.
+
+    The scan takes one row at a time.  When it reaches a row's first
+    uncovered point, every earlier row is covered, so the row's centers
+    follow from its axis alone: each covers its points up to `_row_ends`,
+    and the next is the row's first point past those that no earlier row's
+    center covers.  The row's centers share one gap to every later row,
+    so one `_row_bounds` pass over their (center, later row) pairs covers
+    the later rows they reach, each doubt point evaluated by the predicate
+    of a lone center."""
     r_cov = _cover_radius(epsilon)
     pts, m = cloud.points, len(cloud.axis)
     r2 = r_cov * r_cov
     # Every center is a cloud point, so the axis ends bound each center's slack.
     slack = _slack(cloud, cloud.axis[[0, -1]][:, None], r_cov)
     reach2 = (r_cov + slack) ** 2
-    uncovered = np.ones(cloud.n, dtype=bool)
+    ends = _row_ends(cloud, r_cov, slack)
+    uncovered = np.ones(cloud.n + 1, dtype=bool)
+    uncovered[-1] = False  # a covered sentinel past the last row
     chosen = []
     i = 0
     while uncovered[i]:
-        chosen.append(i)
-        uncovered[i] = False
-        c = pts[i]
-        gaps = _row_gaps(cloud, pts[i : i + 1])[0]
-        rows = np.flatnonzero(gaps <= reach2)
-        lo, sure_lo, sure_hi, hi = _row_bounds(cloud, rows, c[-1], gaps[rows], r_cov, slack)
+        row = i // m
+        base = row * m
+        free = np.flatnonzero(uncovered[base : base + m]).tolist()
+        cols, k = [], 0
+        while k < len(free):
+            cols.append(free[k])
+            k = bisect_left(free, ends[free[k]], k + 1)
+        centers = base + np.array(cols, dtype=np.int64)
+        chosen.append(centers)
+        gaps = _row_gaps(cloud, pts[base : base + 1])[0]
+        rows = row + 1 + np.flatnonzero(gaps[row + 1 :] <= reach2)
+        bounds = _row_bounds(cloud, rows, cloud.axis[cols, None], gaps[rows], r_cov, slack)  # each (centers, rows)
+        lo, sure_lo, sure_hi, hi = (b.ravel() for b in bounds)
         uncovered[_runs(sure_lo, sure_hi - sure_lo)] = False
         bands = np.concatenate([sure_lo - lo, hi - sure_hi])
         if bands.any():  # most doubt bands are empty
             doubt = _runs(np.concatenate([lo, sure_hi]), bands)
-            delta = pts[doubt] - c
+            owner = np.repeat(np.tile(np.repeat(centers, len(rows)), 2), bands)
+            delta = pts[doubt] - pts[owner]
             uncovered[doubt[np.einsum("ij,ij->i", delta, delta) <= r2]] = False
-        i += int(np.argmax(uncovered[i:]))  # the first uncovered point, or i itself if none is left
-    idx = np.array(chosen, dtype=np.int64)
+        i = base + m
+        i += int(np.argmax(uncovered[i:]))  # the next uncovered point, or a covered one if none is left
+    idx = np.concatenate(chosen)
     return Net(idx, pts[idx].copy(), epsilon)
 
 

@@ -611,6 +611,66 @@ def test_greedy_net_matches_oracle_on_an_axis_with_negative_ends(d):
         assert verify_net(cloud, net)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 4),
+    st.integers(2, 60),
+    st.sampled_from([1e-3, 1.0, 1e9, 1e150]),
+    st.floats(-1.5, 0.5),
+    st.sampled_from(["slack", "gap", "diameter"]),
+    st.floats(0.25, 4.0),
+)
+def test_greedy_net_matches_oracle_on_irregular_axes(seed, d, m, scale, shift, kind, factor):
+    # Axes of at least two points whose gaps spread over orders of
+    # magnitude, spanning `scale` from shift * scale (negative ends for
+    # shift < 0), at magnitudes up to 1e150.  3 epsilon lies below the
+    # rounding slack, from a quarter to four times a drawn axis gap, or
+    # from a quarter to four times the diameter.
+    rng = np.random.default_rng(seed)
+    steps = rng.lognormal(0.0, 2.0, 2 + (m - 2) % {1: 59, 2: 11, 3: 5, 4: 3}[d])
+    cloud = PointCloud(np.unique((np.cumsum(steps) - steps[0]) / steps.sum() * scale + shift * scale), d)
+    if kind == "slack":
+        epsilon = 1e-12 * scale
+        assert adreg._cover_radius(epsilon) < adreg._slack(cloud, cloud.points, adreg._cover_radius(epsilon))
+    elif kind == "gap":
+        epsilon = factor * float(rng.choice(np.diff(cloud.axis))) / 3.0
+    else:
+        epsilon = factor * cloud.diameter() / 3.0
+    net = greedy_net(cloud, epsilon)
+    assert np.array_equal(net.center_indices, greedy_net_oracle(cloud.points, epsilon))
+    assert verify_net(cloud, net) is verify_net_oracle(cloud.points, net.centers, epsilon) is True
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_greedy_net_below_the_slack_on_points_within_the_slack(d):
+    # Points 1e-10 apart near 1 lie within the slack (about 2^-29) of each
+    # other, so at epsilon = 1e-12 each center's doubt band in its row
+    # holds its neighbours, which its predicate leaves uncovered.
+    cloud = PointCloud([1.0, 1.0 + 1e-10, 1.0 + 2e-10, 2.0], d)
+    net = greedy_net(cloud, 1e-12)
+    assert np.array_equal(net.center_indices, greedy_net_oracle(cloud.points, 1e-12))
+    assert net.size == cloud.n
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_greedy_net_covers_a_row_point_at_exactly_the_cover_radius(d):
+    # In the first row, the center at 0 has the point at r_cov with
+    # (a - c)^2 == r_cov^2, which it covers; one float further out it does
+    # not.  Both lie past the center's sure run, so the predicate decides.
+    eps = 0.1
+    r_cov = adreg._cover_radius(eps)
+    beyond = float(np.nextafter(r_cov, np.inf))
+    assert beyond**2 > r_cov**2
+    for far, covered in ((r_cov, True), (beyond, False)):
+        cloud = PointCloud([-1.0, 0.0, far], d)
+        net = greedy_net(cloud, eps)
+        assert np.array_equal(net.center_indices, greedy_net_oracle(cloud.points, eps))
+        assert net.center_indices[:2].tolist() == [0, 1]
+        assert (2 not in net.center_indices) is covered
+        assert verify_net(cloud, net)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 3).flatmap(
