@@ -13,14 +13,13 @@ integer arithmetic.
 
 No t-distance graph holds an n x n array; only the pairwise_norms
 export builds one.  distance_graph packs rows one norm block at a time.
-The G-distance set's (n, q) degree table
-deg[i, t] = #{j != i : ||x_i - x_j|| = t} comes, for a dense set, from
-the convolutions 1_E * 1_{S_t} with the spheres S_t = {v : ||v|| = t},
-by transforms over Z_p^{dk} rounded under the histogram's guard below
-(each row must sum to n - 1), and otherwise from one bincount per norm
-block; _degree_table states the rule.  Each t's search packs row i of
-its graph the first time it reads it, from x_i's norm row in one store
-per point set (_NormRows).
+The G-distance set's searches pack row i of each t's graph the first
+time they read it, from x_i's norm row in one store per point set
+(_NormRows).  A sparse set first counts its (n, q) degree table
+deg[i, t] = #{j != i : ||x_i - x_j|| = t}, one bincount per norm
+block, and the blocks fill the store; a dense set builds no table, and
+each degree is the popcount of the row it is read from.
+graph_distance_set states the rule.
 
 The distance histogram takes one of two paths, chosen from |E| alone.
 When |E|^2 >= 4 q^d it is the Fourier picture of the count: F_q^d is
@@ -65,21 +64,11 @@ ENV_MAX_POINTS = "DISTGRAPHS_MAX_POINTS"
 # Sampled point indices are drawn and kept as int64, so q^d stays below 2^63.
 MAX_SAMPLE_SPACE = 1 << 63
 
-_CHUNK = 1 << 22  # target cells per pairwise block or batch of sphere transforms
-# Float cells per grid cell that a batch of sphere transforms holds at
-# once: the indicators, the spectra, their products and the inverse's
-# output and work arrays (measured 6 to 8).
-_SPHERE_CELLS = 8
-# Norm-block cells that the sphere transforms cost per sphere, per grid
-# cell and per axis of the (p,) * dk grid, forward and inverse together.
-# Each axis is one pass over the grid, so many short axes cost more than
-# few long ones: the blocks and the transforms cross near n = 1050 on
-# F_49^2 (4 axes), 420 on F_13^3 (3 axes) and 3000 on F_27^3 (9 axes).
-_TRANSFORM_PASS_CELLS = 5
-# The sphere transforms' fixed cost, about a dozen small numpy FFT calls
-# (0.15 to 0.3 ms), in norm-block cells: below it the blocks are cheaper
-# whatever q and d are.
-_TRANSFORM_SETUP_CELLS = 1 << 16
+_CHUNK = 1 << 22  # target cells per pairwise block, or of norm rows kept
+# The least n^2 d at which a dense set reads its degrees from the rows
+# its searches pack (see graph_distance_set): below it one degree table
+# costs less than the rows the searches pack for it.
+_DEMAND_CELLS = 1 << 18
 
 
 def max_point_count() -> int:
@@ -471,22 +460,12 @@ class _NormRows(dict):
 
 
 def _degree_table(rows: _NormRows) -> np.ndarray:
-    """(n, q) int64 table deg[i, t] = #{j != i : ||x_i - x_j|| = t}.
-
-    The path is chosen from n, d and q = p^k alone, by comparing cell
-    counts: the norm blocks touch n^2 d cells, the sphere convolutions
-    cost about c dk q^(d+1) of them, with c = _TRANSFORM_PASS_CELLS and
-    dk the axis count of the grid, plus a fixed _TRANSFORM_SETUP_CELLS.
-    A set with n^2 d >= c dk q^(d+1) + _TRANSFORM_SETUP_CELLS takes the
-    transforms when one sphere's intermediates, _SPHERE_CELLS q^d float
-    cells, fit in a _CHUNK.  Every other set, such as a sparse sample of
-    a large space, takes one bincount per norm block over
-    (row - block start) * q + norm, and the blocks fill `rows`."""
+    """(n, q) int64 table deg[i, t] = #{j != i : ||x_i - x_j|| = t}, for
+    a set that graph_distance_set does not find dense: one bincount per
+    norm block over (row - block start) * q + norm, and the blocks fill
+    `rows`."""
     E = rows.E
-    n, q, d = len(E), E.spec.q, E.d
-    transform_cells = _TRANSFORM_PASS_CELLS * d * E.spec.k * q ** (d + 1) + _TRANSFORM_SETUP_CELLS
-    if _SPHERE_CELLS * q**d <= _CHUNK and n * n * d >= transform_cells:
-        return _sphere_degree_table(E)
+    n, q = len(E), E.spec.q
     deg = np.empty((n, q), dtype=np.int64)
     for span, block in _norm_blocks(E, rows.norms):
         rows.update(enumerate(block[: rows.room - len(rows)].astype(rows.dtype), span.start))
@@ -496,44 +475,15 @@ def _degree_table(rows: _NormRows) -> np.ndarray:
     return deg
 
 
-def _sphere_degree_table(E: PointSet) -> np.ndarray:
-    """The degree table from sphere convolutions over Z_p^{dk}.
-
-    Column t is 1_E * 1_{S_t}, S_t = {v : ||v|| = t}, read at the points
-    of E: one rfftn of 1_E, then per batch of t the rfftn of the sphere
-    indicators, their products with it, and one batched irfftn.  A batch
-    of b spheres holds about _SPHERE_CELLS * b * q^d float cells, at most
-    a _CHUNK.  Every entry read rounds under the transforms' guard, and
-    each row must sum to n - 1, an exact check for every point."""
-    spec, n, q = E.spec, len(E), E.spec.q
-    shape, indicator = _digit_grid(E)
-    axes = tuple(range(1, len(shape) + 1))
-    spectrum = np.fft.rfftn(indicator)
-    norms = _all_norms(spec, E.d)
-    at = _flat_index(E)
-    deg = np.empty((n, q), dtype=np.int64)
-    step = max(1, _CHUNK // (_SPHERE_CELLS * norms.size))
-    for lo in range(0, q, step):
-        ts = np.arange(lo, min(lo + step, q), dtype=norms.dtype)
-        spheres = (norms == ts[:, None]).reshape((len(ts),) + shape)
-        conv = np.fft.irfftn(np.fft.rfftn(spheres, axes=axes) * spectrum, s=shape, axes=axes)
-        deg[:, lo : lo + len(ts)] = _exact_counts(conv.reshape(len(ts), -1)[:, at], "sphere convolution").T
-    deg[:, 0] -= 1  # the diagonal, ||x_i - x_i|| = 0
-    wrong = np.flatnonzero(deg.sum(axis=1) != n - 1)
-    if wrong.size:
-        i = int(wrong[0])
-        raise InexactTransform(f"sphere convolution gives point {i} {int(deg[i].sum())} neighbours, not n - 1 = {n - 1}")
-    return deg
-
-
 class _DistanceHost(dict):
     """The t-distance graph as the embedding search reads it: `n`,
     `degrees()` and `rows`, the host itself, whose row i is packed from
-    x_i's norm row the first time the search reads it."""
+    x_i's norm row the first time the search reads it.  Given no degree
+    list, degrees() reads each degree from its row (_RowDegrees)."""
 
     __slots__ = ("n", "t", "norm_rows", "_degrees")
 
-    def __init__(self, norm_rows: _NormRows, t: int, degrees: list[int]):
+    def __init__(self, norm_rows: _NormRows, t: int, degrees: Optional[list[int]]):
         self.n = len(norm_rows.E)
         self.t = t
         self.norm_rows = norm_rows
@@ -543,8 +493,8 @@ class _DistanceHost(dict):
     def rows(self) -> "_DistanceHost":
         return self
 
-    def degrees(self) -> list[int]:
-        return self._degrees
+    def degrees(self) -> Sequence[int]:
+        return _RowDegrees(self) if self._degrees is None else self._degrees
 
     def __missing__(self, i: int) -> int:
         packed = np.packbits(self.norm_rows[i] == self.t, bitorder="little")
@@ -552,27 +502,62 @@ class _DistanceHost(dict):
         return row
 
 
+class _RowDegrees(dict):
+    """Vertex v's degree in `host`: the popcount of row v, packed the
+    first time the search reads either."""
+
+    __slots__ = ("host",)
+
+    def __init__(self, host: _DistanceHost):
+        self.host = host
+
+    def __missing__(self, v: int) -> int:
+        degree = self[v] = self.host[v].bit_count()
+        return degree
+
+
+def _anisotropic(q: int, d: int) -> bool:
+    """Whether v = 0 is the only vector of F_q^d with norm 0: exactly
+    when d = 2 and q = 3 mod 4.  Then -1 is not a square in F_q, so
+    x^2 + y^2 = 0 forces x = y = 0; with q = 1 mod 4, (1, sqrt(-1)) has
+    norm 0, and for d >= 3 so does some nonzero vector (Chevalley-Warning)."""
+    return d == 2 and q % 4 == 3
+
+
 def graph_distance_set(E: PointSet, pattern: Graph, budget: Optional[int] = None) -> GraphDistanceSet:
     """Test every t in F_q for pattern containment in the t-distance
-    graph.  No n x n array is built: every degree comes from one (n, q)
-    degree table, taken from sphere convolutions for a dense set and
-    from norm blocks otherwise (see _degree_table), and each t's search
-    packs row i of its graph, the points at norm t from x_i, the first
-    time it reads that row, from x_i's norm row in one store per call
-    (_NormRows).  The search visits the candidates it would visit in the
-    whole graph, in the same order.
+    graph.  No n x n array is built: each t's search packs row i of its
+    graph, the points at norm t from x_i, the first time it reads that
+    row, from x_i's norm row in one store per call (_NormRows).
 
-    A t no pair of E realizes gives an edgeless graph, in which a
-    pattern with edges has no candidate vertex, so its search ends
-    before spending budget: absent, never indeterminate."""
-    if pattern.n > len(E):
+    The degrees come one of two ways, chosen from n, d and q alone.
+    By the bound ir_check verifies, every t != 0 has
+    nu(t) >= n^2 / q - 2 q^((d-1)/2) n ordered pairs, a positive number
+    once n^2 > 4 q^(d+1).  The searches over such a set read few of its
+    rows (129 of 2401 norm rows over all 49 t on all of F_49^2), so if
+    also n^2 d >= _DEMAND_CELLS it builds no degree table: vertex v's
+    degree is the popcount of row v, packed the first time the search
+    reads either.  Every other set, such as a sparse sample of a large
+    space, first counts its (n, q) degree table (_degree_table), whose
+    blocks fill the store.  Both give exact degrees, so the search
+    visits the candidates it would visit in the whole graph, in the
+    same order.
+
+    Where only v = 0 has norm 0 (_anisotropic), the t = 0 graph is
+    edgeless, and a pattern with an edge is absent there without a
+    search.  Any other t no pair of E realizes also gives an edgeless
+    graph, in which a pattern with edges has no candidate vertex, so its
+    search ends before spending budget: absent, never indeterminate."""
+    n, q, d = len(E), E.spec.q, E.d
+    if pattern.n > n:
         return GraphDistanceSet(E.spec, frozenset(), frozenset())
     rows = _NormRows(E)
-    degrees = _degree_table(rows).T.tolist()
+    dense = n * n > 4 * q ** (d + 1) and n * n * d >= _DEMAND_CELLS
+    degrees = [None] * q if dense else _degree_table(rows).T.tolist()
     contained = set()
     indeterminate = set()
     witnesses = {}
-    for t in range(E.spec.q):
+    for t in range(1 if pattern.edge_count and _anisotropic(q, d) else 0, q):
         try:
             w = contains_subgraph(_DistanceHost(rows, t, degrees[t]), pattern, budget=budget)
         except BudgetExceeded:

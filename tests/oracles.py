@@ -16,8 +16,9 @@ pattern vertex, for the exhaustive scan's search through a new vertex;
 `ex_labeled_oracle` is the former exhaustive ex(n, G) oracle, a scan of
 every labeled graph on n vertices, and `graph_distance_set_oracle` is the
 former G-distance set, which builds every t-distance graph whole from one
-n x n norm matrix.  `degree_table_oracle` is the former block degree
-table, which checks the sphere-convolution table.
+n x n norm matrix.  `degree_table_oracle` is the block degree table,
+counted apart from the library's row store, which checks the degrees
+that dense sets read from their packed rows.
 `approx_distance_graph_oracle` is the former approximate distance
 graph, built from the whole (k, k, d) difference array of the net's
 centers.

@@ -569,7 +569,7 @@ _DS_PATTERNS = {
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]),
+    st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]),
     st.sampled_from([2, 3]),
     st.one_of(st.just("full"), st.integers(0, 300)),
     st.sampled_from(sorted(_DS_PATTERNS)),
@@ -579,7 +579,9 @@ _DS_PATTERNS = {
 def test_graph_distance_set_matches_whole_graph_oracle(pk, d, size, name, budget, seed):
     spec = make_field(*pk)
     total = spec.q**d
-    # the full space up to 9^3 = 729 points; F_25^3 is sampled
+    # the full space up to 729 points; F_25^3 and F_27^3 are sampled.  All
+    # of F_27^2 reads its degrees from its rows, and there only v = 0 has
+    # norm 0, so t = 0 is searched only for the edgeless pattern.
     size = min(total, 729) if size == "full" else min(size, total)
     E = random_subset(spec, d, size, seed)
     pattern = _DS_PATTERNS[name]
@@ -591,6 +593,17 @@ def _degree_table_of(E: PointSet) -> np.ndarray:
     return ffgeom._degree_table(ffgeom._NormRows(E))
 
 
+def _row_degree_table(E: PointSet) -> np.ndarray:
+    """deg[i, t] as a dense set reads it: the popcount of row i of the
+    t-distance host, packed from x_i's norm row when first read."""
+    rows = ffgeom._NormRows(E)
+    columns = []
+    for t in range(E.spec.q):
+        degrees = ffgeom._DistanceHost(rows, t, None).degrees()
+        columns.append([degrees[i] for i in range(len(E))])
+    return np.array(columns, dtype=np.int64).reshape(E.spec.q, len(E)).T
+
+
 @pytest.mark.parametrize(
     "pk, d, size, rows_per_block",
     [
@@ -599,7 +612,8 @@ def _degree_table_of(E: PointSet) -> np.ndarray:
         ((3, 2), 2, 40, 3),
         ((7, 2), 2, 300, 64),
         ((13, 1), 3, 200, 1000),
-        # all of F_7^3 and F_5^4, which _degree_table sends to the transforms
+        # all of F_7^3 and F_5^4, dense sets that graph_distance_set reads
+        # from its rows (_row_degree_table) and that _degree_table still counts
         ((7, 1), 3, 343, 5),
         ((5, 1), 4, 625, 100),
     ],
@@ -608,10 +622,10 @@ def test_degree_table_matches_whole_graphs(monkeypatch, pk, d, size, rows_per_bl
     spec = make_field(*pk)
     E = random_subset(spec, d, size, seed=size)
     # blocks of `rows_per_block` rows, so most cases run several blocks; the
-    # same _CHUNK splits the sphere transforms into batches of fewer t
+    # same _CHUNK keeps as many norm rows, so rows past those are recomputed
     monkeypatch.setattr(ffgeom, "_CHUNK", rows_per_block * size * d)
     degrees = [distance_graph(E, t).degrees() for t in range(spec.q)]
-    for path in (degree_table_oracle, ffgeom._sphere_degree_table, _degree_table_of):
+    for path in (degree_table_oracle, _row_degree_table, _degree_table_of):
         deg = path(E)
         assert deg.shape == (size, spec.q)
         assert deg.T.tolist() == degrees
@@ -643,7 +657,7 @@ def test_graph_distance_set_tiny_sets(f5, size, pattern):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the degree table took the other path")
+    raise AssertionError("graph_distance_set took the other degree path")
 
 
 def _traced_peak(run) -> int:
@@ -656,31 +670,32 @@ def _traced_peak(run) -> int:
 
 
 def test_graph_distance_set_memory_is_blocks_and_degrees(monkeypatch):
-    # 1031 points of F_25^3, below the transforms' rule: the norm matrix
-    # alone would take 4 n^2 bytes (4.3 MiB).
+    # 1031 points of F_25^3, below the dense rule: the norm matrix alone
+    # would take 4 n^2 bytes (4.3 MiB).
     spec = make_field(5, 2)
     E = random_subset(spec, 3, 1031, seed=4)
     n = len(E)
     spec.add_table, spec.sub_table, spec.square_table  # built before tracing
-    monkeypatch.setattr(ffgeom, "_sphere_degree_table", _refuse)
+    monkeypatch.setattr(ffgeom, "_RowDegrees", _refuse)
     monkeypatch.setattr(ffgeom, "_CHUNK", 8 * n * 3)  # blocks of 8 rows
     peak = _traced_peak(lambda: graph_distance_set(E, cycle_graph(4)))
     assert peak < n * n
 
 
-def test_graph_distance_set_memory_is_batched_transforms(monkeypatch):
-    # All of F_49^2 takes the sphere transforms, in batches of 16 spheres
-    # under this _CHUNK: the norm matrix alone would take 4 n^2 bytes.
+def test_graph_distance_set_memory_is_rows_read(monkeypatch):
+    # All of F_49^2 is dense: it builds no degree table and keeps only the
+    # norm rows its searches read (about 0.25 n^2 bytes with the kernel's
+    # tables), where the norm matrix alone would take 4 n^2 bytes.
     spec = make_field(7, 2)
     E = all_points(spec, 2)
     n = len(E)
     spec.add_table, spec.sub_table, spec.square_table  # built before tracing
+    monkeypatch.setattr(ffgeom, "_degree_table", _refuse)
     monkeypatch.setattr(ffgeom, "_norm_blocks", _refuse)
-    monkeypatch.setattr(ffgeom, "_CHUNK", 64 * n * 2)
     result = []
     peak = _traced_peak(lambda: result.append(graph_distance_set(E, cycle_graph(4))))
     assert result[0].covers_all_nonzero
-    assert peak < n * n
+    assert peak < n * n // 2
 
 
 # -- norm rows: one store per point set, kept up to a _CHUNK ----------------
@@ -722,7 +737,7 @@ _K23 = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 
 
 @pytest.mark.parametrize(
-    "pk, d, size, pattern, sphere",
+    "pk, d, size, pattern, on_demand",
     [
         ((7, 1), 2, 49, cycle_graph(4), False),
         ((13, 1), 3, 160, hypercube_graph(3), False),
@@ -731,9 +746,9 @@ _K23 = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
         ((13, 1), 3, 500, cycle_graph(4), True),
         ((3, 2), 3, 700, _K23, True),
     ],
-    ids=["C4-F7^2", "Q3-F13^3", "C6-F25^2", "K23-F9^3", "C4-F13^3-sphere", "K23-F9^3-sphere"],
+    ids=["C4-F7^2", "Q3-F13^3", "C6-F25^2", "K23-F9^3", "C4-F13^3-demand", "K23-F9^3-demand"],
 )
-def test_graph_distance_set_computes_each_norm_row_once(monkeypatch, pk, d, size, pattern, sphere):
+def test_graph_distance_set_computes_each_norm_row_once(monkeypatch, pk, d, size, pattern, on_demand):
     # n * n <= _CHUNK, so the store has room for every row.
     E = random_subset(make_field(*pk), d, size, seed=size)
     assert size * size <= ffgeom._CHUNK
@@ -741,7 +756,7 @@ def test_graph_distance_set_computes_each_norm_row_once(monkeypatch, pk, d, size
     builds, in_blocks, alone, packed = _count_norm_rows(monkeypatch, E)
     assert _distance_set_key(graph_distance_set(E, pattern)) == _distance_set_key(expected)
     assert len(builds) == 1
-    if sphere:  # rows are computed the first time a search reads them
+    if on_demand:  # each row alone, the first time a search reads it
         assert not in_blocks and sorted(alone) == sorted(set(packed))
     else:  # the degree table's blocks compute every row; the searches none
         assert sorted(in_blocks) == list(range(size)) and not alone
@@ -785,20 +800,22 @@ def test_graph_distance_set_rows_past_uint8(monkeypatch):
             assert 256 in expected.contained
 
 
-# -- the degree table: sphere convolutions against norm blocks ---------------
+# -- dense sets: degrees read from the rows their searches pack -------------
 
 
-def _sphere_min(p: int, k: int, d: int) -> int:
-    """The least n with n^2 d >= c dk q^(d+1) + _TRANSFORM_SETUP_CELLS,
-    c = _TRANSFORM_PASS_CELLS and q = p^k, where the sphere transforms
-    start."""
-    need = ffgeom._TRANSFORM_PASS_CELLS * d * k * (p**k) ** (d + 1) + ffgeom._TRANSFORM_SETUP_CELLS
-    n = isqrt(-(-need // d))
-    return n if n * n * d >= need else n + 1
+def _dense(n: int, q: int, d: int) -> bool:
+    """graph_distance_set's rule for reading degrees from rows."""
+    return n * n > 4 * q ** (d + 1) and n * n * d >= ffgeom._DEMAND_CELLS
+
+
+def _dense_min(q: int, d: int) -> int:
+    """The least n that graph_distance_set finds dense."""
+    n = isqrt(4 * q ** (d + 1)) + 1
+    return max(n, isqrt(-(-ffgeom._DEMAND_CELLS // d) - 1) + 1)
 
 
 # Extension degrees 1, 2 and 3 and dimensions 2, 3 and 4, up to 27^3 points.
-_TABLE_SPACES = [
+_DEGREE_SPACES = [
     (p, k, d)
     for p, k in [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
     for d in (2, 3, 4)
@@ -806,34 +823,30 @@ _TABLE_SPACES = [
 ]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(
-    st.sampled_from(_TABLE_SPACES),
+    st.sampled_from(_DEGREE_SPACES),
     st.sampled_from(["one", "below", "at", "full", "any"]),
-    st.integers(1, 7),
     st.integers(0, 2**32),
 )
-def test_sphere_degree_table_matches_norm_blocks(space, kind, spheres_per_batch, seed):
+def test_sphere_degree_table_matches_norm_blocks(space, kind, seed):
+    # deg[i, t] is the number of points of E on the sphere of norm t around
+    # x_i, less the diagonal at t = 0; read from the packed rows, as a
+    # dense set reads it, it must match the norm blocks' table at every
+    # point, on either side of the rule.
     p, k, d = space
     spec = make_field(p, k)
     total = spec.q**d
-    first = _sphere_min(p, k, d)
+    first = _dense_min(spec.q, d)
     size = {
         "one": 1,
         "below": first - 1,
         "at": first,
-        "full": total if total <= 2401 else first,
-        "any": 1 + seed % 1200,
+        "full": total if total <= 729 else first,
+        "any": 1 + seed % 700,
     }[kind]
     E = random_subset(spec, d, min(size, total), seed)
-    expected = degree_table_oracle(E)
-    rng = np.random.default_rng(seed)
-    shift = Point(spec.from_code(int(c)) for c in rng.integers(spec.q, size=d))
-    with pytest.MonkeyPatch.context() as mp:
-        # batches of `spheres_per_batch` t values, so several batches run
-        mp.setattr(ffgeom, "_CHUNK", spheres_per_batch * ffgeom._SPHERE_CELLS * total)
-        assert np.array_equal(ffgeom._sphere_degree_table(E), expected)
-        assert np.array_equal(ffgeom._sphere_degree_table(E.translate(shift)), expected)
+    assert np.array_equal(_row_degree_table(E), degree_table_oracle(E))
 
 
 @pytest.mark.parametrize(
@@ -841,57 +854,126 @@ def test_sphere_degree_table_matches_norm_blocks(space, kind, spheres_per_batch,
     [
         ((7, 2), 2, 2401, 1),  # the threshold sweeps' full spaces
         ((13, 1), 3, 2197, 2),
-        ((7, 2), 2, 709, 3),  # each side of the rule before it counted axes
+        ((7, 2), 2, 709, 3),  # dense sets near the rule
         ((7, 2), 2, 710, 3),
-        ((13, 1), 3, 313, instance_seed(5, 1)),
+        ((13, 1), 3, 313, instance_seed(5, 1)),  # below it
         ((13, 1), 3, 314, instance_seed(5, 1)),
         ((3, 3), 3, 1200, 6),
         ((3, 2), 4, 1500, 7),
         ((3, 1), 4, 81, 8),
-        ((7, 2), 2, 1099, 3),  # each side of the rule
+        ((7, 2), 2, 1099, 3),
         ((7, 2), 2, 1100, 3),
         ((13, 1), 3, 405, instance_seed(5, 1)),
         ((13, 1), 3, 406, instance_seed(5, 1)),
     ],
 )
 def test_sphere_degree_table_matches_norm_blocks_on_seeded_sets(pk, d, size, seed):
+    # The sphere counts of the previous test, on the sets the sphere
+    # convolutions were checked on: every degree read from a packed row.
     spec = make_field(*pk)
     E = random_subset(spec, d, size, seed)
     expected = degree_table_oracle(E)
-    assert np.array_equal(ffgeom._sphere_degree_table(E), expected)
+    assert np.array_equal(_row_degree_table(E), expected)
     assert np.array_equal(expected.sum(axis=1), np.full(size, size - 1))
-    shift = Point(spec.from_code(c % spec.q) for c in range(3, 3 + d))
-    assert np.array_equal(ffgeom._sphere_degree_table(E.translate(shift)), expected)
 
 
 def test_degree_table_path_rule(monkeypatch):
     calls = []
-    real = ffgeom._sphere_degree_table
-    monkeypatch.setattr(ffgeom, "_sphere_degree_table", lambda E: calls.append(len(E)) or real(E))
-    for pk, d, size, sphere in [
+    real = ffgeom._degree_table
+    monkeypatch.setattr(ffgeom, "_degree_table", lambda rows: calls.append(len(rows.E)) or real(rows))
+    for pk, d, size, dense in [
         ((7, 2), 2, 120, False),
         ((7, 2), 2, 400, False),
-        ((7, 2), 2, 1099, False),  # 2 n^2 < 5 * 4 * 49^3 + 2^16 = 2418516
-        ((7, 2), 2, 1100, True),
-        ((7, 2), 2, 2401, True),
-        ((13, 1), 3, 300, False),
-        ((13, 1), 3, 405, False),  # 3 n^2 < 5 * 3 * 13^4 + 2^16 = 493951
-        ((13, 1), 3, 406, True),
-        ((13, 1), 3, 2197, True),
-        # nine axes of 3: the blocks stay cheaper well past 8 q^(d+1)
+        ((7, 2), 2, 686, False),  # n^2 = 4 q^(d+1): the bound promises no pair
+        ((7, 2), 2, 687, True),
+        ((13, 1), 3, 338, False),  # n^2 = 4 q^(d+1) again
+        ((13, 1), 3, 339, True),
+        ((13, 1), 3, 340, True),
+        ((7, 1), 3, 343, True),
+        ((23, 1), 2, 362, False),  # 2 n^2 < _DEMAND_CELLS = 2^18 <= 2 * 363^2
+        ((23, 1), 2, 363, True),
+        ((5, 2), 2, 499, True),
         ((3, 3), 3, 1200, False),
-        ((3, 3), 3, 2400, False),
-        # all of F_9^2: the transforms' fixed cost outweighs 2 * 81^2 cells
+        # the acceptance threshold sweep's C6 over F_9^2, up to all 81 points
+        ((3, 2), 2, 15, False),
         ((3, 2), 2, 81, False),
+        # a sparse sample of F_49^6
+        ((7, 2), 6, 300, False),
     ]:
+        spec = make_field(*pk)
+        assert _dense(size, spec.q, d) == dense
+        E = random_subset(spec, d, size, seed=size)
+        pattern = cycle_graph(6) if d == 2 and spec.q == 9 else cycle_graph(4)
+        expected = graph_distance_set_oracle(E, pattern, budget=2000)
         calls.clear()
-        E = random_subset(make_field(*pk), d, size, seed=size)
-        rows = ffgeom._NormRows(E)
-        deg = ffgeom._degree_table(rows)
-        assert calls == ([size] if sphere else [])
-        assert np.array_equal(deg, degree_table_oracle(E))
-        # the norm blocks fill the row store; the transforms leave it empty
-        assert sorted(rows) == ([] if sphere else list(range(min(size, rows.room))))
+        with pytest.MonkeyPatch.context() as mp:
+            if dense:
+                mp.setattr(ffgeom, "_norm_blocks", _refuse)
+            else:
+                mp.setattr(ffgeom, "_RowDegrees", _refuse)
+            got = graph_distance_set(E, pattern, budget=2000)
+        assert _distance_set_key(got) == _distance_set_key(expected)
+        assert calls == ([] if dense else [size])
+
+
+@pytest.mark.parametrize(
+    "pk, d, size, pattern",
+    [
+        ((7, 2), 2, 2401, cycle_graph(4)),  # the threshold sweeps' full spaces
+        ((13, 1), 3, 2197, hypercube_graph(3)),
+        ((7, 1), 3, 343, cycle_graph(6)),
+        ((3, 3), 2, 729, cycle_graph(4)),  # q = 3 mod 4: t = 0 is skipped
+        ((47, 1), 2, 2209, cycle_graph(4)),
+        ((7, 2), 2, 686, cycle_graph(4)),  # each side of the rule
+        ((7, 2), 2, 687, cycle_graph(4)),
+    ],
+    ids=["C4-F49^2", "Q3-F13^3", "C6-F7^3", "C4-F27^2", "C4-F47^2", "C4-F49^2-686", "C4-F49^2-687"],
+)
+def test_graph_distance_set_matches_oracle_on_dense_sets(monkeypatch, pk, d, size, pattern):
+    spec = make_field(*pk)
+    E = random_subset(spec, d, size, seed=size) if size < spec.q**d else all_points(spec, d)
+    budgets = [None, 1, 5, 50]
+    expected = [graph_distance_set_oracle(E, pattern, budget=b) for b in budgets]
+    if _dense(size, spec.q, d):
+        monkeypatch.setattr(ffgeom, "_degree_table", _refuse)
+        monkeypatch.setattr(ffgeom, "_norm_blocks", _refuse)
+    for budget, want in zip(budgets, expected):
+        got = graph_distance_set(E, pattern, budget=budget)
+        assert _distance_set_key(got) == _distance_set_key(want)  # witnesses included
+        if ffgeom._anisotropic(spec.q, d):
+            assert 0 not in got.contained | got.indeterminate
+    assert expected[0].covers_all_nonzero and not expected[0].indeterminate
+    assert expected[1].indeterminate  # budget 1 leaves every search with an edge to place
+
+
+def test_anisotropic_plane_searches_no_t0_graph(monkeypatch):
+    # All of F_27^2: only v = 0 has norm 0, so no search packs a t = 0 row,
+    # except for an edgeless pattern, which every t contains.
+    E = all_points(make_field(3, 3), 2)
+    packed = []
+    real = ffgeom._DistanceHost.__missing__
+    monkeypatch.setattr(ffgeom._DistanceHost, "__missing__", lambda host, i: packed.append(host.t) or real(host, i))
+    ds = graph_distance_set(E, cycle_graph(4))
+    assert ds.covers_all_nonzero and 0 not in ds.contained and packed and 0 not in packed
+    packed.clear()
+    assert graph_distance_set(E, Graph(3)).contained == set(range(27))
+    assert packed.count(0) == 3
+
+
+def test_only_zero_has_norm_zero_exactly_in_anisotropic_planes():
+    checked = []
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        for k in range(1, 4):
+            if p**k > 49:
+                continue
+            spec = make_field(p, k)
+            for d in (2, 3, 4):
+                if spec.q**d > ffgeom.max_point_count():
+                    continue
+                zeros = int(np.bincount(ffgeom._all_norms(spec, d), minlength=spec.q)[0])
+                assert (zeros == 1) == ffgeom._anisotropic(spec.q, d), (spec.q, d)
+                checked.append((spec.q, d))
+    assert len({q for q, _ in checked}) == 18 and (49, 2) in checked and (17, 3) in checked
 
 
 def test_large_spaces_build_no_transform(monkeypatch):
@@ -905,30 +987,3 @@ def test_large_spaces_build_no_transform(monkeypatch):
     assert _distance_set_key(graph_distance_set(E, cycle_graph(4))) == _distance_set_key(
         graph_distance_set_oracle(E, cycle_graph(4))
     )
-    # A set of F_3^12 dense enough for the rule, in a space where one
-    # sphere's transforms would not fit a _CHUNK.
-    spec = make_field(3, 1)
-    n = _sphere_min(3, 1, 12)
-    assert ffgeom._SPHERE_CELLS * spec.q**12 > ffgeom._CHUNK and n <= 2900
-    E = random_subset(spec, 12, n, seed=5)
-    assert np.array_equal(_degree_table_of(E).sum(axis=1), np.full(n, n - 1))
-
-
-def test_sphere_degree_table_rounding_guard(monkeypatch):
-    # All of F_7^3 takes the transforms.  Flat index 3 of the first batch's
-    # inverse is t = 0 at the point (0, 0, 3).
-    E = all_points(make_field(7, 1), 3)
-    real = np.fft.irfftn
-
-    def perturbed(delta):
-        def irfftn(*args, **kwargs):
-            out = real(*args, **kwargs)
-            out.flat[3] += delta
-            return out
-
-        return irfftn
-
-    for delta, message in [(0.3, "residual"), (-1000.0, "negative"), (1.0, "not n - 1")]:
-        monkeypatch.setattr(np.fft, "irfftn", perturbed(delta))
-        with pytest.raises(InexactTransform, match=message):
-            graph_distance_set(E, complete_graph(2))
