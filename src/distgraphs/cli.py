@@ -110,7 +110,8 @@ def _points(args) -> ffgeom.PointSet:
         raise ConfigError("--size and --seed go together: both to sample, neither to take every point")
     if args.size is None:
         return ffgeom.all_points(spec, args.d)
-    return ffgeom.random_subset(spec, args.d, args.size, seed=args.seed)
+    seed = read_param("--seed", optional_count, args.seed)
+    return ffgeom.random_subset(spec, args.d, args.size, seed=seed)
 
 
 def _write(report: ExperimentReport, out: str) -> None:

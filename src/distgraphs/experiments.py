@@ -3,12 +3,18 @@ together: random-subset bound sweeps, containment threshold curves,
 extremal-number tables, and fractal scale scans.
 
 A sweep is a list of independent instances keyed by enumeration order.
-Per-instance seeds are derived from the master seed with numpy's
-SeedSequence (spawn_key = instance index) feeding PCG64, and sampling
-without replacement is a partial Fisher-Yates shuffle; reports record
-this generator identifier.  Workers are pure functions of their
-instance, and results are merged by instance key, so the records are
-identical at any parallelism level.
+Per-instance seeds are derived from the master seed as numpy's
+SeedSequence (spawn_key = instance index) derives them, feeding PCG64,
+and sampling without replacement is a partial Fisher-Yates shuffle;
+reports record this generator identifier.  The stream is computed in
+the package (_pcg64), bit for bit numpy's, so no sweep imports
+numpy.random; numpy.random is only the tests' oracle.  An ir-sweep
+instance that takes the whole space reads it in lexicographic order
+without drawing, since its records depend only on the set; threshold
+instances always shuffle, because with a budget their searches can
+depend on point order.  Workers are pure functions of their instance,
+and results are merged by instance key, so the records are identical at
+any parallelism level.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import adreg, extremal, ffgeom
+from . import _pcg64, adreg, extremal, ffgeom
 from . import field as ff
 from .errors import (
     BudgetExceeded,
@@ -47,9 +53,9 @@ NAMED_SIZES = {
 
 
 def instance_seed(master_seed: int, index: int) -> int:
-    """Deterministic per-instance 64-bit seed."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Deterministic per-instance 64-bit seed: the first 64-bit word of
+    SeedSequence(entropy=master_seed, spawn_key=(index,))."""
+    return _pcg64.spawn_seed(master_seed, index)
 
 
 # -- param readers ----------------------------------------------------------
@@ -320,12 +326,18 @@ def _ir_expand(p: dict, seed: int) -> list[dict]:
 
 
 def _ir_worker(inst: dict) -> dict:
-    spec = inst["spec"]
-    E = ffgeom.random_subset(spec, inst["d"], inst["size"], seed=inst["seed"])
+    # The records depend only on the set, so the whole space is taken in
+    # lexicographic order, not shuffled; q^d < 2^63 bounds it, not the
+    # point cap.
+    spec, d = inst["spec"], inst["d"]
+    if inst["size"] == spec.q**d:
+        E = ffgeom._space(spec, d)
+    else:
+        E = ffgeom.random_subset(spec, d, inst["size"], seed=inst["seed"])
     hist = ffgeom.distance_histogram(E)
     report = ffgeom.ir_check(E, hist)
     return {
-        "p": spec.p, "k": spec.k, "q": spec.q, "d": inst["d"],
+        "p": spec.p, "k": spec.k, "q": spec.q, "d": d,
         "size_spec": inst["size_spec"], "size": inst["size"],
         "trial": inst["trial"], "seed": inst["seed"],
         "pass": report.passed,

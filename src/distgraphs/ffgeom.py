@@ -46,6 +46,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import _pcg64
 from .errors import (
     BudgetExceeded,
     DimensionTooSmall,
@@ -146,7 +147,13 @@ def all_points(spec: FieldSpec, d: int) -> PointSet:
     cap = max_point_count()
     if total > cap:
         raise TooLarge(f"q^d = {total} exceeds the configured cap {cap}")
-    return PointSet._from_codes(spec, d, _unflatten(np.arange(total), spec.q, d))
+    return _space(spec, d)
+
+
+def _space(spec: FieldSpec, d: int) -> PointSet:
+    """all_points without the cap on q^d, for callers that bound q^d
+    themselves."""
+    return PointSet._from_codes(spec, d, _unflatten(np.arange(spec.q**d), spec.q, d))
 
 
 def _unflatten(idx: np.ndarray, q: int, d: int) -> np.ndarray:
@@ -166,25 +173,28 @@ def _flat_index(E: PointSet) -> np.ndarray:
     return idx
 
 
-def _partial_fisher_yates(n: int, size: int, rng: np.random.Generator) -> list[int]:
-    """First `size` entries of a Fisher-Yates shuffle of range(n); a
-    uniform sample without replacement using O(size) memory.  Step i
-    swaps with j uniform in [i, n); all the j are drawn in one call,
-    which yields the same stream as one rng.integers(i, n) per step."""
-    swap: dict[int, int] = {}
-    out = []
-    for i, j in enumerate(rng.integers(np.arange(size), n).tolist()):
-        out.append(swap.get(j, j))
-        swap[j] = swap.get(i, i)  # later steps read only positions past i
-    return out
+def _seed_state(seed) -> list[int]:
+    """The four 64-bit words PCG64 seeds from: an integer seed's, or a
+    SeedSequence-like seed's own generate_state(4, np.uint64)."""
+    if hasattr(seed, "generate_state"):
+        return [int(w) for w in seed.generate_state(4, np.uint64)]
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer >= 0 or a SeedSequence, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+    return _pcg64.seed_state(int(seed))
 
 
 def random_subset(spec: FieldSpec, d: int, size: int, seed) -> PointSet:
     """Uniform random subset of F_q^d without replacement.
 
-    Reproducible: PCG64 seeded from `seed` (an int or a numpy
-    SeedSequence) drives a partial Fisher-Yates shuffle of the
-    lexicographic point indices.
+    Reproducible: `seed` (an integer >= 0, or a SeedSequence-like object
+    read through its generate_state(4, np.uint64)) seeds PCG64, which
+    drives a partial Fisher-Yates shuffle of the lexicographic point
+    indices: step i swaps index i with rng.integers(i, q^d), rng =
+    default_rng(seed).  _pcg64 computes that stream bit for bit without
+    importing numpy.random.  Any other seed, None included, is a
+    TypeError or ValueError.
     """
     total = spec.q**d
     if total >= MAX_SAMPLE_SPACE:
@@ -195,8 +205,7 @@ def random_subset(spec: FieldSpec, d: int, size: int, seed) -> PointSet:
         raise ValueError("size must be nonnegative")
     if d < 2:
         raise DimensionTooSmall(f"need d >= 2, got {d}")
-    rng = np.random.default_rng(seed)
-    picks = np.array(_partial_fisher_yates(total, size, rng), dtype=np.int64)
+    picks = np.array(_pcg64.partial_fisher_yates(_seed_state(seed), total, size), dtype=np.int64)
     return PointSet._from_codes(spec, d, _unflatten(picks, spec.q, d))
 
 

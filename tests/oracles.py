@@ -4,7 +4,8 @@ These deliberately avoid the library's search and table machinery: the
 embedding oracle enumerates every injective map, `automorphisms` tries
 every permutation, the histogram and
 pairwise-norm oracles run scalar field arithmetic point by point, the
-sampler oracle draws its swap indices one call at a time, and the net
+sampler oracle draws its swap indices one numpy.random call at a time
+(the library computes the same stream in pure Python), and the net
 and annulus oracles scan the whole cloud for every center, with the
 same distance predicates as the library's row-interval kernels.
 `search_rows_oracle` is the library's former embedding search, recursive

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import distgraphs
 from distgraphs import adreg, experiments, extremal, ffgeom
 from distgraphs.cli import main
-from distgraphs.errors import ConfigError
+from distgraphs.errors import ConfigError, TooLarge
 from distgraphs.experiments import (
     SWEEPS,
     ExperimentConfig,
@@ -29,6 +29,7 @@ from distgraphs.experiments import (
     resolve_size,
     run,
 )
+from distgraphs.field import make_field
 from oracles import annulus_counts_oracle, graph_distance_set_oracle
 
 
@@ -73,9 +74,34 @@ def test_config_json_round_trip(tmp_path):
 
 
 def test_instance_seed_stability():
-    assert instance_seed(5, 0) == instance_seed(5, 0)
-    assert instance_seed(5, 0) != instance_seed(5, 1)
-    assert instance_seed(5, 0) != instance_seed(6, 0)
+    # Pinned, so records never move with the installed numpy's stream.
+    assert instance_seed(0, 0) == 8668861027912758289
+    assert instance_seed(5, 0) == 15658875773272509128
+    assert instance_seed(5, 1) == 6924645418555453511
+    assert instance_seed(6, 0) == 10324823579957477319
+    assert instance_seed(2**64 + 1, 7) == 13295464477647135773
+    assert instance_seed(2**128, 2**40 - 1) == 9817263147192298299
+    for master, index in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            instance_seed(master, index)
+
+
+def _spawned(master: int, index: int) -> int:
+    return int(np.random.SeedSequence(entropy=master, spawn_key=(index,)).generate_state(1, np.uint64)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**130 - 1), st.integers(0, 2**40 - 1))
+def test_instance_seed_matches_seedsequence(master, index):
+    assert instance_seed(master, index) == _spawned(master, index)
+
+
+@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**96 - 1, 2**96, 2**128 + 5])
+@pytest.mark.parametrize("index", [0, 1, 2**32 - 1, 2**32, 2**40 - 1])
+def test_instance_seed_matches_seedsequence_on_seeded_cases(master, index):
+    # Entropy of 1 to 5 words, on each side of the 4-word pool it is
+    # padded to before the spawn key.
+    assert instance_seed(master, index) == _spawned(master, index)
 
 
 IR_PARAMS = {"fields": [[3, 1], [3, 2]], "dims": [2], "sizes": ["q", "q^d/2"], "trials": 2}
@@ -89,6 +115,46 @@ def test_ir_sweep_records_and_verdict():
     assert all(r["pass"] and r["sum_ok"] for r in report.records)
     header = report.records_csv().splitlines()[0]
     assert header.startswith("p,k,q,d,")
+
+
+def test_ir_sweep_whole_space_ignores_the_point_cap(monkeypatch):
+    # A whole-space instance reads the space in lexicographic order, under
+    # no point cap and with no draw; its record is the sampled path's.
+    spec = make_field(11, 1)
+    cfg = ExperimentConfig(kind="ir-sweep", seed=4, params={"fields": [[11, 1]], "dims": [2], "sizes": ["q^d"], "trials": 1})
+    E = ffgeom.random_subset(spec, 2, 121, seed=instance_seed(4, 0))
+    hist = ffgeom.distance_histogram(E)
+    report = ffgeom.ir_check(E, hist)
+    monkeypatch.setenv("DISTGRAPHS_MAX_POINTS", "100")
+    with pytest.raises(TooLarge):
+        ffgeom.all_points(spec, 2)
+    monkeypatch.setattr(ffgeom, "random_subset", None)
+    (record,) = run(cfg).records
+    assert record == {
+        "p": 11, "k": 1, "q": 11, "d": 2, "size_spec": "q^d", "size": 121, "trial": 0,
+        "seed": instance_seed(4, 0), "pass": report.passed, "sum_ok": hist.total() == 121**2,
+        "worst_slack": report.worst_slack(),
+    }
+
+
+THRESHOLD_SAMPLED = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4, 6, "q^d"], "trials": 4}
+
+
+def test_seeded_sweeps_do_not_load_numpy_random():
+    # The sampling stream is computed in the package: a fresh process
+    # running seeded sweeps never imports numpy.random, nor OpenSSL's
+    # _hashlib, which numpy.random loads through secrets.
+    root = str(Path(distgraphs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "from distgraphs.experiments import ExperimentConfig, run\n"
+        f"run(ExperimentConfig(kind='ir-sweep', seed=1, params={IR_PARAMS!r})).records_csv()\n"
+        f"run(ExperimentConfig(kind='threshold', seed=2, params={THRESHOLD_SAMPLED!r})).records_csv()\n"
+        "sys.exit(sorted({'numpy.random', '_hashlib'} & set(sys.modules)) or None)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_ir_sweep_empty_schedule_vacuous():
@@ -109,10 +175,7 @@ def test_ir_sweep_deterministic_across_jobs():
 
 
 def test_threshold_runner():
-    cfg = ExperimentConfig(
-        kind="threshold", seed=2,
-        params={"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4, 6, "q^d"], "trials": 4},
-    )
+    cfg = ExperimentConfig(kind="threshold", seed=2, params=THRESHOLD_SAMPLED)
     report = run(cfg)
     curve = report.summary["curve"]
     assert [c["size"] for c in curve] == [4, 6, 9]

@@ -19,7 +19,7 @@ from oracles import (
     partial_fisher_yates_oracle,
 )
 import distgraphs
-from distgraphs import ffgeom
+from distgraphs import _pcg64, ffgeom
 from distgraphs.errors import (
     DimensionTooSmall,
     InexactTransform,
@@ -112,6 +112,56 @@ def test_random_subset_contract(f3):
         random_subset(f3, 2, 10, seed=0)
 
 
+def test_random_subset_golden_samples(f5):
+    # Pinned, so a sample never moves with the installed numpy's stream.
+    assert random_subset(f5, 2, 6, seed=3).codes.tolist() == [[4, 0], [0, 3], [1, 1], [1, 3], [1, 2], [4, 1]]
+    assert random_subset(make_field(7, 2), 6, 4, seed=3).codes.tolist() == [
+        [4, 9, 31, 26, 19, 39], [11, 29, 28, 25, 21, 40], [39, 12, 42, 6, 41, 4], [28, 25, 37, 38, 14, 5],
+    ]
+
+
+@pytest.mark.parametrize(
+    "seed, error",
+    [(None, TypeError), (-1, ValueError), (True, TypeError), (False, TypeError), (1.0, TypeError), ("3", TypeError)],
+)
+def test_random_subset_rejects_bad_seeds(f3, seed, error):
+    # None used to draw OS entropy, which is not reproducible.
+    with pytest.raises(error, match="seed") as info:
+        random_subset(f3, 2, 3, seed=seed)
+    assert "\n" not in str(info.value)
+
+
+def test_random_subset_reads_numpy_integer_and_seedsequence_seeds(f5):
+    expected = random_subset(f5, 3, 40, seed=7).codes
+    assert np.array_equal(random_subset(f5, 3, 40, seed=np.int64(7)).codes, expected)
+    assert np.array_equal(random_subset(f5, 3, 40, seed=np.random.SeedSequence(7)).codes, expected)
+
+
+# Ranges on each side of the 32-bit path's edge, where Lemire's draws are
+# rejected most often (2^31 + 1, 2^62 + 1), and the whole of a range.
+_STREAM_CASES = [
+    (2**32 - 1, 40), (2**32, 40), (2**32 + 1, 40), (2**32 + 2, 3),
+    (2**31 + 1, 60), (2**62 + 1, 60), (3**39, 30), (1, 1), (2, 2), (97, 97), (0, 0),
+]
+
+
+def _check_stream(n, size, seed):
+    expected = partial_fisher_yates_oracle(n, size, np.random.default_rng(seed))
+    assert _pcg64.partial_fisher_yates(_pcg64.seed_state(seed), n, size) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_STREAM_CASES), st.integers(0, 2**130 - 1))
+def test_sampling_stream_matches_numpy(case, seed):
+    _check_stream(*case, seed)
+
+
+@pytest.mark.parametrize("n, size", _STREAM_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 17])
+def test_sampling_stream_matches_numpy_on_seeded_cases(n, size, seed):
+    _check_stream(n, size, seed)
+
+
 def test_random_subset_rejects_spaces_past_int64(f3):
     # Point indices are int64: 3^39 < 2^63 samples, 3^40 > 2^63 does not.
     assert len(random_subset(f3, 39, 5, seed=1)) == 5
@@ -136,10 +186,25 @@ def test_random_subset_rejects_spaces_past_int64(f3):
     ],
 )
 def test_random_subset_matches_scalar_sampler(pk, d, size, seed):
-    spec = make_field(*pk)
+    _check_against_scalar_sampler(make_field(*pk), d, size, seed)
+
+
+def _check_against_scalar_sampler(spec, d, size, seed):
     picks = partial_fisher_yates_oracle(spec.q**d, size, np.random.default_rng(seed))
     expected = np.array(np.unravel_index(np.array(picks, dtype=np.int64), (spec.q,) * d)).T
     assert np.array_equal(random_subset(spec, d, size, seed).codes, expected.reshape(-1, d))
+
+
+# Whole spaces, where the last step draws nothing, and spaces past 2^32
+# (3^21, 49^6, 3^39), where the first draws are 64-bit.
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([((3, 1), 2, 9), ((5, 1), 3, 125), ((3, 2), 2, 81), ((3, 1), 21, 40), ((7, 2), 6, 40), ((3, 1), 39, 40)]),
+    st.integers(0, 2**64 - 1),
+)
+def test_random_subset_matches_scalar_sampler_on_random_seeds(space, seed):
+    pk, d, size = space
+    _check_against_scalar_sampler(make_field(*pk), d, size, seed)
 
 
 def _fourier_min(q: int, d: int) -> int:
