@@ -8,13 +8,13 @@ SeedSequence (spawn_key = instance index) derives them, feeding PCG64,
 and sampling without replacement is a partial Fisher-Yates shuffle;
 reports record this generator identifier.  The stream is computed in
 the package (_pcg64), bit for bit numpy's, so no sweep imports
-numpy.random; numpy.random is only the tests' oracle.  An ir-sweep
-instance that takes the whole space reads it in lexicographic order
-without drawing, since its records depend only on the set; threshold
-instances always shuffle, because with a budget their searches can
-depend on point order.  Workers are pure functions of their instance,
-and results are merged by instance key, so the records are identical at
-any parallelism level.
+numpy.random; numpy.random is only the tests' oracle.  Every size
+passes ffgeom.point_count, the point cap included, before any draw.
+An ir-sweep instance of the whole space reads it in order without
+drawing, since its records depend only on the set; threshold instances
+always shuffle, since with a budget their searches can depend on point
+order.  Workers are pure functions of their instance, and results are
+merged by instance key, so records are identical at any parallelism.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import (
     DegenerateFit,
     DistGraphsError,
     NotBipartite,
-    env_cap,
 )
 from .graphs import Graph, graph_from_name, graph_from_text, graph_to_text
 
@@ -155,29 +154,19 @@ def _field(entry) -> ff.FieldSpec:
     return ff.make_field(*entry)
 
 
-def _check_sample_space(q: int, d: int) -> None:
-    """Reject F_q^d with q^d >= 2^63 points, past the int64 range of
-    sampled point indices, without forming q^d."""
-    # q >= 3 gives q^64 > 2^63, so capping the exponent keeps the test exact
-    if q ** min(d, 64) >= ffgeom.MAX_SAMPLE_SPACE:
-        raise ConfigError(f"q^{d} with q = {q} is not below 2^63, the int64 range of sampled point indices")
-
-
 def resolve_size(size_spec, q: int, d: int) -> int:
     """Size schedule entry: an int, a named expression, or
-    {"coef": c, "exp": s} with finite c and s, meaning ceil(c * q^s)."""
+    {"coef": c, "exp": s} with finite c and s, meaning ceil(c * q^s), once
+    it passes ffgeom.point_count, which checks F_q^d before a named size."""
     size_spec = read_param("size", _size_spec, size_spec)
-    _check_sample_space(q, d)
     try:
         if isinstance(size_spec, dict):
-            n = math.ceil(float(size_spec["coef"]) * q ** float(size_spec["exp"]))
+            size = math.ceil(float(size_spec["coef"]) * q ** float(size_spec["exp"]))
         else:
-            n = NAMED_SIZES[size_spec](q, d) if isinstance(size_spec, str) else size_spec
+            size = (lambda: NAMED_SIZES[size_spec](q, d)) if isinstance(size_spec, str) else size_spec
     except OverflowError as exc:
         raise ConfigError(f"size {size_spec!r} overflows: {exc}") from exc
-    if not 0 <= n <= q**d:
-        raise ConfigError(f"size {n} outside [0, q^d = {q**d}]")
-    return n
+    return read_param("size", lambda n: ffgeom.point_count(q, d, n), size)
 
 
 def _named_graph(name) -> tuple[str, Graph]:
@@ -313,7 +302,7 @@ def _ir_expand(p: dict, seed: int) -> list[dict]:
     instances = []
     for spec in p["fields"]:
         for d in p["dims"]:
-            _check_sample_space(spec.q, d)
+            resolve_size(0, spec.q, d)  # the space, which a list of no sizes leaves unchecked
             for size_spec in p["sizes"]:
                 size = resolve_size(size_spec, spec.q, d)
                 for trial in range(p["trials"]):
@@ -326,14 +315,9 @@ def _ir_expand(p: dict, seed: int) -> list[dict]:
 
 
 def _ir_worker(inst: dict) -> dict:
-    # The records depend only on the set, so the whole space is taken in
-    # lexicographic order, not shuffled; q^d < 2^63 bounds it, not the
-    # point cap.
     spec, d = inst["spec"], inst["d"]
-    if inst["size"] == spec.q**d:
-        E = ffgeom._space(spec, d)
-    else:
-        E = ffgeom.random_subset(spec, d, inst["size"], seed=inst["seed"])
+    whole = inst["size"] == spec.q**d
+    E = ffgeom.all_points(spec, d) if whole else ffgeom.random_subset(spec, d, inst["size"], seed=inst["seed"])
     hist = ffgeom.distance_histogram(E)
     report = ffgeom.ir_check(E, hist)
     return {
@@ -372,7 +356,7 @@ THRESHOLD_COLUMNS = [
 
 def _threshold_sizes(p: dict) -> list[int]:
     q, d = p["field"].q, p["d"]
-    _check_sample_space(q, d)
+    resolve_size(0, q, d)  # the space, which a list of no sizes leaves unchecked
     return sorted({resolve_size(s, q, d) for s in p["sizes"]})
 
 
@@ -485,7 +469,7 @@ def _extremal_expand(p: dict, seed) -> list[dict]:
     for name, pattern in p["graphs"]:
         for n in p["n_values"]:
             hit = cache.get(_cache_key(n, pattern))
-            method = "exhaustive" if n <= p["exhaustive_max"] else "branch-bound"
+            method = extremal.method_for(n, p["exhaustive_max"])
             if not hit:
                 if (name, method) not in chains:
                     chains[name, method] = {"ns": [], "graph": name, "pattern": pattern, "method": method, "hit": None}
@@ -517,9 +501,9 @@ def _extremal_worker(inst: dict) -> list[dict]:
                  "method": hit["method"], "cached": True, "verified": extremal.verify_extremal_witness(result)}]
     t0 = time.perf_counter()
     if inst["method"] == "exhaustive":
-        oracle, cap = extremal.ex_exhaustive, env_cap(extremal.ENV_MAX_EXHAUSTIVE, extremal.DEFAULT_MAX_EXHAUSTIVE)
+        oracle, cap = extremal.ex_exhaustive, extremal.max_exhaustive_n()
     else:
-        oracle, cap = extremal.ex_branch_bound, env_cap(extremal.ENV_MAX_BRANCH, extremal.DEFAULT_MAX_BRANCH)
+        oracle, cap = extremal.ex_branch_bound, extremal.max_branch_n()
     top = max((n for n in ns if n <= cap), default=None)
     levels = oracle(top, pattern).levels if top is not None else ()
     elapsed = time.perf_counter() - t0
@@ -761,7 +745,7 @@ SWEEPS: dict[str, Sweep] = {
     "extremal-table": Sweep({
         "n_values": (_list(_count, nonempty=True, distinct=True), REQUIRED),
         "graphs": (_list(_extremal_pattern, nonempty=True, distinct=True), REQUIRED),
-        "exhaustive_max": (_count, extremal.DEFAULT_MAX_EXHAUSTIVE),
+        "exhaustive_max": (_count, None),  # None: extremal.method_for's default
         "cache": (_optional(_cache), None),
     }, False, EXTREMAL_COLUMNS, _extremal_expand, _extremal_worker, _extremal_summarize),
     "adreg-scan": Sweep({

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import BadDimension, EmptyPattern, TooLarge, TooSmall, env_cap
 from .graphs import (
@@ -55,6 +55,16 @@ ENV_MAX_EXHAUSTIVE = "DISTGRAPHS_MAX_EXHAUSTIVE_N"
 ENV_MAX_BRANCH = "DISTGRAPHS_MAX_BRANCH_N"
 
 
+def max_exhaustive_n() -> int:
+    """ex_exhaustive's cap on n; override with DISTGRAPHS_MAX_EXHAUSTIVE_N."""
+    return env_cap(ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE)
+
+
+def max_branch_n() -> int:
+    """ex_branch_bound's cap on n; override with DISTGRAPHS_MAX_BRANCH_N."""
+    return env_cap(ENV_MAX_BRANCH, DEFAULT_MAX_BRANCH)
+
+
 @dataclass(frozen=True)
 class ExtremalResult:
     n: int
@@ -66,7 +76,7 @@ class ExtremalResult:
     levels: tuple["ExtremalResult", ...] = field(default=(), compare=False, repr=False)
 
 
-def _levels_below_pattern(n: int, pattern: Graph, env: str, default: int, oracle: str) -> list[ExtremalResult]:
+def _levels_below_pattern(n: int, pattern: Graph, max_n: Callable[[], int], oracle: str) -> list[ExtremalResult]:
     """Checks the arguments and the oracle's cap, and returns the levels
     below |V(G)| vertices, up to n: nothing there holds a copy of G, so
     each is K_k, given before any plan is built."""
@@ -74,7 +84,7 @@ def _levels_below_pattern(n: int, pattern: Graph, env: str, default: int, oracle
         raise TooSmall(f"vertex count must be nonnegative, got {n}")
     if pattern.edge_count == 0:
         raise EmptyPattern("extremal numbers are undefined for edgeless patterns")
-    cap = env_cap(env, default)
+    cap = max_n()
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the {oracle} cap {cap}")
     return [
@@ -116,7 +126,7 @@ def ex_exhaustive(n: int, pattern: Graph) -> ExtremalResult:
     classes of that count.  Every step's value and witness are kept as
     the result's `levels`.
     """
-    levels = _levels_below_pattern(n, pattern, ENV_MAX_EXHAUSTIVE, DEFAULT_MAX_EXHAUSTIVE, "exhaustive")
+    levels = _levels_below_pattern(n, pattern, max_exhaustive_n, "exhaustive")
     below = pattern.n - 1
     classes = [tuple(((1 << below) - 1) ^ (1 << v) for v in range(below))]  # K_{|V(G)|-1}
     for k in range(pattern.n, n + 1):
@@ -314,7 +324,7 @@ def ex_branch_bound(n: int, pattern: Graph, *, budget: Optional[int] = None) -> 
     across the whole chain, and every step's value and witness are kept
     as the result's `levels`.
     """
-    levels = _levels_below_pattern(n, pattern, ENV_MAX_BRANCH, DEFAULT_MAX_BRANCH, "branch-and-bound")
+    levels = _levels_below_pattern(n, pattern, max_branch_n, "branch-and-bound")
     if n < pattern.n:
         return _chain(levels)
     plans = _orbit_plans(pattern, 2)
@@ -373,6 +383,11 @@ def _ex_given_previous(
 
     dfs(0, 0)
     return best, best_rows
+
+
+def method_for(n: int, top: Optional[int] = None) -> str:
+    """extremal-table's method at n: the scan up to `top` (exhaustive_max), by default its default cap."""
+    return "exhaustive" if n <= (DEFAULT_MAX_EXHAUSTIVE if top is None else top) else "branch-bound"
 
 
 def verify_extremal_witness(result: ExtremalResult) -> bool:

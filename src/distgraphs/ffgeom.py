@@ -62,9 +62,6 @@ from .graphs import Graph, contains_subgraph
 DEFAULT_MAX_POINTS = 5000
 ENV_MAX_POINTS = "DISTGRAPHS_MAX_POINTS"
 
-# Sampled point indices are drawn and kept as int64, so q^d stays below 2^63.
-MAX_SAMPLE_SPACE = 1 << 63
-
 _CHUNK = 1 << 22  # target cells per pairwise block, or of norm rows kept
 # The least n^2 d at which a dense set reads its degrees from the rows
 # its searches pack (see graph_distance_set): below it one degree table
@@ -73,9 +70,31 @@ _DEMAND_CELLS = 1 << 18
 
 
 def max_point_count() -> int:
-    """Configured cap on q^d for all_points; override with the
-    DISTGRAPHS_MAX_POINTS env var."""
+    """Configured cap on the points of every set point_count passes;
+    override with the DISTGRAPHS_MAX_POINTS env var."""
     return env_cap(ENV_MAX_POINTS, DEFAULT_MAX_POINTS)
+
+
+def point_count(q: int, d: int, size) -> int:
+    """`size`, once it passes the check every set of F_q^d the package
+    builds passes before q^d is formed or a point drawn: d >= 2, q^d < 2^63
+    (int64 point indices), 0 <= size <= q^d, size <= max_point_count().  A
+    callable size is called once q^d < 2^63 is known.  No message prints q^d."""
+    if d < 2:
+        raise DimensionTooSmall(f"need d >= 2, got {d}")
+    # q >= 3 gives q^64 > 2^63, so capping the exponent keeps the test exact
+    if q ** min(d, 64) >= 1 << 63:
+        raise TooLarge(f"q^d = {q}^{d} is not below 2^63, the int64 range of point indices")
+    if callable(size):
+        size = size()
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+    if size > q**d:
+        raise SizeTooLarge(f"size {size} exceeds q^d = {q}^{d}")
+    cap = max_point_count()
+    if size > cap:
+        raise TooLarge(f"{size} points exceed the configured cap {cap} ({ENV_MAX_POINTS})")
+    return size
 
 
 class PointSet:
@@ -88,7 +107,9 @@ class PointSet:
     def __init__(self, spec: FieldSpec, d: int, codes: np.ndarray):
         if d < 2:
             raise DimensionTooSmall(f"need d >= 2, got {d}")
-        codes = np.asarray(codes, dtype=np.int32).reshape(-1, d)
+        codes = np.asarray(codes)
+        if codes.dtype.kind not in "iu" or codes.shape[1:] != (d,):
+            raise ValueError(f"codes must be an integer array of shape (n, {d}), got {codes.dtype} {codes.shape}")
         if codes.size and (codes.min() < 0 or codes.max() >= spec.q):
             raise ValueError("element code out of range")
         # Rows compared as opaque byte strings: np.unique(axis=0) would
@@ -99,7 +120,7 @@ class PointSet:
                 raise ValueError("points must be distinct")
         self.spec = spec
         self.d = d
-        self.codes = codes
+        self.codes = codes.astype(np.int32)
         self.codes.setflags(write=False)
 
     @classmethod
@@ -140,20 +161,9 @@ class PointSet:
 
 def all_points(spec: FieldSpec, d: int) -> PointSet:
     """All q^d points in lexicographic order (first coordinate varies
-    slowest)."""
-    if d < 2:
-        raise DimensionTooSmall(f"need d >= 2, got {d}")
-    total = spec.q**d
-    cap = max_point_count()
-    if total > cap:
-        raise TooLarge(f"q^d = {total} exceeds the configured cap {cap}")
-    return _space(spec, d)
-
-
-def _space(spec: FieldSpec, d: int) -> PointSet:
-    """all_points without the cap on q^d, for callers that bound q^d
-    themselves."""
-    return PointSet._from_codes(spec, d, _unflatten(np.arange(spec.q**d), spec.q, d))
+    slowest), once q^d passes point_count."""
+    total = point_count(spec.q, d, lambda: spec.q**d)
+    return PointSet._from_codes(spec, d, _unflatten(np.arange(total), spec.q, d))
 
 
 def _unflatten(idx: np.ndarray, q: int, d: int) -> np.ndarray:
@@ -194,18 +204,10 @@ def random_subset(spec: FieldSpec, d: int, size: int, seed) -> PointSet:
     indices: step i swaps index i with rng.integers(i, q^d), rng =
     default_rng(seed).  _pcg64 computes that stream bit for bit without
     importing numpy.random.  Any other seed, None included, is a
-    TypeError or ValueError.
+    TypeError or ValueError, and the size passes point_count first.
     """
-    total = spec.q**d
-    if total >= MAX_SAMPLE_SPACE:
-        raise TooLarge(f"q^d = {total} is not below 2^63, the int64 range of point indices")
-    if size > total:
-        raise SizeTooLarge(f"size {size} exceeds q^d = {total}")
-    if size < 0:
-        raise ValueError("size must be nonnegative")
-    if d < 2:
-        raise DimensionTooSmall(f"need d >= 2, got {d}")
-    picks = np.array(_pcg64.partial_fisher_yates(_seed_state(seed), total, size), dtype=np.int64)
+    size = point_count(spec.q, d, size)
+    picks = np.array(_pcg64.partial_fisher_yates(_seed_state(seed), spec.q**d, size), dtype=np.int64)
     return PointSet._from_codes(spec, d, _unflatten(picks, spec.q, d))
 
 
@@ -397,8 +399,6 @@ class IRReport:
 
 
 def ir_check(E: PointSet, hist: Optional[DistanceHistogram] = None) -> IRReport:
-    if E.d < 2:
-        raise DimensionTooSmall(f"need d >= 2, got {E.d}")
     if hist is None:
         hist = distance_histogram(E)
     q, d, n = E.spec.q, E.d, len(E)

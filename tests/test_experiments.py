@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import distgraphs
 from distgraphs import adreg, experiments, extremal, ffgeom
 from distgraphs.cli import main
-from distgraphs.errors import ConfigError, TooLarge
+from distgraphs.errors import ConfigError
 from distgraphs.experiments import (
     SWEEPS,
     ExperimentConfig,
@@ -46,6 +46,34 @@ def test_resolve_size():
         resolve_size(100, 9, 2)
     with pytest.raises(ConfigError):
         resolve_size(-1, 9, 2)
+
+
+_FIELDS = [(3, 1), (3, 2), (5, 1), (7, 1), (7, 2), (13, 1), (47, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_FIELDS),
+    st.one_of(st.integers(-1, 8), st.integers(9, 45), st.integers(46, 10**6)),
+    st.one_of(st.integers(-3, 100), st.integers(100, 5100), st.integers(5100, 2**70), st.just("q^d")),
+)
+def test_resolve_size_and_the_set_builders_agree(pk, d, size):
+    # The sweeps and the library pass one gate: a size resolve_size takes
+    # is one random_subset draws and all_points takes as a whole space,
+    # and one it rejects they reject.
+    spec = make_field(*pk)
+    try:
+        n = resolve_size(size, spec.q, d)
+    except ConfigError:
+        n = None
+    build = (lambda: ffgeom.all_points(spec, d)) if size == "q^d" else (
+        lambda: ffgeom.random_subset(spec, d, size, seed=1))
+    try:
+        E = build()
+    except (TypeError, ValueError):
+        assert n is None
+    else:
+        assert len(E) == n
 
 
 def test_config_validation():
@@ -117,17 +145,15 @@ def test_ir_sweep_records_and_verdict():
     assert header.startswith("p,k,q,d,")
 
 
-def test_ir_sweep_whole_space_ignores_the_point_cap(monkeypatch):
-    # A whole-space instance reads the space in lexicographic order, under
-    # no point cap and with no draw; its record is the sampled path's.
+def test_ir_sweep_whole_space_draws_nothing_and_obeys_the_point_cap(monkeypatch):
+    # A whole-space instance reads the space in lexicographic order with
+    # no draw; its record is the sampled path's.  Past DISTGRAPHS_MAX_POINTS
+    # it is a config error, like every other set.
     spec = make_field(11, 1)
     cfg = ExperimentConfig(kind="ir-sweep", seed=4, params={"fields": [[11, 1]], "dims": [2], "sizes": ["q^d"], "trials": 1})
     E = ffgeom.random_subset(spec, 2, 121, seed=instance_seed(4, 0))
     hist = ffgeom.distance_histogram(E)
     report = ffgeom.ir_check(E, hist)
-    monkeypatch.setenv("DISTGRAPHS_MAX_POINTS", "100")
-    with pytest.raises(TooLarge):
-        ffgeom.all_points(spec, 2)
     monkeypatch.setattr(ffgeom, "random_subset", None)
     (record,) = run(cfg).records
     assert record == {
@@ -135,6 +161,9 @@ def test_ir_sweep_whole_space_ignores_the_point_cap(monkeypatch):
         "seed": instance_seed(4, 0), "pass": report.passed, "sum_ok": hist.total() == 121**2,
         "worst_slack": report.worst_slack(),
     }
+    monkeypatch.setenv("DISTGRAPHS_MAX_POINTS", "120")
+    with pytest.raises(ConfigError, match="121 points exceed the configured cap 120"):
+        run(cfg)
 
 
 THRESHOLD_SAMPLED = {"field": [3, 1], "d": 2, "graph": "C4", "sizes": [4, 6, "q^d"], "trials": 4}
@@ -856,6 +885,45 @@ def test_cli_bad_env_cap_exits_2(tmp_path, capsys, monkeypatch, var, value, doc,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and var in err and err.count("\n") == 1 and "Traceback" not in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a point set was built")
+
+
+@pytest.mark.parametrize(
+    "doc, flags, cap",
+    [
+        # 3^31 points, about 4.4 PiB of codes
+        ({"kind": "ir-sweep", "seed": 1, "params": {"fields": [[3, 1]], "dims": [31], "sizes": ["q^d"]}},
+         ["ir-sweep"], None),
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "d": 31, "sizes": [10**11]}},
+         ["threshold"], None),
+        (None, ["graph-distance-set", "--p", "3", "--d", "1000000", "--graph", "C4"], None),
+        (None, ["graph-distance-set", "--p", "3", "--d", "31", "--size", "100000000000", "--seed", "1", "--graph",
+                "C4"], None),
+        ({"kind": "ir-sweep", "seed": 1, "params": {**IR_ONE, "dims": [3], "sizes": [26, 27]}}, ["ir-sweep"], "26"),
+        ({"kind": "threshold", "seed": 1, "params": {**THRESHOLD_ONE, "sizes": [4, "q^d"]}}, ["threshold"], "8"),
+    ],
+    ids=["ir-whole-3^31", "threshold-size-1e11", "all-points-3^1e6", "size-flag-1e11", "ir-size-past-lowered-cap",
+         "threshold-size-past-lowered-cap"],
+)
+def test_sets_past_memory_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, doc, flags, cap):
+    monkeypatch.setattr(distgraphs._pcg64, "partial_fisher_yates", _refuse)
+    monkeypatch.setattr(ffgeom, "_unflatten", _refuse)
+    if cap is not None:
+        monkeypatch.setenv("DISTGRAPHS_MAX_POINTS", cap)
+    argv = list(flags)
+    if doc is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        argv[1:1] = ["--config", str(path)]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

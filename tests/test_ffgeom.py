@@ -79,6 +79,33 @@ def test_point_set_validation(f3):
         PointSet(f3, 2, np.zeros((2, 2), dtype=np.int32))  # duplicate rows
 
 
+@pytest.mark.parametrize(
+    "codes",
+    [
+        np.zeros((2, 3), dtype=np.int32),  # six codes a reshape would read as three points
+        np.array([[1.7, 2.2]]),  # floats a cast would truncate to [[1, 2]]
+        [[1.0, 2.0]],
+        np.array([[True, False]]),
+        np.array([0, 1], dtype=np.int32),  # one point, but not as an (n, 2) array
+        np.zeros((1, 2, 1), dtype=np.int32),
+        [[2**40, 1]],  # past int32, where a cast would wrap it into range
+        np.array([[2**32 + 1, 0]], dtype=np.int64),
+    ],
+    ids=["2x3-for-d-2", "floats", "float-list", "bools", "flat", "3-axes", "big-list", "big-int64"],
+)
+def test_point_set_rejects_codes_it_would_repair(f3, codes):
+    with pytest.raises(ValueError) as info:
+        PointSet(f3, 2, codes)
+    assert "\n" not in str(info.value)
+
+
+def test_point_set_copies_the_codes_it_is_given(f3):
+    codes = np.array([[0, 1], [2, 2]], dtype=np.int64)
+    E = PointSet(f3, 2, codes)
+    codes[0, 0] = 2
+    assert E.codes.dtype == np.int32 and E.codes.tolist() == [[0, 1], [2, 2]] and codes.flags.writeable
+
+
 def test_permute_coordinates_rechecks_distinctness(f3):
     E = PointSet(f3, 2, np.array([[0, 1], [0, 2]], dtype=np.int32))
     assert E.permute_coordinates([1, 0]).codes.tolist() == [[1, 0], [2, 0]]
