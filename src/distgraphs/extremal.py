@@ -36,13 +36,11 @@ from typing import Callable, Optional, Sequence
 
 from .errors import BadDimension, EmptyPattern, TooLarge, TooSmall, env_cap
 from .graphs import (
-    _ORBIT_BUDGET,
     Graph,
     _Budget,
-    _Plan,
-    _components,
-    _search_rows,
-    _self_embedding,
+    _coloring,
+    _copy_through,
+    _plans,
     contains_subgraph,
     hypercube_graph,
     iter_bits,
@@ -209,16 +207,8 @@ def _is_free(rows: Sequence[int], pattern: Graph) -> bool:
     """No copy of G in a one-vertex extension of a G-free graph.  Any copy
     maps some pattern vertex u, isolated or not, to the new vertex, and
     an automorphism moves u onto its orbit's representative."""
-    pre = ((0, len(rows) - 1),)
-    return not _copy_through(rows, [r.bit_count() for r in rows], pre, _orbit_plans(pattern, 1), _Budget(None))
-
-
-def _copy_through(rows: Sequence[int], degs: Sequence[int], pre: tuple, plans: list[_Plan], budget: _Budget) -> bool:
-    """Whether some plan, its anchor mapped as `pre` says, finds G."""
-    for plan in plans:
-        if _search_rows(rows, degs, len(rows), plan, budget, pre) is not None:
-            return True
-    return False
+    degs = [r.bit_count() for r in rows]
+    return not _copy_through(rows, degs, (len(rows) - 1,), _plans(pattern, 1), _Budget(None))
 
 
 def _twins(rows: Sequence[int], u: int, v: int) -> bool:
@@ -280,25 +270,6 @@ def _edge_list(cert: Sequence[int]) -> list[tuple[int, int]]:
     return sorted((last - v, last - u) for u, r in enumerate(cert) for v in iter_bits(r) if u < v)
 
 
-def _orbit_plans(pattern: Graph, width: int) -> list[_Plan]:
-    """One plan per orbit of Aut(G) on vertices (width 1) or arcs (width
-    2), anchored at its first member, cached apart from `_get_plan`'s
-    plans (True == 1).  A member joins a representative's orbit when
-    `_self_embedding` finds an automorphism mapping the one onto the
-    other, so any copy of G through a host vertex (edge) has some
-    representative on it.  A probe that runs out of the shared
-    `_ORBIT_BUDGET` only leaves a member as its own representative."""
-    plans = pattern._plans.get(("orbits", width))
-    if plans is None:
-        plans, budget = [], _Budget(_ORBIT_BUDGET)
-        arcs = [arc for a, b in pattern.edges() for arc in ((a, b), (b, a))]
-        for anchor in arcs if width == 2 else [(v,) for v in range(pattern.n)]:
-            if all(_self_embedding(pattern, plan, anchor, budget) is None for plan in plans):
-                plans.append(_Plan(pattern, False, anchor))
-        pattern._plans["orbits", width] = plans
-    return plans
-
-
 def ex_branch_bound(n: int, pattern: Graph, *, budget: Optional[int] = None) -> ExtremalResult:
     """ex(n, G) by proving ex(k, G) for k = 1 .. n in turn, each by
     branching on the edges of K_k in lexicographic order, include first.
@@ -327,7 +298,7 @@ def ex_branch_bound(n: int, pattern: Graph, *, budget: Optional[int] = None) -> 
     levels = _levels_below_pattern(n, pattern, max_branch_n, "branch-and-bound")
     if n < pattern.n:
         return _chain(levels)
-    plans = _orbit_plans(pattern, 2)
+    plans = _plans(pattern, 2)
     search_budget = _Budget(budget)
     levels = levels[:1]  # the chain proves every k >= 1 itself
     for k in range(1, n + 1):
@@ -337,7 +308,7 @@ def ex_branch_bound(n: int, pattern: Graph, *, budget: Optional[int] = None) -> 
 
 
 def _ex_given_previous(
-    k: int, ex_prev: int, plans: list[_Plan], search_budget: _Budget
+    k: int, ex_prev: int, plans: Sequence, search_budget: _Budget
 ) -> tuple[int, tuple[int, ...]]:
     """ex(k, G) and the rows of its lexicographically first witness,
     given ex(k-1, G) = ex_prev."""
@@ -367,7 +338,7 @@ def _ex_given_previous(
             rows[v] |= 1 << u
             degs[u] += 1
             degs[v] += 1
-            if not _copy_through(rows, degs, ((0, u), (1, v)), plans, search_budget):
+            if not _copy_through(rows, degs, (u, v), plans, search_budget):
                 dfs(i + 1, count + 1)
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
@@ -424,7 +395,7 @@ def aks_exponent(pattern: Graph) -> ExponentInfo:
 
 
 def _cycle_length(g: Graph) -> Optional[int]:
-    if g.n >= 3 and all(d == 2 for d in g.degrees()) and len(_components(g)) <= 1:
+    if g.n >= 3 and all(d == 2 for d in g.degrees()) and len(_coloring(g)[1]) <= 1:
         return g.n
     return None
 

@@ -78,8 +78,9 @@ def max_point_count() -> int:
 def point_count(q: int, d: int, size) -> int:
     """`size`, once it passes the check every set of F_q^d the package
     builds passes before q^d is formed or a point drawn: d >= 2, q^d < 2^63
-    (int64 point indices), 0 <= size <= q^d, size <= max_point_count().  A
-    callable size is called once q^d < 2^63 is known.  No message prints q^d."""
+    (int64 point indices), size an integer (not a bool), 0 <= size <= q^d,
+    size <= max_point_count().  A callable size is called once q^d < 2^63
+    is known.  No message prints q^d."""
     if d < 2:
         raise DimensionTooSmall(f"need d >= 2, got {d}")
     # q >= 3 gives q^64 > 2^63, so capping the exponent keeps the test exact
@@ -87,6 +88,8 @@ def point_count(q: int, d: int, size) -> int:
         raise TooLarge(f"q^d = {q}^{d} is not below 2^63, the int64 range of point indices")
     if callable(size):
         size = size()
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise TypeError(f"size must be an integer, got {size!r}")
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     if size > q**d:

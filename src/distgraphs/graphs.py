@@ -4,7 +4,9 @@ Adjacency rows are Python ints used as bitsets (bit j of rows[i] set iff
 {i, j} is an edge), which keeps candidate filtering in the embedding
 search down to a few bitwise ops per node.  Graphs are immutable after
 construction; searches allocate private state, so concurrent searches
-over shared graphs are safe.
+over shared graphs are safe.  A pattern's search plans are built on
+first use and cached on it by width, the number of positions a search
+fixes in advance (`_plans`).
 """
 
 from __future__ import annotations
@@ -230,45 +232,40 @@ class Bipartition:
     part_y: frozenset[int]
 
 
-def bipartition(g: Graph) -> Optional[Bipartition]:
-    """Deterministic BFS 2-coloring; the lowest-index vertex of each
-    component gets color 0 (part_x).  Returns None on an odd cycle."""
+def _coloring(g: Graph) -> tuple[Optional[list[int]], list[list[int]]]:
+    """One walk of g: each vertex's color in a 2-coloring that gives the
+    lowest-index vertex of each component color 0, or None if g has an
+    odd cycle, and the components."""
     color = [-1] * g.n
+    comps = []
+    odd = False
     for start in range(g.n):
         if color[start] != -1:
             continue
         color[start] = 0
+        comp = [start]
         queue = [start]
         while queue:
             u = queue.pop()
             for v in iter_bits(g.rows[u]):
                 if color[v] == -1:
                     color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    part_x = frozenset(v for v in range(g.n) if color[v] == 0)
-    return Bipartition(part_x, frozenset(range(g.n)) - part_x)
-
-
-def _components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in iter_bits(g.rows[u]):
-                if not seen[v]:
-                    seen[v] = True
                     comp.append(v)
                     queue.append(v)
+                elif color[v] == color[u]:
+                    odd = True
         comps.append(comp)
-    return comps
+    return (None if odd else color), comps
+
+
+def bipartition(g: Graph) -> Optional[Bipartition]:
+    """Deterministic 2-coloring; the lowest-index vertex of each
+    component gets color 0 (part_x).  Returns None on an odd cycle."""
+    color, _ = _coloring(g)
+    if color is None:
+        return None
+    part_x = frozenset(v for v in range(g.n) if color[v] == 0)
+    return Bipartition(part_x, frozenset(range(g.n)) - part_x)
 
 
 def min_side_max_degree(g: Graph) -> int:
@@ -281,15 +278,15 @@ def min_side_max_degree(g: Graph) -> int:
     """
     if g.edge_count == 0:
         raise NoEdges("graph has no edges")
-    bi = bipartition(g)
-    if bi is None:
+    color, comps = _coloring(g)
+    if color is None:
         raise NotBipartite("graph contains an odd cycle")
     r = 0
-    for comp in _components(g):
+    for comp in comps:
         if all(g.degree(v) == 0 for v in comp):
             continue
-        side0 = max(g.degree(v) for v in comp if v in bi.part_x)
-        side1 = max(g.degree(v) for v in comp if v in bi.part_y)
+        side0 = max(g.degree(v) for v in comp if color[v] == 0)
+        side1 = max(g.degree(v) for v in comp if color[v] == 1)
         r = max(r, min(side0, side1))
     return r
 
@@ -365,13 +362,30 @@ class _Plan:
         self.floors = _chain_floors(pattern, self, _Budget(_ORBIT_BUDGET))
 
 
-def _get_plan(pattern: Graph, induced: bool) -> _Plan:
-    key = induced
-    plan = pattern._plans.get(key)
-    if plan is None:
-        plan = _Plan(pattern, induced)
-        pattern._plans[key] = plan
-    return plan
+def _plans(pattern: Graph, width: int, induced: bool = False) -> list[_Plan]:
+    """The plans of searches that fix `width` positions in advance,
+    cached on pattern under (width, induced).
+
+    Width 0 is the one unanchored plan.  Width 1 (2) is one plan per
+    orbit of Aut(G) on vertices (arcs), anchored at its first member.  A
+    member joins a representative's orbit when `_self_embedding` finds
+    an automorphism mapping the one onto the other, so any copy of G
+    through a host vertex (edge) has some representative on it.  A probe
+    that runs out of the shared `_ORBIT_BUDGET` only leaves a member as
+    its own representative."""
+    key = (width, induced)
+    plans = pattern._plans.get(key)
+    if plans is None:
+        if width == 2:
+            anchors = [arc for a, b in pattern.edges() for arc in ((a, b), (b, a))]
+        else:
+            anchors = [(v,) for v in range(pattern.n)] if width else [()]
+        plans, budget = [], _Budget(_ORBIT_BUDGET)
+        for anchor in anchors:
+            if all(_self_embedding(pattern, plan, anchor, budget) is None for plan in plans):
+                plans.append(_Plan(pattern, induced, anchor))
+        pattern._plans[key] = plans
+    return plans
 
 
 class _Budget:
@@ -393,10 +407,11 @@ def _search_rows(
     n_host: int,
     plan: _Plan,
     budget: _Budget,
-    preassigned: Sequence[tuple[int, int]] = (),
+    preassigned: Sequence[int] = (),
 ) -> Optional[tuple[int, ...]]:
     """Backtracking engine over bitset rows.  Returns the mapping in plan
-    order, or None.  `preassigned` fixes images for the first positions.
+    order, or None.  `preassigned` lists the images of positions 0, 1,
+    ... in turn, which the search keeps fixed.
 
     The search is a loop over an explicit stack, cands[pos] holding the
     candidates position pos has yet to try, so its depth is bounded by
@@ -421,9 +436,8 @@ def _search_rows(
     induced = plan.induced
     images = [-1] * n
     used = 0
-    start = 0
-    for pos, img in preassigned:
-        assert pos == start
+    start = len(preassigned)
+    for pos, img in enumerate(preassigned):
         if host_degs[img] < need_at[pos] or used >> img & 1:
             return None
         for i in nbrs_at[pos]:
@@ -435,7 +449,6 @@ def _search_rows(
                     return None
         images[pos] = img
         used |= 1 << img
-        start += 1
     if start == n:
         return tuple(images)
     floors = plan.floors
@@ -486,6 +499,17 @@ def _search_rows(
         fresh = True
 
 
+def _copy_through(
+    rows: Sequence[int], degs: Sequence[int], through: Sequence[int], plans: Sequence[_Plan], budget: _Budget
+) -> bool:
+    """Whether some plan, its anchor mapped onto the host vertices
+    `through`, finds a copy of its pattern in the host of `rows`."""
+    for plan in plans:
+        if _search_rows(rows, degs, len(rows), plan, budget, through) is not None:
+            return True
+    return False
+
+
 def _witness_from_plan(plan: _Plan, images: tuple[int, ...]) -> EmbeddingWitness:
     mapping = [-1] * plan.n
     for pos, v in enumerate(plan.order):
@@ -509,9 +533,8 @@ def _self_embedding(
     A self-embedding is a bijection that carries the edges onto the
     edges, so it is an automorphism.  None is a proof of absence only
     while budget.remaining >= 0."""
-    pre = tuple(enumerate(images))
     try:
-        found = _search_rows(pattern.rows, pattern.degrees(), pattern.n, plan, budget, pre)
+        found = _search_rows(pattern.rows, pattern.degrees(), pattern.n, plan, budget, images)
     except BudgetExceeded:
         return None
     return None if found is None else _witness_from_plan(plan, found).mapping
@@ -577,7 +600,7 @@ def _chain_floors(pattern: Graph, plan: _Plan, budget: _Budget) -> tuple[tuple[i
 def _contains(host: Graph, pattern: Graph, induced: bool, budget: Optional[int]) -> Optional[EmbeddingWitness]:
     if pattern.n > host.n:
         return None  # before any plan is built: ordering a large pattern is itself costly
-    plan = _get_plan(pattern, induced)
+    (plan,) = _plans(pattern, 0, induced)
     images = _search_rows(host.rows, host.degrees(), host.n, plan, _Budget(budget))
     return None if images is None else _witness_from_plan(plan, images)
 
@@ -591,7 +614,8 @@ def contains_subgraph(
     Returns a witness or None (a proof of absence).  A node-expansion
     budget may be set; exhausting it raises BudgetExceeded rather than
     returning None.  The budget counts nodes of the symmetry-reduced
-    search (`_search_rows`, which the ex(n, G) oracles run anchored):
+    search (`_search_rows`, which the ex(n, G) oracles run anchored at a
+    new vertex or edge, through `_copy_through`):
     along a stabilizer chain of Aut(G), each pattern vertex in the orbit
     of a placed vertex under the automorphisms fixing the vertices
     placed before it maps above that vertex's image.  The witness is

@@ -37,7 +37,7 @@ from distgraphs.graphs import (
     Graph,
     _Budget,
     _Plan,
-    _get_plan,
+    _plans,
     _witness_from_plan,
     contains_subgraph,
     iter_bits,
@@ -80,16 +80,15 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
 def search_rows_oracle(host_rows, host_degs, n_host, plan, budget, preassigned=()):
     """The embedding search with no symmetry breaking: backtracking in
     plan order over bitset rows, candidates ascending, one budget node
-    per candidate that passes the degree test.  The mapping in plan
-    order, or None."""
+    per candidate that passes the degree test, with `preassigned` the
+    images of positions 0, 1, ... in turn.  The mapping in plan order,
+    or None."""
     if plan.n > n_host:
         return None
     full = (1 << n_host) - 1
     images = [-1] * plan.n
     used = 0
-    start = 0
-    for pos, img in preassigned:
-        assert pos == start
+    for pos, img in enumerate(preassigned):
         if host_degs[img] < plan.degrees[pos] or used >> img & 1:
             return None
         for i in plan.prior_nbrs[pos]:
@@ -101,7 +100,6 @@ def search_rows_oracle(host_rows, host_degs, n_host, plan, budget, preassigned=(
                     return None
         images[pos] = img
         used |= 1 << img
-        start += 1
 
     def extend(pos):
         nonlocal used
@@ -124,7 +122,7 @@ def search_rows_oracle(host_rows, host_degs, n_host, plan, budget, preassigned=(
         images[pos] = -1
         return False
 
-    return tuple(images) if extend(start) else None
+    return tuple(images) if extend(len(preassigned)) else None
 
 
 def contains_oracle(host: Graph, pattern: Graph, induced: bool = False, budget=None):
@@ -132,7 +130,7 @@ def contains_oracle(host: Graph, pattern: Graph, induced: bool = False, budget=N
     over the library's plan order: a witness or None."""
     if pattern.n > host.n:
         return None
-    plan = _get_plan(pattern, induced)
+    (plan,) = _plans(pattern, 0, induced)
     images = search_rows_oracle(host.rows, host.degrees(), host.n, plan, _Budget(budget))
     return None if images is None else _witness_from_plan(plan, images)
 
@@ -160,7 +158,7 @@ def ex_labeled_oracle(n: int, pattern: Graph) -> ExtremalResult:
     lexicographically first maximum witness.  The worst case is the sum
     of C(C(n, 2), m) over m above the answer, so keep n <= 6."""
     all_edges = list(combinations(range(n), 2))
-    plan = _get_plan(pattern, induced=False)
+    (plan,) = _plans(pattern, 0)
     budget = _Budget(None)
     for m in range(len(all_edges), -1, -1):
         for combo in combinations(all_edges, m):

@@ -1,6 +1,7 @@
 """The names the benchmark's tracer (bench/tracer.py) wraps must exist,
-so a rename that would break the traced benchmark fails here first.
-The tracer module is only loaded; nothing is installed."""
+and the configs of its workloads (bench/workloads.py) must read and
+expand, so a change that would break the benchmark fails here first.
+Both modules are only loaded by path; nothing is installed or run."""
 
 import functools
 import importlib
@@ -10,18 +11,38 @@ from pathlib import Path
 
 import pytest
 
-from distgraphs.experiments import ExperimentReport
+from distgraphs.experiments import SWEEPS, ExperimentConfig, ExperimentReport, _read_params
 from distgraphs.field import FieldSpec
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_workload_configs_expand(workloads, seed):
+    # Each config passes the checks the bench's sweeps make before their
+    # first instance runs: the config, its sweep's param table, expand.
+    for name in workloads.NAMES:
+        for doc in workloads.configs(name, seed):
+            config = ExperimentConfig.from_dict(doc)
+            sweep = SWEEPS[config.kind]
+            assert sweep.expand(_read_params(config.params, sweep.params), config.seed), name
 
 
 def test_traced_functions_exist(tracer):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_arc_plans, all_vertex_plans, brute_contains, contains_oracle, ex_labeled_oracle, random_graph
-from distgraphs import extremal
+from distgraphs import extremal, graphs
 from distgraphs.errors import BudgetExceeded, EmptyPattern, NotBipartite, BadDimension, TooLarge, TooSmall
 from distgraphs.extremal import (
     _certificate,
@@ -16,7 +16,6 @@ from distgraphs.extremal import (
     _extend,
     _free_classes,
     _is_free,
-    _orbit_plans,
     _window,
     AKS,
     BONDY_SIMONOVITS,
@@ -32,8 +31,11 @@ from distgraphs.extremal import (
 from distgraphs.graphs import (
     Graph,
     _Budget,
-    _search_rows,
+    _copy_through,
+    _plans,
     complete_graph,
+    contains_induced_subgraph,
+    contains_subgraph,
     cycle_graph,
     hypercube_graph,
     path_graph,
@@ -231,6 +233,28 @@ def test_patterns_that_cannot_fit_build_no_plan():
     assert k60._plans == {}
 
 
+def test_every_plan_comes_from_one_cache(monkeypatch):
+    # Both searches and both oracles read their plans from pattern._plans
+    # under (width, induced), and a second round builds no plan.
+    pattern = cycle_graph(4)
+    built = []
+    real = graphs._Plan
+    monkeypatch.setattr(graphs, "_Plan", lambda *args: built.append(args) or real(*args))
+
+    def calls():
+        assert contains_subgraph(complete_graph(5), pattern) is not None
+        assert contains_induced_subgraph(complete_graph(5), pattern) is None
+        assert _is_free(list(cycle_graph(5).rows), pattern)
+        assert ex_branch_bound(5, pattern).value == 6
+
+    calls()
+    assert set(pattern._plans) == {(0, False), (0, True), (1, False), (2, False)}
+    assert built
+    built.clear()
+    calls()
+    assert built == []
+
+
 def _relabeled(g: Graph, perm) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
@@ -325,7 +349,7 @@ def test_arc_orbit_counts():
         "P4": (path_graph(4), 3),
     }
     for name, (pattern, expected) in counts.items():
-        assert len(_orbit_plans(pattern, 2)) == expected, name
+        assert len(_plans(pattern, 2)) == expected, name
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -340,16 +364,13 @@ def test_orbit_plans_find_the_same_copies(width, seed):
     u, v = (int(x) for x in rng.choice(host.n, 2, replace=False))
     host = Graph(host.n, set(host.edges()) | {(min(u, v), max(u, v))})
     degs = host.degrees()
-    pre = ((0, u), (1, v))[:width]
+    through = (u, v)[:width]
     every = all_vertex_plans(pattern) if width == 1 else all_arc_plans(pattern)
 
     def copy_through(plans) -> bool:
-        return any(
-            _search_rows(host.rows, degs, host.n, plan, _Budget(None), pre) is not None
-            for plan in plans
-        )
+        return _copy_through(host.rows, degs, through, plans, _Budget(None))
 
-    assert copy_through(_orbit_plans(pattern, width)) == copy_through(every)
+    assert copy_through(_plans(pattern, width)) == copy_through(every)
 
 
 @settings(max_examples=120, deadline=None)

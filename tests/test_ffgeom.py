@@ -37,6 +37,7 @@ from distgraphs.ffgeom import (
     graph_distance_set,
     ir_check,
     pairwise_norms,
+    point_count,
     random_subset,
     read_points_file,
     write_points_file,
@@ -156,6 +157,19 @@ def test_random_subset_rejects_bad_seeds(f3, seed, error):
     with pytest.raises(error, match="seed") as info:
         random_subset(f3, 2, 3, seed=seed)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("size", [True, 2.5, 3.0, lambda: 3.0])
+def test_random_subset_rejects_sizes_that_are_not_integers(monkeypatch, f5, size):
+    # True drew a one-point set and 3.0 passed through as a float size.
+    def draw(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(_pcg64, "partial_fisher_yates", draw)
+    with pytest.raises(TypeError, match="size") as info:
+        random_subset(f5, 2, size, seed=1)
+    assert "\n" not in str(info.value)
+    assert point_count(5, 2, np.int64(3)) == 3
 
 
 def test_random_subset_reads_numpy_integer_and_seedsequence_seeds(f5):
@@ -960,8 +974,8 @@ def test_sphere_degree_table_matches_norm_blocks(space, kind, seed):
     ],
 )
 def test_sphere_degree_table_matches_norm_blocks_on_seeded_sets(pk, d, size, seed):
-    # The sphere counts of the previous test, on the sets the sphere
-    # convolutions were checked on: every degree read from a packed row.
+    # The degrees of the previous test, each read from a packed row, on
+    # the seeded sets that the former sphere-convolution table was checked on.
     spec = make_field(*pk)
     E = random_subset(spec, d, size, seed)
     expected = degree_table_oracle(E)

@@ -17,7 +17,6 @@ from oracles import (
     search_rows_oracle,
 )
 from distgraphs.errors import BudgetExceeded, NoEdges, NotBipartite, TooLarge, TooSmall
-from distgraphs.extremal import _orbit_plans
 from distgraphs.ffgeom import distance_graph, graph_distance_set, random_subset
 from distgraphs.field import make_field
 from distgraphs.graphs import (
@@ -27,6 +26,7 @@ from distgraphs.graphs import (
     _Budget,
     _Plan,
     _chain_floors,
+    _plans,
     _search_rows,
     _self_embedding,
     _witness_from_plan,
@@ -351,7 +351,7 @@ def _check_anchored_floors_and_orbits(g: Graph, anchors) -> None:
     for anchor in anchors:
         plan = _Plan(g, False, anchor)
         assert plan.floors == _brute_floors(plan, auts), anchor
-    assert [plan.order[:1] for plan in _orbit_plans(g, 1)] == _vertex_orbit_firsts(g, auts)
+    assert [plan.order[:1] for plan in _plans(g, 1)] == _vertex_orbit_firsts(g, auts)
 
 
 def _floor_counts(plan: _Plan) -> list[int]:
@@ -448,7 +448,7 @@ def test_arc_orbit_representatives_match_brute_force():
         for a, b in arcs:
             if not any((perm[c], perm[d]) == (a, b) for c, d in firsts for perm in auts):
                 firsts.append((a, b))
-        assert [plan.order[:2] for plan in _orbit_plans(g, 2)] == firsts
+        assert [plan.order[:2] for plan in _plans(g, 2)] == firsts
 
 
 @pytest.mark.parametrize("name", ORBIT_CATALOG)
@@ -459,7 +459,7 @@ def test_probes_return_the_unbudgeted_search(name):
     for plan in plans:
         k = 1 if len(plan.order) < 2 or not g.has_edge(*plan.order[:2]) else 2
         for images in itertools.permutations(range(g.n), k):
-            expected, _ = _run(search_rows_oracle, g, plan, tuple(enumerate(images)))
+            expected, _ = _run(search_rows_oracle, g, plan, images)
             found = _self_embedding(g, plan, images, _Budget(_ORBIT_BUDGET))
             assert found == (None if expected is None else _witness_from_plan(plan, expected).mapping)
 
@@ -516,10 +516,9 @@ def test_preassigned_search_is_unchanged(seed, induced, kind):
     for plan in plans:
         k = 2 if plan.prior_nbrs[1:2] == ((0,),) else 1
         for images in itertools.permutations(range(host.n), min(k, host.n)):
-            pre = tuple(enumerate(images))
             (found, spent), (expected, oracle_spent) = (
-                _run(_search_rows, host, plan, pre),
-                _run(search_rows_oracle, host, plan, pre),
+                _run(_search_rows, host, plan, images),
+                _run(search_rows_oracle, host, plan, images),
             )
             assert found == expected
             assert spent <= oracle_spent
@@ -532,7 +531,7 @@ def test_searches_deeper_than_the_recursion_limit_answer():
     assert sys.getrecursionlimit() < 1200
     pattern = Graph(1200, [(0, 1)])
     assert contains_subgraph(Graph(1200), pattern) is None
-    plan = pattern._plans[False]
+    (plan,) = pattern._plans[0, False]
     assert plan.order[:2] == (0, 1) and plan.floors[1] == (0,)
     host, edgeless = Graph(1500), Graph(1200)
     w = contains_subgraph(host, edgeless)
