@@ -6,9 +6,12 @@ The cloud is the normalized counting measure on the depth-n cell centers
 of a d-fold Cantor product; it behaves like an s-regular measure with
 s = d ln 2 / ln(1/lambda) down to the cell scale lambda^depth, so scale
 sweeps must keep epsilon >= 4 lambda^depth (enforced where a sweep is
-requested).  Threshold comparisons against epsilon-scaled radii carry a
-2^-40 relative guard band so re-verification with independently computed
-distances cannot flap across the boundary.
+requested).  Every distance a query compares is one expression, `_d2`'s
+squared differences added one axis at a time, so a net and its check
+compare the same bits.  Comparisons against epsilon-scaled radii carry a
+2^-40 relative guard band, so that distances recomputed in another order
+(by the benchmark's and the tests' own checks) cannot flap across the
+boundary.
 
 The cloud is a product A^d of one sorted axis A, listed in lexicographic
 order, so a row (the |A| points sharing their first d - 1 coordinates; a
@@ -20,10 +23,10 @@ finds, and rows with g > r not at all.  No query is decided on these
 intervals alone.  They are taken for radii moved by a rounding slack of
 2^-30 times the radius plus the coordinate scale, which dwarfs the
 rounding of any distance computed from these coordinates, and every
-point they leave in doubt gets the same distance predicate as a
-whole-cloud scan, so results are identical to that scan's, ties at the
-boundaries included.  A radius, a center or a cloud axis whose square
-with slack would overflow is a config error.
+point they leave in doubt is decided by `_d2`, as a whole-cloud scan
+comparing `_d2` would decide it, so results are identical to that
+scan's, ties at the boundaries included.  A radius, a center or a cloud
+axis whose square with slack would overflow is a config error.
 
 Nets and net checks split each row a ball reaches into a sure run, the
 row's interval for r - slack, whose points all lie within r however
@@ -105,12 +108,12 @@ class FractalSpec:
     depth: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.d}")
+        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 1:
+            raise ConfigError(f"dimension must be an integer >= 1, got {self.d!r}")
         if not 0.0 < self.contraction <= 0.5:
             raise ConfigError(f"contraction must lie in (0, 1/2], got {self.contraction}")
-        if self.depth < 0:
-            raise ConfigError(f"depth must be >= 0, got {self.depth}")
+        if isinstance(self.depth, bool) or not isinstance(self.depth, (int, np.integer)) or self.depth < 0:
+            raise ConfigError(f"depth must be an integer >= 0, got {self.depth!r}")
 
     @property
     def s(self) -> float:
@@ -255,11 +258,22 @@ def _slack(cloud: PointCloud, c: np.ndarray, r: float) -> float:
     return 2.0**-30 * (r + float(np.abs(cloud.axis[[0, -1]]).max()) + float(np.abs(c).max()))
 
 
+def _d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances along the last axis, broadcast over
+    the others: the squared differences added one axis at a time from
+    zeros, so no (..., d) array is built and an empty last axis gives 0.
+    For d <= 7 this is ((a - b) ** 2).sum(axis=-1) bit for bit; from
+    d = 8 numpy sums pairwise."""
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    for j in range(a.shape[-1]):
+        out += (a[..., j] - b[..., j]) ** 2
+    return out
+
+
 def _row_gaps(cloud: PointCloud, centers: np.ndarray) -> np.ndarray:
     """Squared distance from each center's first d - 1 coordinates to each
     row's, (centers, rows)."""
-    delta = cloud.points[:: len(cloud.axis), :-1] - centers[:, None, :-1]
-    return np.einsum("bij,bij->bi", delta, delta)
+    return _d2(cloud.points[:: len(cloud.axis), :-1], centers[:, None, :-1])
 
 
 def _reach(room: np.ndarray) -> np.ndarray:
@@ -397,8 +411,7 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> Net:
         if bands.any():  # most doubt bands are empty
             doubt = _runs(np.concatenate([lo, sure_hi]), bands)
             owner = np.repeat(np.tile(np.repeat(centers, len(rows)), 2), bands)
-            delta = pts[doubt] - pts[owner]
-            uncovered[doubt[np.einsum("ij,ij->i", delta, delta) <= r2]] = False
+            uncovered[doubt[_d2(pts[doubt], pts[owner]) <= r2]] = False
         i = base + m
         i += int(np.argmax(uncovered[i:]))  # the next uncovered point, or a covered one if none is left
     idx = np.concatenate(chosen)
@@ -422,13 +435,12 @@ def verify_net(cloud: PointCloud, net: Net) -> bool:
     difference array, summed once at the end."""
     c = _check_centers(cloud, net.centers)
     r_cov = _cover_radius(net.epsilon)
-    k, d = c.shape
+    k = len(c)
     step = _net_block(cloud, k)
     sep2 = (3.0 * net.epsilon * (1.0 - GUARD)) ** 2
     for lo in range(0, k, step):
         block = c[lo : lo + step]
-        delta = (c[None, lo + 1 :] - block[:, None]).reshape(-1, d)
-        d2 = np.einsum("ij,ij->i", delta, delta).reshape(len(block), -1)
+        d2 = _d2(c[None, lo + 1 :], block[:, None])
         later = np.arange(k - lo - 1) >= np.arange(len(block))[:, None]  # column j is center lo + 1 + j
         if np.any(d2[later] <= sep2):
             return False
@@ -437,7 +449,7 @@ def verify_net(cloud: PointCloud, net: Net) -> bool:
     for lo in range(0, k, step):
         block = c[lo : lo + step]
         sure_lo, sure_hi, doubt, owner = _intervals(cloud, block, r_cov)
-        near = doubt[((cloud.points[doubt] - block[owner]) ** 2).sum(axis=1) <= cov2]
+        near = doubt[_d2(cloud.points[doubt], block[owner]) <= cov2]
         np.add.at(cover, np.concatenate([sure_lo, near]), 1)
         np.add.at(cover, np.concatenate([sure_hi, near + 1]), -1)
     return bool(np.cumsum(cover[:-1], out=cover[:-1]).all())
@@ -471,7 +483,7 @@ def _annulus_block(cloud: PointCloud, n_radii: int) -> int:
 
 
 def _within(cloud: PointCloud, block: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """#{p : np.linalg.norm(p - c) <= r} for each center c of a (b, d)
+    """#{p : sqrt(_d2(p, c)) <= r} for each center c of a (b, d)
     block and each r of the ascending, distinct radii, (b, radii).
 
     Per center, row (at squared gap g) and radius, a point whose squared
@@ -514,8 +526,7 @@ def _within(cloud: PointCloud, block: np.ndarray, radii: np.ndarray) -> np.ndarr
         cell = np.repeat(np.arange(len(first)), past - first)
         ci, k = ci[cell], k[cell]
         idx = rows[ci, j[cell]] * m + order[ci, _runs(first, past - first)]
-        dist = np.linalg.norm(cloud.points[idx] - block[ci], axis=1)
-        hit = dist <= radii[k]
+        hit = np.sqrt(_d2(cloud.points[idx], block[ci])) <= radii[k]
         within += np.bincount(ci[hit] * len(radii) + k[hit], minlength=within.size).reshape(within.shape)
     return within
 
@@ -576,16 +587,14 @@ def annulus_stats(
 def approx_distance_graph(net: Net, t: float) -> Graph:
     """Graph on net centers with x ~ y iff | |x - y| - t | < 10 epsilon,
     where epsilon is the net's scale.  It is built in blocks of rows,
-    each block's (rows, k, d) difference array at most about a _CHUNK
-    of cells, so no (k, k, d) array exists; each distance is the same
-    float expression as from the whole array."""
+    each block's rows * k * d at most about a _CHUNK, so no (k, k) array
+    exists; each distance is `_d2`'s, as from the whole array."""
     centers, tol = net.centers, 10.0 * net.epsilon
     step = max(1, _CHUNK // max(centers.size, 1))
 
     def blocks() -> Iterator[np.ndarray]:
         for lo in range(0, len(centers), step):
-            block = centers[lo : lo + step, None, :]
-            yield np.abs(np.sqrt(((block - centers[None, :, :]) ** 2).sum(axis=2)) - t) < tol
+            yield np.abs(np.sqrt(_d2(centers[lo : lo + step, None], centers[None])) - t) < tol
 
     return Graph.from_bool_blocks(blocks())
 
@@ -673,20 +682,16 @@ def verify_approximation(
 ) -> bool:
     """Independent validator: condition (a) at tolerance 10 epsilon on
     adjacent pairs, condition (b) separation > 3 epsilon on all pairs.
-    Distances are recomputed pairwise from scratch."""
+    Distances are recomputed from the points as sqrt(_d2); a point that
+    is not finite fails, and each condition must hold, not merely fail
+    to be refuted."""
     points = np.asarray(points, dtype=float)
-    if len(points) != pattern.n:
+    if points.ndim != 2 or len(points) != pattern.n or not np.isfinite(points).all():
         return False
-    tol_a = 10.0 * epsilon * (1.0 + GUARD)
-    sep_b = 3.0 * epsilon * (1.0 - GUARD)
-    for i in range(pattern.n):
-        for j in range(i + 1, pattern.n):
-            dist = float(np.linalg.norm(points[i] - points[j]))
-            if dist <= sep_b:
-                return False
-            if pattern.has_edge(i, j) and abs(dist - t) >= tol_a:
-                return False
-    return True
+    dist = np.sqrt(_d2(points[:, None], points[None]))
+    separated = dist[np.triu_indices(pattern.n, 1)] > 3.0 * epsilon * (1.0 - GUARD)
+    near = [abs(dist[u, v] - t) < 10.0 * epsilon * (1.0 + GUARD) for u, v in pattern.edges()]
+    return bool(separated.all()) and all(near)
 
 
 def find_approximation(

@@ -7,7 +7,6 @@ Exit codes: 0 when every verdict passes (or a command is informational),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -58,13 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, kind: str) -> ExperimentConfig:
+    flags = {name: getattr(args, name) for name in ("seed", "out", "jobs") if getattr(args, name) is not None}
     if args.config:
         if kind == "adreg-scan" and (args.dim, args.contraction, args.depth) != (None, None, None):
             raise ConfigError("--dim, --lambda and --depth replace --config; give one or the other")
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"unreadable config {args.config}: {exc}") from exc
+        config = ExperimentConfig.from_json(args.config, **flags)
     elif kind == "adreg-scan" and args.dim is not None:
         if args.contraction is None or args.depth is None:
             raise ConfigError("single-spec mode needs --dim, --lambda, and --depth")
@@ -76,10 +73,9 @@ def _load_config(args, kind: str) -> ExperimentConfig:
                 ]
             },
         }
+        config = ExperimentConfig.from_dict(doc, **flags)
     else:
         raise ConfigError(f"{kind} requires --config")
-    flags = {name: getattr(args, name) for name in ("seed", "out", "jobs") if getattr(args, name) is not None}
-    config = ExperimentConfig.from_dict(doc, **flags)
     if config.kind != kind:
         raise ConfigError(f"config kind {config.kind!r} does not match subcommand {kind!r}")
     if getattr(args, "cache", None):

@@ -207,8 +207,14 @@ class ExperimentConfig:
             raise ConfigError(f"kind {self.kind!r} requires a seed")
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+    def from_json(cls, path, **overrides) -> "ExperimentConfig":
+        """`from_dict` of the JSON file at `path`; a file that cannot be
+        read or parsed is a config error."""
+        try:
+            doc = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"unreadable config {path}: {exc}") from exc
+        return cls.from_dict(doc, **overrides)
 
     @classmethod
     def from_dict(cls, doc: dict, **overrides) -> "ExperimentConfig":

@@ -34,6 +34,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import BadDimension, EmptyPattern, TooLarge, TooSmall, env_cap
 from .graphs import (
     Graph,
@@ -78,6 +80,8 @@ def _levels_below_pattern(n: int, pattern: Graph, max_n: Callable[[], int], orac
     """Checks the arguments and the oracle's cap, and returns the levels
     below |V(G)| vertices, up to n: nothing there holds a copy of G, so
     each is K_k, given before any plan is built."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"vertex count must be an integer, got {n!r}")
     if n < 0:
         raise TooSmall(f"vertex count must be nonnegative, got {n}")
     if pattern.edge_count == 0:

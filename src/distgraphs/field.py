@@ -33,13 +33,14 @@ def max_field_size() -> int:
 
 
 def _check_field(p: int, k: int) -> None:
-    """Reject a degree below 1, a characteristic that is not an odd prime
-    and a field over the DISTGRAPHS_MAX_Q cap.  The cap comes before the
-    trial-division primality test, and p^k is never formed for a k that
-    is over the cap on its own: 3^k > 2^k > cap once k >= cap.bit_length()."""
-    if not isinstance(k, int) or k < 1:
-        raise InvalidDegree(f"extension degree must be >= 1, got {k}")
-    if p < 3 or p % 2 == 0:
+    """Reject a degree that is not an integer >= 1 (a bool is not), a
+    characteristic that is not an odd prime integer and a field over the
+    DISTGRAPHS_MAX_Q cap.  The cap comes before the trial-division
+    primality test, and p^k is never formed for a k that is over the cap
+    on its own: 3^k > 2^k > cap once k >= cap.bit_length()."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise InvalidDegree(f"extension degree must be an integer >= 1, got {k!r}")
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 3 or p % 2 == 0:
         raise NotOddPrime(f"characteristic must be an odd prime, got {p}")
     cap = max_field_size()
     if p > cap or k >= cap.bit_length() or p**k > cap:

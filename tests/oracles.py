@@ -267,7 +267,7 @@ def greedy_net_oracle(points: np.ndarray, epsilon: float) -> np.ndarray:
         i = int(uncovered[0])
         chosen.append(i)
         delta = points[uncovered] - points[i]
-        keep = np.einsum("ij,ij->i", delta, delta) > r2
+        keep = (delta**2).sum(axis=1) > r2
         uncovered = uncovered[keep]
     return np.array(chosen, dtype=np.int64)
 
@@ -278,7 +278,7 @@ def verify_net_oracle(points: np.ndarray, centers: np.ndarray, epsilon: float) -
     sep2 = (3.0 * epsilon * (1.0 - GUARD)) ** 2
     for i in range(len(centers)):
         delta = centers[i + 1 :] - centers[i]
-        if delta.size and np.min(np.einsum("ij,ij->i", delta, delta)) <= sep2:
+        if delta.size and np.min((delta**2).sum(axis=1)) <= sep2:
             return False
     if not len(centers):
         return not len(points)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from distgraphs.adreg import (
     verify_net,
 )
 from distgraphs.errors import BudgetExceeded, ConfigError, DegenerateFit, TooLarge
-from distgraphs.graphs import complete_graph, cycle_graph, graph_from_name
+from distgraphs.graphs import complete_graph, cycle_graph, graph_from_name, path_graph
 from oracles import annulus_counts_oracle, approx_distance_graph_oracle, greedy_net_oracle, verify_net_oracle
 
 
@@ -35,6 +36,14 @@ def test_spec_validation():
         FractalSpec(2, 0.6, 3)
     with pytest.raises(ConfigError):
         FractalSpec(2, 0.4, -1)
+
+
+@pytest.mark.parametrize("d, depth", [(True, 3), (2.0, 3), (2, True), (2, 3.0)])
+def test_spec_rejects_a_bool_or_float_dimension_or_depth(monkeypatch, d, depth):
+    monkeypatch.setattr(adreg, "_cantor_centers", None)  # any cloud build would now fail
+    with pytest.raises(ConfigError, match="must be an integer"):
+        cantor_product(FractalSpec(d, 0.45, depth))
+    assert FractalSpec(np.int64(2), 0.45, np.int64(3)).n_points == 64
 
 
 def test_regularity_exponent():
@@ -329,6 +338,15 @@ def test_find_approximation_k2_and_validator():
     bad2 = w.points.copy()
     bad2[1] = bad2[0] + np.array([0.6 + 20 * eps, 0.0])
     assert not verify_approximation(bad2, complete_graph(2), 0.6, eps)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_verify_approximation_rejects_points_that_are_not_finite(which, bad):
+    points = np.array([[0.0, 0.0], [1.0, 0.0]])
+    assert verify_approximation(points, path_graph(2), 1.0, 0.01)
+    points[which, 0] = bad
+    assert not verify_approximation(points, path_graph(2), 1.0, 0.01)
 
 
 def test_find_approximation_absent_and_budget():
@@ -700,3 +718,58 @@ def test_quantiles_equal_numpy_on_seeded_arrays():
         values = rng.random((3, n))
         qs = np.concatenate([[0.0, 0.25, 0.5, 0.75, 1.0], rng.random(8)])
         assert adreg._quantiles(values, qs).tobytes() == np.quantile(values, qs, axis=1).T.tobytes()
+
+
+# -- one squared-distance kernel -------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_d2_equals_the_numpy_sum_bit_for_bit(d):
+    # The broadcast shapes of the call sites: point against point, row
+    # gaps, center blocks against later centers, and whole distance
+    # matrices.
+    rng = np.random.default_rng(d)
+    shapes = [((300, d), (300, d)), ((30, d), (20, 1, d)), ((1, 30, d), (20, 1, d)), ((20, 1, d), (1, 30, d))]
+    for shape_a, shape_b in shapes:
+        a = rng.standard_normal(shape_a) * 10.0
+        b = rng.standard_normal(shape_b)
+        want = ((a - b) ** 2).sum(axis=-1)
+        got = adreg._d2(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert adreg._d2(np.zeros((30, 0)), np.zeros((20, 1, 0))).tobytes() == np.zeros((20, 30)).tobytes()
+
+
+def test_greedy_net_passes_its_own_check_at_d5():
+    # Summed in einsum's order, a squared distance of this cloud rounds to
+    # the other side of the cover radius than summed one axis at a time,
+    # so a builder and a check that sum differently disagree.
+    cloud = PointCloud(np.array([4.551946753897385, 5.599503230829689, 11.515362308258213]), 5)
+    epsilon = 5.190223511705344
+    net = greedy_net(cloud, epsilon)
+    assert net.center_indices.tolist() == greedy_net_oracle(cloud.points, epsilon).tolist() == [0, 242]
+    assert verify_net(cloud, net) is verify_net_oracle(cloud.points, net.centers, epsilon) is True
+
+
+def test_every_query_compares_d2(monkeypatch):
+    # On multiples of 1/13 the nets and annuli have doubt bands, so each
+    # call site evaluates its doubt points through _d2.
+    callers = set()
+    real = adreg._d2
+
+    def counted(a, b):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return real(a, b)
+
+    monkeypatch.setattr(adreg, "_d2", counted)
+    cloud = PointCloud(np.arange(7) / 13, 2)
+    net = greedy_net(cloud, 1 / 13)
+    assert callers == {"_row_gaps", "greedy_net"}
+    for run, sites in [
+        (lambda: verify_net(cloud, net), {"_row_gaps", "verify_net"}),
+        (lambda: annulus_stats(cloud, cloud.points, [2 / 13, 5 / 13], 1 / 13), {"_row_gaps", "_within"}),
+        (lambda: approx_distance_graph(net, 5 / 13), {"blocks"}),
+        (lambda: verify_approximation(net.centers[:2], path_graph(2), 5 / 13, 1 / 13), {"verify_approximation"}),
+    ]:
+        callers.clear()
+        run()
+        assert callers == sites

@@ -1,7 +1,9 @@
 """The names the benchmark's tracer (bench/tracer.py) wraps must exist,
-and the configs of its workloads (bench/workloads.py) must read and
-expand, so a change that would break the benchmark fails here first.
-Both modules are only loaded by path; nothing is installed or run."""
+the configs of its workloads (bench/workloads.py) must read and expand,
+and their records must pass the benchmark's own checkers
+(bench/checks.py), so a change that the benchmark would break on or
+mark incorrect fails here first.  The bench modules are only loaded by
+path; nothing is installed."""
 
 import functools
 import importlib
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from distgraphs.experiments import SWEEPS, ExperimentConfig, ExperimentReport, _read_params
+from distgraphs.experiments import SWEEPS, ExperimentConfig, ExperimentReport, _read_params, run
 from distgraphs.field import FieldSpec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -34,6 +36,11 @@ def workloads():
     return _load("workloads")
 
 
+@pytest.fixture(scope="module")
+def checks():
+    return _load("checks")
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_workload_configs_expand(workloads, seed):
     # Each config passes the checks the bench's sweeps make before their
@@ -43,6 +50,17 @@ def test_workload_configs_expand(workloads, seed):
             config = ExperimentConfig.from_dict(doc)
             sweep = SWEEPS[config.kind]
             assert sweep.expand(_read_params(config.params, sweep.params), config.seed), name
+
+
+def test_workload_records_pass_the_bench_checks(workloads, checks):
+    # What bench/run.py does with one round at seed 1: run each config,
+    # gather the checker's own outputs, and check the parsed records.
+    for name in workloads.NAMES:
+        for doc in workloads.configs(name, 1):
+            report = run(ExperimentConfig.from_dict(doc))
+            checker = checks.checker(doc)
+            errors = checker.check(checks.parse_csv(report.records_csv()), checker.gather())
+            assert not any(errors), (name, [e for e in errors if e][:3])
 
 
 def test_traced_functions_exist(tracer):

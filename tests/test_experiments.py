@@ -101,6 +101,16 @@ def test_config_json_round_trip(tmp_path):
     assert cfg.as_dict()["params"]["trials"] == 1
 
 
+@pytest.mark.parametrize("text", [None, "{\"kind\": ", "\xff"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text, encoding="latin-1")
+    with pytest.raises(ConfigError, match="unreadable config") as exc:
+        ExperimentConfig.from_json(path)
+    assert str(exc.value).startswith(f"unreadable config {path}: ")
+
+
 def test_instance_seed_stability():
     # Pinned, so records never move with the installed numpy's stream.
     assert instance_seed(0, 0) == 8668861027912758289

@@ -75,6 +75,15 @@ def test_ex_rejects_negative_n():
             oracle(-2, cycle_graph(4))
 
 
+@pytest.mark.parametrize("n", [True, 2.0, 5.0])
+@pytest.mark.parametrize("oracle", [ex_exhaustive, ex_branch_bound])
+def test_ex_rejects_a_vertex_count_that_is_not_an_integer(monkeypatch, oracle, n):
+    for work in ("_plans", "_free_classes", "Graph"):
+        monkeypatch.setattr(extremal, work, None)  # any work past the check would now fail
+    with pytest.raises(TypeError, match="vertex count must be an integer"):
+        oracle(n, cycle_graph(4))
+
+
 def test_ex_caps(monkeypatch):
     with pytest.raises(TooLarge):
         ex_exhaustive(12, cycle_graph(4))

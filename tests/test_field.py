@@ -57,6 +57,14 @@ def test_make_field_rejects_bad_input():
         make_field(3, 0)
 
 
+@pytest.mark.parametrize("p, k, error", [(5, True, InvalidDegree), (5, 2.0, InvalidDegree), (3.0, 1, NotOddPrime), (True, 1, NotOddPrime)])
+def test_make_field_rejects_a_bool_or_float_before_any_work(monkeypatch, p, k, error):
+    for work in ("_is_prime", "_poly_irreducible", "_decode_coeffs"):
+        monkeypatch.setattr(field, work, None)  # any work past the check would now fail
+    with pytest.raises(error):
+        make_field(p, k)
+
+
 def test_make_field_respects_cap(monkeypatch):
     monkeypatch.setenv("DISTGRAPHS_MAX_Q", "25")
     with pytest.raises(TooLarge):
