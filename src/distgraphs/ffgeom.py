@@ -15,7 +15,11 @@ No t-distance graph holds an n x n array; only the pairwise_norms
 export builds one.  distance_graph packs rows one norm block at a time.
 The G-distance set's searches pack row i of each t's graph the first
 time they read it, from x_i's norm row in one store per point set
-(_NormRows).  A sparse set first counts its (n, q) degree table
+(_NormRows).  A set of at most 512 points over q <= 256 keeps each
+norm row as bytes in reverse point order, and a t-row is one
+bytes.translate, which maps code t to "1" and every other code to "0",
+read by int(., 2); larger sets pack numpy rows with np.packbits.  A
+sparse set first counts its (n, q) degree table
 deg[i, t] = #{j != i : ||x_i - x_j|| = t}, one bincount per norm
 block, and the blocks fill the store; a dense set builds no table, and
 each degree is the popcount of the row it is read from.
@@ -67,6 +71,12 @@ _CHUNK = 1 << 22  # target cells per pairwise block, or of norm rows kept
 # its searches pack (see graph_distance_set): below it one degree table
 # costs less than the rows the searches pack for it.
 _DEMAND_CELLS = 1 << 18
+# The most points whose norm rows are kept as bytes (_NormRows): past
+# about 700 points np.packbits packs a row faster than int(., 2) parses it.
+_BYTE_ROW_POINTS = 512
+# _MARKS[t] is the bytes.translate table that maps byte t to b"1" and
+# every other byte to b"0".
+_MARKS = tuple(b"0" * t + b"1" + b"0" * (255 - t) for t in range(256))
 
 
 def max_point_count() -> int:
@@ -451,23 +461,42 @@ class GraphDistanceSet:
 
 class _NormRows(dict):
     """The norm rows of one point set: row i is x_i's norm codes
-    ||x_i - x_j|| for every j, in the smallest unsigned dtype that holds
-    q - 1.  Rows are kept while rows kept * n <= _CHUNK; a row past that
-    is computed again on each read.  The kernel is built on first use."""
+    ||x_i - x_j|| for every j.  A set of at most _BYTE_ROW_POINTS points
+    over q <= 256 keeps each row as one bytes object, reversed, so
+    x_{n-1}'s code comes first and a t-row is one translate and one
+    int(., 2) (_DistanceHost); every other set keeps a numpy row in the
+    smallest unsigned dtype that holds q - 1.  Rows are kept while rows
+    kept * n <= _CHUNK; a row past that is computed again on each read.
+    The kernel is built on first use."""
 
     def __init__(self, E: PointSet):
+        n, q = len(E), E.spec.q
         self.E = E
-        self.room = _CHUNK // max(len(E), 1)
-        self.dtype = np.min_scalar_type(E.spec.q - 1)
+        self.room = _CHUNK // max(n, 1)
+        self.dtype = np.min_scalar_type(q - 1)
+        self.as_bytes = n <= _BYTE_ROW_POINTS and q <= 256
 
     @cached_property
     def norms(self) -> Callable:
         return _norm_kernel(self.E)
 
-    def __missing__(self, i: int) -> np.ndarray:
-        row = self.norms(self.E.codes[i])
+    def kept(self, block: np.ndarray) -> list:
+        """The rows of a (k, n) block of norm codes as the store keeps them."""
+        block = block.astype(self.dtype)
+        if not self.as_bytes:
+            return list(block)
+        n = block.shape[1]
+        data = block[:, ::-1].tobytes()
+        return [data[lo : lo + n] for lo in range(0, len(data), n)]
+
+    def __missing__(self, i: int) -> bytes | np.ndarray:
+        # kept()'s form for one row, without a block and its list, which
+        # cost about 2 us a row.
+        row = self.norms(self.E.codes[i]).astype(self.dtype)
+        if self.as_bytes:
+            row = row[::-1].tobytes()
         if len(self) < self.room:
-            row = self[i] = row.astype(self.dtype)
+            self[i] = row
         return row
 
 
@@ -480,7 +509,7 @@ def _degree_table(rows: _NormRows) -> np.ndarray:
     n, q = len(E), E.spec.q
     deg = np.empty((n, q), dtype=np.int64)
     for span, block in _norm_blocks(E, rows.norms):
-        rows.update(enumerate(block[: rows.room - len(rows)].astype(rows.dtype), span.start))
+        rows.update(enumerate(rows.kept(block[: rows.room - len(rows)]), span.start))
         offsets = np.arange(len(block), dtype=np.int64)[:, None] * q
         deg[span] = np.bincount((offsets + block).ravel(), minlength=offsets.size * q).reshape(-1, q)
     deg[:, 0] -= 1  # the diagonal, ||x_i - x_i|| = 0
@@ -490,16 +519,20 @@ def _degree_table(rows: _NormRows) -> np.ndarray:
 class _DistanceHost(dict):
     """The t-distance graph as the embedding search reads it: `n`,
     `degrees()` and `rows`, the host itself, whose row i is packed from
-    x_i's norm row the first time the search reads it.  Given no degree
-    list, degrees() reads each degree from its row (_RowDegrees)."""
+    x_i's norm row the first time the search reads it.  A bytes row
+    maps code t to b"1" and every other code to b"0" (_MARKS[t]), and
+    int(., 2) reads the result with x_0 at bit 0; a numpy row is packed
+    by np.packbits.  Given no degree list, degrees() reads each degree
+    from its row (_RowDegrees)."""
 
-    __slots__ = ("n", "t", "norm_rows", "_degrees")
+    __slots__ = ("n", "t", "norm_rows", "_degrees", "_marks")
 
     def __init__(self, norm_rows: _NormRows, t: int, degrees: Optional[list[int]]):
         self.n = len(norm_rows.E)
         self.t = t
         self.norm_rows = norm_rows
         self._degrees = degrees
+        self._marks = _MARKS[t] if norm_rows.as_bytes else None
 
     @property
     def rows(self) -> "_DistanceHost":
@@ -509,8 +542,13 @@ class _DistanceHost(dict):
         return _RowDegrees(self) if self._degrees is None else self._degrees
 
     def __missing__(self, i: int) -> int:
-        packed = np.packbits(self.norm_rows[i] == self.t, bitorder="little")
-        row = self[i] = int.from_bytes(packed.tobytes(), "little") & ~(1 << i)
+        norms = self.norm_rows[i]
+        if self._marks is None:
+            packed = np.packbits(norms == self.t, bitorder="little")
+            row = int.from_bytes(packed.tobytes(), "little")
+        else:
+            row = int(norms.translate(self._marks), 2)
+        row = self[i] = row & ~(1 << i)
         return row
 
 
@@ -540,7 +578,10 @@ def graph_distance_set(E: PointSet, pattern: Graph, budget: Optional[int] = None
     """Test every t in F_q for pattern containment in the t-distance
     graph.  No n x n array is built: each t's search packs row i of its
     graph, the points at norm t from x_i, the first time it reads that
-    row, from x_i's norm row in one store per call (_NormRows).
+    row, from x_i's norm row in one store per call (_NormRows).  With
+    n <= 512 and q <= 256 the store keeps each norm row as bytes and a
+    row is packed by bytes.translate and int(., 2); past either bound
+    by np.packbits.  The store keeps rows while rows kept * n <= _CHUNK.
 
     The degrees come one of two ways, chosen from n, d and q alone.
     By the bound ir_check verifies, every t != 0 has

@@ -32,9 +32,10 @@ def max_field_size() -> int:
     return env_cap(ENV_MAX_Q, DEFAULT_MAX_Q)
 
 
-def _check_field(p: int, k: int) -> None:
-    """Reject a degree that is not an integer >= 1 (a bool is not), a
-    characteristic that is not an odd prime integer and a field over the
+def _check_field(p: int, k: int) -> int:
+    """p as a Python int, once it passes: reject a degree that is not an
+    integer >= 1 (a bool is not), a characteristic that is not an odd
+    prime integer (a numpy integer is one) and a field over the
     DISTGRAPHS_MAX_Q cap.  The cap comes before the trial-division
     primality test, and p^k is never formed for a k that is over the cap
     on its own: 3^k > 2^k > cap once k >= cap.bit_length()."""
@@ -47,6 +48,7 @@ def _check_field(p: int, k: int) -> None:
         raise TooLarge(f"q = {p}^{k} exceeds the configured cap {cap}")
     if not _is_prime(p):
         raise NotOddPrime(f"characteristic must be an odd prime, got {p}")
+    return int(p)
 
 
 def _is_prime(n: int) -> bool:
@@ -143,7 +145,7 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
-        _check_field(p, k)
+        p = _check_field(p, k)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise InvalidDegree(f"modulus must be monic of degree exactly {k}")
@@ -388,7 +390,7 @@ def make_field(p: int, k: int) -> FieldSpec:
     The search enumerates non-leading coefficient vectors by packed code,
     so the choice is deterministic; for k = 1 it returns the modulus X.
     """
-    _check_field(p, k)
+    p = _check_field(p, k)
     for code in range(p**k):
         modulus = _decode_coeffs(code, p, k) + (1,)
         if _poly_irreducible(modulus, p):

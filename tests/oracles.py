@@ -19,7 +19,8 @@ every labeled graph on n vertices, and `graph_distance_set_oracle` is the
 former G-distance set, which builds every t-distance graph whole from one
 n x n norm matrix.  `degree_table_oracle` is the block degree table,
 counted apart from the library's row store, which checks the degrees
-that dense sets read from their packed rows.
+that dense sets read from their packed rows, and `packed_row_oracle`
+packs one t-distance row one Python compare per entry.
 `approx_distance_graph_oracle` is the former approximate distance
 graph, built from the whole (k, k, d) difference array of the net's
 centers.
@@ -222,6 +223,12 @@ def degree_table_oracle(E: PointSet) -> np.ndarray:
         deg[rows] = np.bincount((offsets + block).ravel(), minlength=offsets.size * q).reshape(-1, q)
     deg[:, 0] -= 1  # the diagonal, ||x_i - x_i|| = 0
     return deg
+
+
+def packed_row_oracle(norm_row, t: int, i: int) -> int:
+    """Row i of the t-distance graph as an int bitset, from x_i's norm
+    codes: bit j is set when ||x_i - x_j|| = t and j != i."""
+    return sum(1 << j for j, c in enumerate(norm_row) if c == t and j != i)
 
 
 def partial_fisher_yates_oracle(n: int, size: int, rng: np.random.Generator) -> list[int]:

@@ -15,6 +15,7 @@ from oracles import (
     degree_table_oracle,
     graph_distance_set_oracle,
     histogram_oracle,
+    packed_row_oracle,
     pairwise_norms_oracle,
     partial_fisher_yates_oracle,
 )
@@ -906,6 +907,86 @@ def test_graph_distance_set_rows_past_uint8(monkeypatch):
             assert 256 in expected.contained
 
 
+# -- packed t-rows: bytes rows up to 512 points over q <= 256 --------------
+
+
+def _check_packed_rows(E: PointSet, ts, fill: bool) -> "ffgeom._NormRows":
+    """Pack every (t, i) row of E for each t in `ts` through _DistanceHost
+    and compare it with packed_row_oracle.  With `fill` the degree
+    table's blocks fill the store first, as for a sparse set; without,
+    each norm row is computed alone when its first pack reads it, as for
+    a dense set.  Returns the store."""
+    norms = pairwise_norms(E).tolist()
+    rows = ffgeom._NormRows(E)
+    if fill:
+        ffgeom._degree_table(rows)
+    for t in ts:
+        host = ffgeom._DistanceHost(rows, t, None)
+        assert [host[i] for i in range(len(E))] == [packed_row_oracle(norms[i], t, i) for i in range(len(E))]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "pk, d, size, as_bytes",
+    [
+        ((3, 1), 6, 1, True),
+        ((3, 1), 6, 511, True),
+        ((3, 1), 6, 512, True),
+        ((3, 1), 6, 513, False),
+        ((7, 2), 2, 1, True),
+        ((7, 2), 2, 511, True),
+        ((7, 2), 2, 512, True),
+        ((7, 2), 2, 513, False),
+        ((3, 5), 2, 512, True),  # q = 243
+        ((251, 1), 2, 512, True),  # the largest prime q with bytes rows
+        ((251, 1), 2, 513, False),
+        ((257, 1), 2, 1, False),  # norm codes past a byte
+        ((257, 1), 2, 512, False),
+    ],
+)
+@pytest.mark.parametrize("fill", [False, True], ids=["alone", "blocks"])
+def test_packed_rows_match_oracle(monkeypatch, pk, d, size, as_bytes, fill):
+    monkeypatch.setenv("DISTGRAPHS_MAX_Q", "257")
+    spec = make_field(*pk)
+    rows = _check_packed_rows(random_subset(spec, d, size, seed=size), [0, spec.q - 1], fill)
+    assert rows.as_bytes == as_bytes
+    assert rows and all(isinstance(row, bytes) == as_bytes for row in rows.values())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(3, 1, 6), (7, 1, 3), (3, 2, 3), (5, 2, 2), (3, 3, 2), (7, 2, 2)]),
+    st.integers(1, 700),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_packed_rows_match_oracle_on_drawn_sets(space, size, seed, fill):
+    p, k, d = space
+    spec = make_field(p, k)
+    E = random_subset(spec, d, min(size, spec.q**d), seed)
+    rows = _check_packed_rows(E, sorted({0, seed % spec.q, spec.q - 1}), fill)
+    assert rows.as_bytes == (len(E) <= 512)
+
+
+@pytest.mark.parametrize("size", [512, 1000])
+def test_packed_rows_ignore_the_int_string_limit(monkeypatch, size):
+    # CPython limits the digits int(s, base) reads only for a base that is
+    # not a power of two, so no PYTHONINTMAXSTRDIGITS setting can refuse a
+    # row.  At 1000 points the bytes rule is raised to pack a row longer
+    # than the least limit, 640.
+    monkeypatch.setattr(ffgeom, "_BYTE_ROW_POINTS", max(size, ffgeom._BYTE_ROW_POINTS))
+    E = random_subset(make_field(7, 2), 2, size, seed=size)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            int("1" * 641)  # the limit holds in base 10
+        rows = _check_packed_rows(E, [0, 48], fill=False)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rows.as_bytes
+
+
 # -- dense sets: degrees read from the rows their searches pack -------------
 
 
@@ -1032,8 +1113,9 @@ def test_degree_table_path_rule(monkeypatch):
         ((47, 1), 2, 2209, cycle_graph(4)),
         ((7, 2), 2, 686, cycle_graph(4)),  # each side of the rule
         ((7, 2), 2, 687, cycle_graph(4)),
+        ((3, 3), 2, 400, hypercube_graph(3)),  # bytes rows, each computed alone
     ],
-    ids=["C4-F49^2", "Q3-F13^3", "C6-F7^3", "C4-F27^2", "C4-F47^2", "C4-F49^2-686", "C4-F49^2-687"],
+    ids=["C4-F49^2", "Q3-F13^3", "C6-F7^3", "C4-F27^2", "C4-F47^2", "C4-F49^2-686", "C4-F49^2-687", "Q3-F27^2-400"],
 )
 def test_graph_distance_set_matches_oracle_on_dense_sets(monkeypatch, pk, d, size, pattern):
     spec = make_field(*pk)

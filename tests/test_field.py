@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -63,6 +64,16 @@ def test_make_field_rejects_a_bool_or_float_before_any_work(monkeypatch, p, k, e
         monkeypatch.setattr(field, work, None)  # any work past the check would now fail
     with pytest.raises(error):
         make_field(p, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_make_field_takes_a_numpy_characteristic_as_an_int(k):
+    spec = make_field(np.int64(5), k)
+    assert spec == make_field(5, k)
+    assert type(spec.p) is int and type(spec.q) is int
+    assert all(type(c) is int for c in spec.modulus)
+    assert json.loads(json.dumps(spec.as_dict())) == make_field(5, k).as_dict()
+    assert FieldSpec(np.int64(5), k, spec.modulus).as_dict() == spec.as_dict()
 
 
 def test_make_field_respects_cap(monkeypatch):
